@@ -18,13 +18,14 @@ from pathlib import Path
 
 from .data import write_matrix
 from .errors import ValidationError
-from .fieldopt import build_state, gaussian_sampling, nn_lift, optimize_sampling, quantize_matrix
+from .fieldopt import build_state
 from .harness import (
     DONE_MARKER,
     ExperimentConfig,
-    _load_dictionary,
-    _resolve_grid,
+    build_field_stack,
     load_config,
+    load_dictionary,
+    resolve_grid,
     run_experiment,
     train_dictionary,
 )
@@ -71,38 +72,26 @@ def _require_dictionary(cfg: ExperimentConfig) -> ExperimentConfig:
 def _cmd_build_fields(args) -> int:
     cfg = _require_dictionary(_apply_overrides(load_config(args.config), args))
     cfg.validate()
-    psi = _load_dictionary(cfg)
+    psi = load_dictionary(cfg)
     state = build_state(psi)
-    grid = _resolve_grid(cfg, state)
+    grid = resolve_grid(cfg, state)
     if args.limit is not None:
         grid = grid[: args.limit]
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     for sr, m in grid:
         for method in cfg.methods:
-            if method == "optimized":
-                phi = nn_lift(optimize_sampling(state, m), state.lift)
-                if cfg.qbits:
-                    phi = quantize_matrix(phi, cfg.qbits)
-                path = out / f"field_optimized_m{m}.gim"
-                write_matrix(path, phi.rows, meta={
-                    "role": "sampling", "provenance": "optimized", "m": m, "sr": sr,
-                    "lifted": True, "qbits": cfg.qbits, "lift": state.lift,
-                    "dictionary_checksum": state.dictionary_checksum,
-                })
+            for phi in build_field_stack(method, m, state, cfg):
+                meta = {"role": "sampling", "provenance": method, "m": m, "sr": sr,
+                        "lifted": True, "qbits": cfg.qbits}
+                if method == "optimized":
+                    path = out / f"field_optimized_m{m}.gim"
+                    meta.update(lift=state.lift, dictionary_checksum=state.dictionary_checksum)
+                else:
+                    path = out / f"field_gaussian_m{m}_s{phi.seed}.gim"
+                    meta.update(seed=phi.seed)
+                write_matrix(path, phi.rows, meta=meta)
                 print(f"wrote {path}")
-            else:
-                for s in range(cfg.gaussian_seeds):
-                    raw = gaussian_sampling(m, state.n_pixels, cfg.field_seed + s)
-                    phi = nn_lift(raw, max(0.0, -float(raw.rows.min())))
-                    if cfg.qbits:
-                        phi = quantize_matrix(phi, cfg.qbits)
-                    path = out / f"field_gaussian_m{m}_s{cfg.field_seed + s}.gim"
-                    write_matrix(path, phi.rows, meta={
-                        "role": "sampling", "provenance": "gaussian", "m": m, "sr": sr,
-                        "lifted": True, "qbits": cfg.qbits, "seed": cfg.field_seed + s,
-                    })
-                    print(f"wrote {path}")
     return 0
 
 

@@ -153,7 +153,12 @@ def _parse_matrix_file(path) -> tuple[np.ndarray, dict | None]:
         (mlen,) = struct.unpack("<I", tail[:4])
         if len(tail) != 4 + mlen:
             raise CorruptionError(f"{path}: metadata block length mismatch")
-        meta = json.loads(tail[4:].decode("utf-8"))
+        try:
+            meta = json.loads(tail[4:].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptionError(f"{path}: unreadable metadata block ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise CorruptionError(f"{path}: metadata block is not a JSON object")
     return m, meta
 
 

@@ -23,6 +23,9 @@ log = logging.getLogger(__name__)
 # columns longer than this use a Lanczos top-pair solve instead of full SVD
 _DENSE_SVD_LIMIT = 64
 
+# signals the sparse coder moves in lockstep; bounds its work arrays
+_OMP_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class SparseCode:
@@ -99,99 +102,110 @@ class TrainingConfig:
             raise ValueError(f"unknown replacement policy {self.replacement!r}")
 
 
-def omp(d: np.ndarray, y: np.ndarray, t0: int, residual_tol: float | None = None) -> SparseCode:
-    """Orthogonal matching pursuit.
+def omp(d: np.ndarray, y: np.ndarray, t0: int) -> SparseCode:
+    """Orthogonal matching pursuit on one signal.
 
     Greedily picks the column most correlated with the residual
     (normalized by column norm), re-solves least squares on the selected
     support, and stops once ``t0`` atoms are used or the residual norm
-    drops to ``residual_tol`` (default 1e-6 * ||y||).
+    drops to 1e-6 * ||y||. This is the one-column case of
+    :func:`sparse_code_columns`.
 
     Args:
         d: matrix whose columns are the candidate atoms.
         y: signal to approximate.
         t0: maximum number of selected columns.
-        residual_tol: absolute residual-norm stopping threshold.
 
     Returns:
         SparseCode over the columns of ``d``.
     """
+    support, coeffs = _lockstep_omp(d, np.asarray(y, dtype=np.float64).reshape(-1, 1), t0)
+    selected = support[0][support[0] >= 0]
+    z = np.zeros(np.shape(d)[1])
+    z[selected] = coeffs[0, : selected.size]
+    return SparseCode(coefficients=z, support=tuple(int(j) for j in selected))
+
+
+def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray:
+    """OMP-code every column of ``x`` against the columns of ``atoms``.
+
+    Selection, least-squares fits and the stopping rule are those of
+    :func:`omp`, applied to all columns at once. Returns the K x L
+    coefficient matrix.
+    """
+    support, coeffs = _lockstep_omp(atoms, x, t0)
+    cols, slots = np.nonzero(support >= 0)
+    z = np.zeros((np.shape(atoms)[1], support.shape[0]))
+    z[support[cols, slots], cols] = coeffs[cols, slots]
+    return z
+
+
+def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Batch OMP (Rubinstein, Zibulevsky & Elad, Technion TR CS-2008-08).
+
+    All running columns of ``x`` hold the same number of atoms, so each step
+    is one argmax over |correlation| / column norm (first index on ties), one
+    batched solve of the support Gram systems and one correlation update,
+    from the atom Gram D^T D when there are more signals than atoms, else as
+    D^T r. Columns go in blocks of ``_OMP_BLOCK``. Returns (support, coeffs):
+    L x budget atom indices in selection order and their coefficients, with
+    -1 and 0 in unused slots.
+    """
     d = np.asarray(d, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if d.ndim != 2 or d.shape[0] != y.size:
-        raise ValueError(f"matrix {d.shape} incompatible with signal of length {y.size}")
+    x = np.asarray(x, dtype=np.float64)
+    if d.ndim != 2 or x.ndim != 2 or d.shape[0] != x.shape[0]:
+        raise ValueError(f"matrix {d.shape} incompatible with signals {x.shape}")
     if t0 < 1:
         raise ValueError("sparsity budget must be >= 1")
     norms = np.linalg.norm(d, axis=0)
     if np.any(norms == 0.0):
         raise DegenerateMatrixError("zero column in sparse-coding matrix")
-    if residual_tol is None:
-        residual_tol = 1e-6 * float(np.linalg.norm(y))
 
-    support: list[int] = []
-    coeffs = np.zeros(0)
-    residual = y.copy()
-    budget = min(t0, d.shape[1])
-    while len(support) < budget and np.linalg.norm(residual) > residual_tol:
-        corr = np.abs(d.T @ residual) / norms
-        corr[support] = -1.0
-        j = int(np.argmax(corr))
-        if corr[j] <= 0.0:
-            break
-        support.append(j)
-        coeffs, *_ = np.linalg.lstsq(d[:, support], y, rcond=None)
-        residual = y - d[:, support] @ coeffs
-
-    z = np.zeros(d.shape[1])
-    z[support] = coeffs
-    return SparseCode(coefficients=z, support=tuple(support))
-
-
-def sparse_code_columns(
-    atoms: np.ndarray, x: np.ndarray, t0: int, tol_scale: float = 1e-6
-) -> np.ndarray:
-    """OMP-code every column of ``x`` against unit-norm ``atoms``.
-
-    Gram-accelerated batch variant of :func:`omp` (precomputed atom Gram and
-    correlation recurrences); selection, least-squares fits, and the stopping
-    rule match the single-signal routine. Returns the K x L coefficient matrix.
-    """
-    atoms = np.asarray(atoms, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    k = atoms.shape[1]
-    gram = atoms.T @ atoms
-    corr0 = atoms.T @ x
-    ynorm2 = np.sum(x * x, axis=0)
-    tol2 = (tol_scale**2) * ynorm2
-    budget = min(t0, k)
-
-    z = np.zeros((k, x.shape[1]))
-    for i in range(x.shape[1]):
-        if ynorm2[i] == 0.0:
-            continue
-        alpha = corr0[:, i].copy()
-        selected = np.zeros(k, dtype=bool)
-        support: list[int] = []
-        coeffs = np.zeros(0)
-        err2 = ynorm2[i]
-        while len(support) < budget and err2 > tol2[i]:
-            cand = np.abs(alpha)
-            cand[selected] = -1.0
-            j = int(np.argmax(cand))
-            if cand[j] <= 0.0:
+    dt = np.ascontiguousarray(d.T)
+    gram = dt @ d if x.shape[1] > d.shape[1] else None
+    support = np.full((x.shape[1], min(t0, d.shape[1])), -1)
+    coeffs = np.zeros(support.shape)
+    for first in range(0, x.shape[1], _OMP_BLOCK):
+        y = x[:, first:first + _OMP_BLOCK].T  # one signal per row
+        corr0 = y @ d
+        energy = np.einsum("ln,ln->l", y, y)
+        tol2 = 1e-12 * energy
+        live = np.flatnonzero(energy > tol2)  # rows of y still running
+        corr = corr0[live]
+        for t in range(support.shape[1]):
+            rows = np.arange(live.size)
+            scores = np.abs(corr) / norms
+            scores[rows[:, None], support[first + live, :t]] = -1.0
+            best = np.argmax(scores, axis=1)
+            moving = scores[rows, best] > 0.0
+            live, best = live[moving], best[moving]
+            if live.size == 0:
                 break
-            support.append(j)
-            selected[j] = True
-            sub = gram[np.ix_(support, support)]
-            rhs = corr0[support, i]
+            support[first + live, t] = best
+            sel = support[first + live, : t + 1]
+            rhs = corr0[live[:, None], sel]
+            if gram is not None:
+                sub = gram[sel[:, :, None], sel[:, None, :]]
+            else:
+                d_rows = dt[sel]
+                sub = d_rows @ d_rows.transpose(0, 2, 1)
             try:
-                coeffs = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                coeffs, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            alpha = corr0[:, i] - gram[:, support] @ coeffs
-            err2 = max(ynorm2[i] - float(coeffs @ rhs), 0.0)
-        z[support, i] = coeffs
-    return z
+                c = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # a singular support Gram: least-norm fit
+                c = (np.linalg.pinv(sub) @ rhs[:, :, None])[:, :, 0]
+            coeffs[first + live, : t + 1] = c
+            if gram is not None:
+                corr = corr0[live]
+                for i in range(t + 1):  # one Gram row per support slot keeps memory flat
+                    corr -= c[:, i, None] * gram[sel[:, i]]
+                err2 = energy[live] - np.einsum("li,li->l", c, rhs)
+            else:
+                r = y[live] - (c[:, None, :] @ d_rows)[:, 0]
+                corr = r @ d
+                err2 = np.einsum("ln,ln->l", r, r)
+            going = err2 > tol2[live]
+            live, corr = live[going], corr[going]
+    return support, coeffs
 
 
 def _random_zero_mean_unit(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -17,26 +17,26 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import load_idx_images, random_subset, read_matrix, read_matrix_meta, write_matrix
-from .dictionary import Dictionary, TrainingConfig, ksvd_train
+from .dictionary import Dictionary, TrainingConfig, ksvd_train, sparse_code_columns
 from .errors import ValidationError
 from .fieldopt import (
     FieldOptState,
+    SamplingMatrix,
     build_state,
     gaussian_sampling,
     nn_lift,
     optimize_sampling,
     quantize_matrix,
 )
-from .imaging import NoiseModel, measure, reconstruct
+from .imaging import NoiseModel, measure
+from .imaging import reconstruct  # noqa: F401 - benchmarks/gibench/trace.py wraps this name
 from .metrics import QualityReport, aggregate, mse, mutual_coherence, psnr, ssim
 
 log = logging.getLogger(__name__)
@@ -239,7 +239,8 @@ def _subset_or_invalid(path: str, split: str, count: int, seed: int):
         raise ValidationError(str(exc)) from exc
 
 
-def _load_dictionary(cfg: ExperimentConfig) -> Dictionary:
+def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
+    """The configured dictionary: read from ``dictionary.path``, else trained afresh."""
     if cfg.dictionary_path:
         path = Path(cfg.dictionary_path)
         if not path.is_file():
@@ -256,35 +257,49 @@ def _load_dictionary(cfg: ExperimentConfig) -> Dictionary:
     return dictionary
 
 
-def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[float, int]]:
+def resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[float, int]]:
+    """The grid as (sampling ratio, M) pairs; every M distinct and within the Gram rank."""
     n = state.n_pixels
     if cfg.m_grid:
         grid = [(m / n, m) for m in cfg.m_grid]
     else:
         grid = [(sr, max(1, int(round(sr * n)))) for sr in cfg.sr_grid]
-    for _, m in grid:
+    for i, (_, m) in enumerate(grid):
         if m > state.rank:
             raise ValidationError(
                 f"config: M={m} exceeds the dictionary Gram rank {state.rank}"
             )
+        if any(m == other for _, other in grid[:i]):
+            raise ValidationError(f"config: the grid gives M={m} more than once")
     return grid
 
 
+def build_field_stack(
+    method: str, m: int, state: FieldOptState, cfg: ExperimentConfig
+) -> list[SamplingMatrix]:
+    """The lifted, and per ``fields.qbits`` quantized, M-row fields of one cell.
+
+    One matrix for ``optimized``; for ``gaussian`` one per seed
+    ``fields.seed``, ``fields.seed + 1``, ... (``fields.gaussian_seeds`` of them).
+    """
+    if method == "optimized":
+        stack = [nn_lift(optimize_sampling(state, m), state.lift)]
+    else:
+        stack = []
+        for s in range(cfg.gaussian_seeds):
+            raw = gaussian_sampling(m, state.n_pixels, cfg.field_seed + s)
+            stack.append(nn_lift(raw, max(0.0, -float(raw.rows.min()))))
+    if cfg.qbits:
+        stack = [quantize_matrix(phi, cfg.qbits) for phi in stack]
+    return stack
+
+
 def _noise_for(base: NoiseModel, variant: int, image: int) -> NoiseModel:
+    """The noise model of one reconstruction, seeded apart from every other one."""
     if base.kind == "none":
         return base
-    return dataclasses.replace(base, seed=base.seed + 7919 * variant + image)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GI_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"GI_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
+    seq = np.random.SeedSequence(base.seed, spawn_key=(variant, image))
+    return dataclasses.replace(base, seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
 def _run_cell(
@@ -295,57 +310,34 @@ def _run_cell(
     psi: Dictionary,
     x_test: np.ndarray,
     cfg: ExperimentConfig,
-    workers: int,
 ) -> ExperimentRecord:
     n_images = x_test.shape[1]
     t0 = cfg.recon_sparsity or psi.sparsity
 
     # build every field variant for this cell (one optimized, or one per seed)
     build_start = time.perf_counter()
-    variants = []
-    if method == "optimized":
-        phi = nn_lift(optimize_sampling(state, m), state.lift)
-        if cfg.qbits:
-            phi = quantize_matrix(phi, cfg.qbits)
-        variants.append((phi, phi.rows @ psi.atoms))
-    else:
-        for s in range(cfg.gaussian_seeds):
-            raw = gaussian_sampling(m, state.n_pixels, cfg.field_seed + s)
-            phi = nn_lift(raw, max(0.0, -float(raw.rows.min())))
-            if cfg.qbits:
-                phi = quantize_matrix(phi, cfg.qbits)
-            variants.append((phi, phi.rows @ psi.atoms))
+    variants = [(phi, phi.rows @ psi.atoms) for phi in build_field_stack(method, m, state, cfg)]
     build_sec = time.perf_counter() - build_start
     mu = float(np.mean([mutual_coherence(eq) for _, eq in variants]))
 
-    # (variants, images) metric grids
+    # (variants, images) metric grids; each variant's images are coded in one call
     psnr_grid = np.empty((len(variants), n_images))
     ssim_grid = np.empty_like(psnr_grid)
     mse_grid = np.empty_like(psnr_grid)
-    durations = np.empty_like(psnr_grid)
-
-    def one_image(args):
-        v_idx, (phi, equivalent), i = args
-        x = x_test[:, i]
-        y = measure(phi, x, _noise_for(cfg.noise, v_idx, i))
-        result = reconstruct(y, phi, psi, t0=t0, equivalent=equivalent)
-        return (
-            v_idx, i,
-            mse(x, result.image), psnr(x, result.image), ssim(x, result.image),
-            result.duration_sec,
-        )
-
-    tasks = [(v, variant, i) for v, variant in enumerate(variants) for i in range(n_images)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_image, tasks))
-    else:
-        outcomes = [one_image(t) for t in tasks]
-    for v_idx, i, m_val, p_val, s_val, dur in outcomes:
-        mse_grid[v_idx, i] = m_val
-        psnr_grid[v_idx, i] = p_val
-        ssim_grid[v_idx, i] = s_val
-        durations[v_idx, i] = dur
+    coding_sec = 0.0
+    for v_idx, (phi, equivalent) in enumerate(variants):
+        readings = np.column_stack([
+            measure(phi, x_test[:, i], _noise_for(cfg.noise, v_idx, i)).values
+            for i in range(n_images)
+        ])
+        start = time.perf_counter()
+        images = psi.atoms @ sparse_code_columns(equivalent, readings, t0)
+        coding_sec += time.perf_counter() - start
+        for i in range(n_images):
+            x, x_hat = x_test[:, i], images[:, i]
+            mse_grid[v_idx, i] = mse(x, x_hat)
+            psnr_grid[v_idx, i] = psnr(x, x_hat)
+            ssim_grid[v_idx, i] = ssim(x, x_hat)
 
     # pool over field seeds: per-image means, with infinite (exact) PSNRs
     # excluded from the mean and tallied separately
@@ -376,7 +368,7 @@ def _run_cell(
         n_exact=int(np.count_nonzero(~finite)),
         mu=mu,
         build_sec=build_sec,
-        recon_sec_mean=float(durations.mean()),
+        recon_sec_mean=coding_sec / psnr_grid.size,
         per_image=rows,
     )
     log.info(
@@ -440,16 +432,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     partial run.
     """
     cfg.validate()
-    workers = _worker_count()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / DONE_MARKER
     if marker.exists():
         marker.unlink()
 
-    psi = _load_dictionary(cfg)
+    psi = load_dictionary(cfg)
     state = build_state(psi)
-    grid = _resolve_grid(cfg, state)
+    grid = resolve_grid(cfg, state)
     test = _subset_or_invalid(cfg.test_path, "test", cfg.test_count, cfg.test_seed)
     if test.pixels_per_image != psi.n_pixels:
         raise ValidationError(
@@ -458,7 +449,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     x_test = test.as_columns()
 
     records = [
-        _run_cell(method, sr, m, state, psi, x_test, cfg, workers)
+        _run_cell(method, sr, m, state, psi, x_test, cfg)
         for method in cfg.methods
         for sr, m in grid
     ]

@@ -94,10 +94,10 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Recover the image behind ``y`` by OMP in the dictionary.
 
-    Forms the equivalent matrix D = Phi Psi (or reuses a precomputed one,
-    which the sweep harness shares across images), solves for a code with at
-    most ``t0`` atoms (default: the dictionary's training budget), and
-    returns x_hat = Psi z_hat.
+    Forms the equivalent matrix D = Phi Psi (or reuses a precomputed one),
+    solves for a code with at most ``t0`` atoms (default: the dictionary's
+    training budget), and returns x_hat = Psi z_hat. Many images under one
+    pattern stack code faster together, through ``sparse_code_columns``.
     """
     if len(y) != phi.n_patterns:
         raise ValueError(f"{len(y)} readings for {phi.n_patterns} patterns")

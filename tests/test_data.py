@@ -131,6 +131,25 @@ def test_matrix_rejects_bad_payloads(tmp_path):
         gf.write_matrix(tmp_path / "nan.gim", np.array([[np.nan, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "block",
+    [b"\xff", b"x", b"["],  # bad UTF-8, bad JSON, JSON that is not an object
+    ids=["utf8", "json", "not-object"],
+)
+def test_matrix_corrupt_metadata_raises_corruption_error(tmp_path, block):
+    path = tmp_path / "m.gim"
+    gf.write_matrix(path, np.ones((2, 2)), meta={"role": "dictionary"})
+    raw = bytearray(path.read_bytes())
+    first_meta_byte = 24 + 4 * 8 + 4  # header, payload, length prefix
+    assert raw[first_meta_byte:first_meta_byte + 1] == b"{"
+    raw[first_meta_byte:first_meta_byte + 1] = block
+    if block == b"[":
+        raw[-1:] = b"]"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(gf.CorruptionError):
+        gf.read_matrix_meta(path)
+
+
 def test_dictionary_file_checksum_stable(tmp_path):
     psi = gf.random_dictionary(49, 64, seed=0)
     path = tmp_path / "dict.gim"

@@ -5,6 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gifield as gf
 
@@ -101,18 +103,77 @@ def test_omp_exact_recovery_low_coherence_8x12():
         assert exhaustive == set(code.support) and err < 1e-8
 
 
-def test_batch_coder_matches_reference_omp():
-    rng = np.random.default_rng(6)
-    d = _unit_columns(20, 40, seed=6)
-    signals = rng.standard_normal((20, 30))
+def _reference_omp(d, y, t0):
+    """Plain OMP: a least-squares refit on the selected columns at every step."""
+    norms = np.linalg.norm(d, axis=0)
+    tol = 1e-6 * np.linalg.norm(y)
+    support, coeffs, residual = [], np.zeros(0), y.copy()
+    while len(support) < min(t0, d.shape[1]) and np.linalg.norm(residual) > tol:
+        corr = np.abs(d.T @ residual) / norms
+        corr[support] = -1.0
+        j = int(np.argmax(corr))
+        if corr[j] <= 0.0:
+            break
+        support.append(j)
+        coeffs, *_ = np.linalg.lstsq(d[:, support], y, rcond=None)
+        residual = y - d[:, support] @ coeffs
+    z = np.zeros(d.shape[1])
+    z[support] = coeffs
+    return tuple(support), z
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(4, 24),
+    extra_atoms=st.integers(0, 30),
+    more_signals_than_atoms=st.booleans(),
+    n_signals=st.integers(1, 300),
+    t0=st.integers(1, 6),
+    unit_columns=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=10, extra_atoms=5, more_signals_than_atoms=False, n_signals=1, t0=3,
+         unit_columns=False, seed=0)
+@example(n=8, extra_atoms=2, more_signals_than_atoms=True, n_signals=290, t0=4,
+         unit_columns=True, seed=1)
+def test_batch_coder_matches_reference_omp(
+    n, extra_atoms, more_signals_than_atoms, n_signals, t0, unit_columns, seed
+):
+    """Both faces of the coder against the reference, on either side of the
+    Gram-or-direct choice (more signals than atoms, or not)."""
+    k = n + extra_atoms
+    n_signals = k + n_signals if more_signals_than_atoms else min(n_signals, k)
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((n, k))
+    if unit_columns:
+        d /= np.linalg.norm(d, axis=0)
+    else:
+        d *= rng.uniform(0.2, 3.0, size=k)
+    signals = rng.standard_normal((n, n_signals))
     signals[:, 0] = 0.0
-    signals[:, 1] = 1.7 * d[:, 9]  # early stop on the residual tolerance
-    z = gf.sparse_code_columns(d, signals, t0=4)
-    for i in range(signals.shape[1]):
-        ref = gf.omp(d, signals[:, i], t0=4)
-        assert set(np.flatnonzero(z[:, i])) <= set(ref.support)
-        np.testing.assert_allclose(z[:, i], ref.coefficients, atol=1e-9)
-    assert np.count_nonzero(z[:, 1]) == 1
+    if n_signals > 1:
+        signals[:, 1] = 1.7 * d[:, 3]  # early stop on the residual tolerance
+    if n_signals > 2:
+        signals[:, 2] = d[:, :2] @ [2.0, -1.0]
+    for col, rel in ((3, 1e-4), (4, 1e-8)):  # a residual either side of 1e-6 ||y||
+        if col < n_signals:
+            wobble = rng.standard_normal(n)
+            wobble *= rel * np.linalg.norm(signals[:, 1]) / np.linalg.norm(wobble)
+            signals[:, col] = signals[:, 1] + wobble
+
+    z = gf.sparse_code_columns(d, signals, t0)
+    assert z.shape == (k, n_signals)
+    for i in range(n_signals):
+        support, coeffs = _reference_omp(d, signals[:, i], t0)
+        assert tuple(np.flatnonzero(z[:, i])) == tuple(sorted(support))
+        np.testing.assert_allclose(z[:, i], coeffs, rtol=0, atol=1e-9)
+        if i < 5:
+            code = gf.omp(d, signals[:, i], t0)
+            assert code.support == support
+            np.testing.assert_allclose(code.coefficients, coeffs, rtol=0, atol=1e-9)
+    assert not z[:, 0].any()
+    if n_signals > 1:
+        assert tuple(np.flatnonzero(z[:, 1])) == (3,)
 
 
 def test_training_config_validation():
@@ -224,3 +285,20 @@ def test_desk_training_beats_dct_coding(desk_dictionary, data_dir):
     rms_learned = np.sqrt(np.mean((x - psi.atoms @ z_learned) ** 2))
     rms_dct = np.sqrt(np.mean((x - dct_atoms @ z_dct) ** 2))
     assert rms_learned < rms_dct
+
+
+def test_omp_duplicate_columns_and_signal_outside_range():
+    """Once the residual is orthogonal to every column, the correlations left are
+    rounding noise; a duplicate column picked on noise makes a singular support
+    Gram, and the fit must still be the least-squares projection."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = rng.standard_normal(6)
+        d = np.column_stack([a, a, rng.standard_normal(6)])
+        q, _ = np.linalg.qr(d[:, 1:])
+        outside = rng.standard_normal(6)
+        outside -= q @ (q.T @ outside)
+        y = 2.0 * a + outside
+        for z in (gf.omp(d, y, 3).coefficients, gf.sparse_code_columns(d, y[:, None], 3)[:, 0]):
+            assert np.all(np.isfinite(z))
+            np.testing.assert_allclose(d @ z, 2.0 * a, atol=1e-9)

@@ -98,11 +98,24 @@ def test_validate_rejects(tmp_path, data_dir, patch):
         gf.load_config(path).validate()
 
 
-def test_gi_threads_garbage(tmp_path, data_dir, tiny_dict_file, monkeypatch):
-    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file)
-    monkeypatch.setenv("GI_THREADS", "banana")
-    with pytest.raises(gf.ValidationError):
+@pytest.mark.parametrize(
+    "grid",
+    [{"sr": "0.2,0.21"}, {"m": "10,20,10"}],  # 0.2 and 0.21 of 49 pixels both give M=10
+    ids=["sr-rounding", "repeated-m"],
+)
+def test_duplicate_m_rejected(tmp_path, data_dir, tiny_dict_file, grid):
+    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, **grid)
+    with pytest.raises(gf.ValidationError, match="M=10"):
         gf.run_experiment(cfg)
+    assert not (out / "results.csv").exists()
+
+
+def test_noise_seeds_never_collide():
+    base = gf.NoiseModel(kind="awgn", snr_db=20.0, seed=5)
+    assert harness._noise_for(base, 0, 7919).seed != harness._noise_for(base, 1, 0).seed
+    seeds = {harness._noise_for(base, v, i).seed for v in range(3) for i in range(8000)}
+    assert len(seeds) == 3 * 8000
+    assert harness._noise_for(gf.NoiseModel(), 1, 2) == gf.NoiseModel()
 
 
 def test_tiny_run_outputs(tiny_run):
@@ -209,19 +222,6 @@ def test_byte_identical_reruns(tmp_path, data_dir, tiny_dict_file):
         (b / "results.csv").read_text(encoding="utf-8").splitlines(),
     ):
         assert line_a.split(",")[:10] == line_b.split(",")[:10]
-
-
-def test_threaded_run_matches_serial(tmp_path, data_dir, tiny_dict_file, monkeypatch):
-    cfg_s, out_s = _tiny_cfg(
-        tmp_path, data_dir, tiny_dict_file, out_name="serial", sr="0.4", test_count=10
-    )
-    gf.run_experiment(cfg_s)
-    monkeypatch.setenv("GI_THREADS", "2")
-    cfg_t, out_t = _tiny_cfg(
-        tmp_path, data_dir, tiny_dict_file, out_name="threads", sr="0.4", test_count=10
-    )
-    gf.run_experiment(cfg_t)
-    assert (out_s / "per_image.csv").read_bytes() == (out_t / "per_image.csv").read_bytes()
 
 
 def test_awgn_run_hurts_quality_and_stays_deterministic(tmp_path, data_dir, tiny_dict_file):
