@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,27 +112,47 @@ def random_subset(ds: Dataset, count: int, seed: int) -> Dataset:
     )
 
 
+@contextmanager
+def atomic_write(path):
+    """Binary handle whose bytes replace ``path`` only if the block completes.
+
+    The bytes go to a temporary file beside ``path``, which ``os.replace``
+    moves over it at the end, so a reader sees the old file or the whole new
+    one, never a truncated one. If the block raises, the temporary file is
+    deleted and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_matrix(path, m: np.ndarray, meta: dict | None = None) -> None:
     """Write a 2-D float64 matrix with optional JSON metadata.
 
     Layout: 8-byte magic ``GIMATRX1``, u64-le rows, u64-le cols, rows*cols
     little-endian float64 (row-major), then an optional u32-le length-prefixed
     UTF-8 JSON block. Entries must be finite; the round-trip is bit-exact.
+    The file is replaced atomically (see :func:`atomic_write`).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    blob = bytearray()
-    blob += MATRIX_MAGIC
-    blob += struct.pack("<QQ", m.shape[0], m.shape[1])
-    blob += np.ascontiguousarray(m, dtype="<f8").tobytes()
-    if meta is not None:
-        encoded = json.dumps(meta, sort_keys=True).encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-    Path(path).write_bytes(bytes(blob))
+    encoded = None if meta is None else json.dumps(meta, sort_keys=True).encode("utf-8")
+    with atomic_write(path) as fh:
+        fh.write(MATRIX_MAGIC)
+        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
+        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        if encoded is not None:
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
 
 
 def _parse_matrix_file(path) -> tuple[np.ndarray, dict | None]:

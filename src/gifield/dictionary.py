@@ -14,14 +14,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy.sparse
 
 from .errors import DegenerateMatrixError
 
 log = logging.getLogger(__name__)
-
-# columns longer than this use a Lanczos top-pair solve instead of full SVD
-_DENSE_SVD_LIMIT = 64
 
 # signals the sparse coder moves in lockstep; bounds its work arrays
 _OMP_BLOCK = 256
@@ -245,33 +242,47 @@ def _init_atoms(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return atoms
 
 
-def _rank1_left_vector(e: np.ndarray, atom: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Top left-singular vector of ``e``; Lanczos with a warm start when wide.
+def _constrained_rank1(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The zero-mean unit atom that captures the most of ``e``: argmax ||psi^T e||.
 
-    ``atom``/``coeffs`` are the current left/right factors, used to seed the
-    iteration (whichever side matches the Lanczos subspace).
+    That is the top left singular vector of the column-centred ``P e``, with
+    ``P = I - 11^T/N``, found from the smaller centred Gram: ``psi`` is
+    ``P e w`` normalised, where ``w`` is the top eigenvector of ``e^T P e``
+    when ``e`` has no more columns than rows, else ``e^T u`` for ``u`` the
+    top eigenvector of ``P e e^T P``. A random zero-mean atom stands in when
+    ``P e w`` vanishes next to ``e w``, that is, when the centred residual is
+    gone.
     """
-    if e.shape[1] == 1:
-        return e[:, 0] / np.linalg.norm(e[:, 0])
-    if e.shape[1] <= _DENSE_SVD_LIMIT:
-        u, _, _ = np.linalg.svd(e, full_matrices=False)
-        return u[:, 0]
-    warm = coeffs if e.shape[1] <= e.shape[0] else atom
-    u, _, _ = scipy.sparse.linalg.svds(e, k=1, v0=warm)
-    return u[:, 0]
+    n, count = e.shape
+    if count <= n:
+        sums = e.sum(axis=0)
+        _, vecs = np.linalg.eigh(e.T @ e - np.outer(sums, sums) / n)
+        w = vecs[:, -1]
+    else:
+        gram = e @ e.T
+        means = gram.mean(axis=0)  # symmetric: row and column means agree
+        gram -= means
+        gram -= means[:, None]
+        gram += means.mean()
+        _, vecs = np.linalg.eigh(gram)
+        w = vecs[:, -1] @ e
+    v = e @ w
+    scale = np.linalg.norm(v)
+    return _constrain_atom(v / scale if scale > 0.0 else v, rng)
 
 
 def _replace_dead_atoms(
     atoms: np.ndarray,
     usage_counts: np.ndarray,
     x: np.ndarray,
-    codes: np.ndarray,
+    residual: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
+    """Replace unused atoms by the worst-coded columns of ``x``; ``residual`` is X - Psi Z."""
     dead = [k for k in range(1, atoms.shape[1]) if usage_counts[k] == 0]
     if not dead:
         return atoms, 0
-    residual_norms = np.linalg.norm(x - atoms @ codes, axis=0)
+    residual_norms = np.linalg.norm(residual, axis=0)
     worst_first = np.argsort(residual_norms)[::-1]
     atoms = atoms.copy()
     for rank, k in enumerate(dead):
@@ -298,9 +309,10 @@ def replace_unused_atoms(
     usage_counts = np.asarray(usage_counts)
     if usage_counts.size != dictionary.n_atoms:
         raise ValueError("usage counts do not match the atom count")
+    x = np.asarray(x, dtype=np.float64)
     atoms, n_dead = _replace_dead_atoms(
-        np.array(dictionary.atoms), usage_counts, np.asarray(x, dtype=np.float64),
-        np.asarray(codes, dtype=np.float64), np.random.default_rng(seed),
+        np.array(dictionary.atoms), usage_counts, x,
+        x - dictionary.atoms @ np.asarray(codes, dtype=np.float64), np.random.default_rng(seed),
     )
     if n_dead == 0:
         return dictionary
@@ -320,11 +332,13 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
         each sweep.
 
     Each sweep codes all signals with budget ``cfg.sparsity``, then updates
-    atoms one at a time from the rank-1 factorization of the atom's restricted
-    residual. Atom 1 stays constant (only its coefficients are refit); every
-    other atom is re-centered to zero mean, renormalized, and kept only if it
-    captures at least as much residual energy as the atom it replaces, after
-    which its coefficients are refit. Dead atoms are replaced per
+    the atoms one at a time on the restricted residual ``E`` of the signals
+    that use the atom (their residual with the atom's own term added back).
+    The constant atom 0 stays as it is; only its coefficients are refit.
+    Every other atom becomes the exact best zero-mean unit atom for ``E``,
+    the top left singular vector of the column-centred ``E``, found from the
+    smaller centred Gram of ``E``; its coefficients are then refit. No
+    update can lose to the atom it replaces. Dead atoms are replaced per
     ``cfg.replacement``.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -344,35 +358,35 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
 
     for sweep in range(cfg.sweeps):
         z = sparse_code_columns(atoms, x, cfg.sparsity)
-        residual = x - atoms @ z
+        # np.nonzero walks z row by row, so each atom's signals are one slice
+        owner, signal = np.nonzero(z)
+        bounds = np.searchsorted(owner, np.arange(cfg.atom_count + 1))
+        codes = scipy.sparse.csr_array((z[owner, signal], signal, bounds), shape=z.shape)
+        # one row per signal, so that an atom's signals are a cheap row gather
+        residual = codes.T @ atoms.T
+        np.subtract(x.T, residual, out=residual)
         objectives[sweep] = float(np.sum(residual * residual))
 
         for k in range(cfg.atom_count):
-            used = np.flatnonzero(z[k])
+            used = signal[bounds[k]:bounds[k + 1]]
             if used.size == 0:
                 continue
-            e = residual[:, used] + np.outer(atoms[:, k], z[k, used])
-            if k == 0:
-                psi = atoms[:, 0]
-            else:
-                cand = _constrain_atom(_rank1_left_vector(e, atoms[:, k], z[k, used]), rng)
-                # projection can spoil the SVD optimum; keep whichever atom
-                # captures more of the restricted residual
-                if np.linalg.norm(cand @ e) >= np.linalg.norm(atoms[:, k] @ e):
-                    psi = cand
-                else:
-                    psi = atoms[:, k]
-            coeffs = psi @ e
+            e = residual[used]
+            e += z[k, used, None] * atoms[:, k]
+            psi = atoms[:, 0] if k == 0 else _constrained_rank1(e.T, rng)
+            coeffs = e @ psi
             z[k, used] = coeffs
-            residual[:, used] = e - np.outer(psi, coeffs)
+            e -= coeffs[:, None] * psi
+            residual[used] = e
             atoms[:, k] = psi
 
-        updated = float(np.sum(residual * residual))
-        log.debug("sweep %d: objective %.6g -> %.6g", sweep, objectives[sweep], updated)
+        if log.isEnabledFor(logging.DEBUG):
+            updated = float(np.sum(residual * residual))
+            log.debug("sweep %d: objective %.6g -> %.6g", sweep, objectives[sweep], updated)
 
         if cfg.replacement == "worst":
             usage = np.count_nonzero(z, axis=1)
-            atoms, n_dead = _replace_dead_atoms(atoms, usage, x, z, rng)
+            atoms, n_dead = _replace_dead_atoms(atoms, usage, x, residual.T, rng)
             if n_dead:
                 log.debug("sweep %d: replaced %d dead atoms", sweep, n_dead)
 

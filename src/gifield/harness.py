@@ -23,7 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import load_idx_images, random_subset, read_matrix, read_matrix_meta, write_matrix
+from .data import (
+    atomic_write,
+    load_idx_images,
+    random_subset,
+    read_matrix,
+    read_matrix_meta,
+    write_matrix,
+)
 from .dictionary import Dictionary, TrainingConfig, ksvd_train, sparse_code_columns
 from .errors import ValidationError
 from .fieldopt import (
@@ -49,6 +56,15 @@ PER_IMAGE_HEADER = "method,sr,M,qbits,image,mse,psnr,ssim"
 DONE_MARKER = "_DONE"
 
 METHODS = ("optimized", "gaussian")
+
+# every section and key that load_config reads
+_CONFIG_KEYS = {
+    "data": ("train", "test", "train_count", "train_seed", "test_count", "test_seed"),
+    "dictionary": ("path", "atoms", "sparsity", "sweeps", "seed", "replacement"),
+    "fields": ("sr", "m", "methods", "qbits", "gaussian_seeds", "seed"),
+    "noise": ("kind", "snr_db", "seed"),
+    "run": ("out", "t0"),
+}
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,15 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
+    unknown = [f"[{name}]" for name in parser.sections() if name not in _CONFIG_KEYS]
+    unknown += [f"[DEFAULT] {key}" for key in parser.defaults()]
+    unknown += [
+        f"{name}.{key}"
+        for name, keys in _CONFIG_KEYS.items() if parser.has_section(name)
+        for key in parser[name] if key not in keys and key not in parser.defaults()
+    ]
+    if unknown:
+        raise ValidationError(f"config: unknown section or key: {', '.join(unknown)}")
 
     try:
         training = TrainingConfig(
@@ -200,7 +225,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
-    """Train per config and persist the atoms with their training metadata."""
+    """Train per config and persist the atoms with their training metadata.
+
+    The metadata holds the whole K-SVD objective trajectory (``objectives``,
+    one value per sweep) and its last value (``objective_last``).
+    """
     cfg.validate()
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
@@ -224,6 +253,7 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
             "seed": cfg.training.seed,
             "sweeps": cfg.training.sweeps,
             "train_source": data.source,
+            "objectives": objectives.tolist(),
             "objective_last": objectives[-1],
         },
     )
@@ -382,6 +412,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def _write_results(path: Path, records: list[ExperimentRecord]) -> None:
     lines = [RESULTS_HEADER]
     for r in records:
@@ -391,7 +426,7 @@ def _write_results(path: Path, records: list[ExperimentRecord]) -> None:
             f"{_fmt(q.psnr_std)},{_fmt(q.ssim_mean)},{_fmt(q.ssim_std)},"
             f"{_fmt(r.mu)},{r.n_exact},{_fmt(r.build_sec)},{_fmt(r.recon_sec_mean)}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def _write_per_image(path: Path, records: list[ExperimentRecord]) -> None:
@@ -402,7 +437,7 @@ def _write_per_image(path: Path, records: list[ExperimentRecord]) -> None:
                 f"{r.method},{_fmt(r.sr)},{r.m},{r.qbits},{row.index},"
                 f"{_fmt(row.mse)},{_fmt(row.psnr)},{_fmt(row.ssim)}"
             )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def emit_curves(records: list[ExperimentRecord], out_dir) -> list[Path]:
@@ -415,7 +450,7 @@ def emit_curves(records: list[ExperimentRecord], out_dir) -> list[Path]:
                              ("ssim", lambda r: r.report.ssim_mean)):
             path = out_dir / f"curve_{method}_{metric}.csv"
             lines = [f"sr,{metric}_mean"] + [f"{_fmt(r.sr)},{_fmt(pick(r))}" for r in cells]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+            _write_lines(path, lines)
             written.append(path)
         gains = np.diff([c.report.psnr_mean for c in cells])
         if method == "optimized" and len(cells) > 1 and np.any(gains < 0):

@@ -1,12 +1,13 @@
 """IDX parsing, subset selection, and matrix-file round-trips."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
 import gifield as gf
-from gifield.data import IDX_IMAGE_MAGIC
+from gifield.data import IDX_IMAGE_MAGIC, atomic_write
 from gifield import synthdata
 
 
@@ -148,6 +149,30 @@ def test_matrix_corrupt_metadata_raises_corruption_error(tmp_path, block):
     path.write_bytes(bytes(raw))
     with pytest.raises(gf.CorruptionError):
         gf.read_matrix_meta(path)
+
+
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    """A write that raises part-way, or at its final rename, leaves the earlier
+    file as it was and no temporary file behind."""
+    path = tmp_path / "m.gim"
+    gf.write_matrix(path, np.eye(3), meta={"role": "dictionary"})
+    before = path.read_bytes()
+
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write(before[:20])
+            raise RuntimeError("interrupted part-way")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+    def refuse(*args):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        gf.write_matrix(path, np.ones((5, 5)))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_dictionary_file_checksum_stable(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gifield as gf
+from gifield import dictionary
 
 
 def _unit_columns(n, k, seed):
@@ -174,6 +175,50 @@ def test_batch_coder_matches_reference_omp(
     assert not z[:, 0].any()
     if n_signals > 1:
         assert tuple(np.flatnonzero(z[:, 1])) == (3,)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    n=st.integers(2, 12),
+    count=st.integers(1, 30),
+    columns=st.sampled_from(["zero_mean", "offset", "some_constant", "all_constant", "zero"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=9, count=1, columns="offset", seed=0)
+@example(n=4, count=20, columns="offset", seed=1)
+@example(n=6, count=6, columns="some_constant", seed=2)
+@example(n=5, count=3, columns="all_constant", seed=3)
+@example(n=5, count=12, columns="all_constant", seed=4)
+def test_constrained_rank1_is_the_exact_optimum(n, count, columns, seed):
+    """The atom update against an SVD of the column-centred residual, on both
+    Gram sides (count <= n and count > n), and never below the former
+    "SVD of E, then centre" candidate."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n, count))
+    if columns == "zero_mean":
+        e -= e.mean(axis=0)
+    elif columns == "offset":
+        e += rng.uniform(-50.0, 50.0, size=count)
+    elif columns == "some_constant":
+        e[:, : count // 2 + 1] = rng.uniform(-5.0, 5.0, size=count // 2 + 1)
+    elif columns == "all_constant":
+        e = np.ones((n, 1)) * rng.uniform(-5.0, 5.0, size=count)
+    else:
+        e = np.zeros((n, count))
+
+    psi = dictionary._constrained_rank1(e, np.random.default_rng(seed))
+    assert abs(psi.sum()) <= 1e-12
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+    if columns in ("all_constant", "zero"):
+        return  # nothing left after centring: any zero-mean unit atom will do
+
+    captured = np.linalg.norm(psi @ e)
+    sigma1 = np.linalg.svd(e - e.mean(axis=0), compute_uv=False)[0]
+    assert captured >= (1.0 - 1e-9) * sigma1
+    u = np.linalg.svd(e)[0][:, 0]
+    old = u - u.mean()
+    if np.linalg.norm(old) > 1e-12:
+        assert captured >= (1.0 - 1e-9) * np.linalg.norm(old @ e) / np.linalg.norm(old)
 
 
 def test_training_config_validation():

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,49 @@ def test_load_config_errors(tmp_path):
     bad.write_text("[fields]\nqbits = soon\n", encoding="utf-8")
     with pytest.raises(gf.ValidationError):
         gf.load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[data]\ntest = t.idx\n[feilds]\nsr = 0.1\n[run]\nout = o\n", "[feilds]"),
+        ("[data]\ntest = t.idx\ntest_cuont = 5\n[run]\nout = o\n", "data.test_cuont"),
+        ("[DEFAULT]\nseed = 1\n[data]\ntest = t.idx\n[run]\nout = o\n", "[DEFAULT] seed"),
+    ],
+    ids=["section", "key", "default"],
+)
+def test_load_config_rejects_unknown_names(tmp_path, text, named):
+    path = tmp_path / "typo.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(gf.ValidationError, match=re.escape(named)):
+        gf.load_config(path)
+
+
+def test_readme_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    path = tmp_path / "run.ini"
+    path.write_text(block, encoding="utf-8")
+    cfg = gf.load_config(path)
+    assert cfg.dictionary_path == "out/dictionary.gim" and cfg.qbits == 0
+    assert cfg.training.sweeps == 30 and cfg.gaussian_seeds == 3
+
+
+def test_train_dictionary_persists_objectives(tmp_path, data_dir):
+    path = write_run_config(
+        tmp_path / "train.ini", data_dir, None, tmp_path,
+        train=data_dir / "tiny_train.idx", test=data_dir / "tiny_test.idx",
+        train_count=60, atoms=49, sparsity=3, sweeps=4,
+    )
+    cfg = gf.load_config(path)
+    gf.train_dictionary(cfg, tmp_path / "d.gim")
+    meta = gf.read_matrix_meta(tmp_path / "d.gim")
+    x = gf.random_subset(
+        gf.load_idx_images(data_dir / "tiny_train.idx"), 60, cfg.train_seed
+    ).as_columns()
+    _, objectives = gf.ksvd_train(x, cfg.training)
+    assert meta["objectives"] == objectives.tolist()
+    assert meta["objective_last"] == meta["objectives"][-1]
 
 
 def test_both_grids_rejected(tmp_path):
