@@ -167,6 +167,8 @@ def _parse_matrix_file(path) -> tuple[np.ndarray, dict | None]:
             f"{path}: payload holds {len(body)} bytes, {rows}x{cols} needs {need}"
         )
     m = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
+    if not np.all(np.isfinite(m)):
+        raise CorruptionError(f"{path}: payload holds a non-finite entry")
     tail = body[need:]
     meta = None
     if tail:
@@ -185,7 +187,11 @@ def _parse_matrix_file(path) -> tuple[np.ndarray, dict | None]:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read back a matrix written by :func:`write_matrix` (bit-exact)."""
+    """Read back a matrix written by :func:`write_matrix` (bit-exact).
+
+    Raises ``CorruptionError`` if the payload holds a NaN or an infinity,
+    which :func:`write_matrix` never writes.
+    """
     return _parse_matrix_file(path)[0]
 
 

@@ -66,6 +66,8 @@ class Dictionary:
 
     def validate(self) -> None:
         """Check the structural constraints; raises ValueError on violation."""
+        if not np.all(np.isfinite(self.atoms)):
+            raise ValueError("atoms hold a non-finite entry")
         n = self.n_pixels
         const = n**-0.5
         if np.max(np.abs(self.atoms[:, 0] - const)) > 1e-12:

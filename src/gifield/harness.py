@@ -3,13 +3,15 @@
 A run is fully described by one INI-style config file: dataset paths, training
 knobs, the SR grid, methods, quantization, noise. For every (method, SR) cell
 the harness builds and lifts the sampling matrix, forms the equivalent matrix
-D = Phi Psi once, reconstructs every test image, and appends one aggregate
-record. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per
-test image per cell), per-method curve files, and a zero-byte ``_DONE`` marker
-written last so interrupted runs are detectable.
+D = Phi Psi once, measures, reconstructs and scores all test images of each
+field variant together (one call of each per variant), and appends one
+aggregate record. Outputs: ``results.csv`` (aggregates), ``per_image.csv``
+(one row per test image per cell), per-method curve files, and a zero-byte
+``_DONE`` marker written last so interrupted runs are detectable.
 
-Everything derived from seeds is byte-reproducible across runs; the two
-wall-clock columns of results.csv are the only fields that vary.
+Everything derived from seeds is byte-reproducible across runs with one BLAS
+build and thread count; the two wall-clock columns of results.csv are the
+only fields that vary.
 """
 
 from __future__ import annotations
@@ -350,24 +352,21 @@ def _run_cell(
     build_sec = time.perf_counter() - build_start
     mu = float(np.mean([mutual_coherence(eq) for _, eq in variants]))
 
-    # (variants, images) metric grids; each variant's images are coded in one call
+    # (variants, images) metric grids; each variant's images are measured,
+    # coded and scored together, one call of each per variant
     psnr_grid = np.empty((len(variants), n_images))
     ssim_grid = np.empty_like(psnr_grid)
     mse_grid = np.empty_like(psnr_grid)
     coding_sec = 0.0
     for v_idx, (phi, equivalent) in enumerate(variants):
-        readings = np.column_stack([
-            measure(phi, x_test[:, i], _noise_for(cfg.noise, v_idx, i)).values
-            for i in range(n_images)
-        ])
+        noise = [_noise_for(cfg.noise, v_idx, i) for i in range(n_images)]
+        readings = measure(phi, x_test, noise).values
         start = time.perf_counter()
         images = psi.atoms @ sparse_code_columns(equivalent, readings, t0)
         coding_sec += time.perf_counter() - start
-        for i in range(n_images):
-            x, x_hat = x_test[:, i], images[:, i]
-            mse_grid[v_idx, i] = mse(x, x_hat)
-            psnr_grid[v_idx, i] = psnr(x, x_hat)
-            ssim_grid[v_idx, i] = ssim(x, x_hat)
+        mse_grid[v_idx] = mse(x_test, images, axis=0)
+        psnr_grid[v_idx] = psnr(x_test, images, axis=0)
+        ssim_grid[v_idx] = ssim(x_test, images, axis=0)
 
     # pool over field seeds: per-image means, with infinite (exact) PSNRs
     # excluded from the mean and tallied separately

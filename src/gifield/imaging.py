@@ -9,6 +9,7 @@ maps the coefficients back through the dictionary.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +36,15 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Bucket-detector readings for one object under one pattern stack."""
+    """Bucket-detector readings for one object (or a stack) under one pattern stack.
+
+    ``values`` is length M for one object, M x L for L objects. ``noise`` is
+    the model every object was measured under, or one model per object.
+    """
 
     values: np.ndarray
     provenance: str
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    noise: NoiseModel | tuple[NoiseModel, ...] = field(default_factory=NoiseModel)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -63,26 +68,50 @@ class ReconstructionResult:
         self.image.setflags(write=False)
 
 
-def measure(phi: SamplingMatrix, x: np.ndarray, noise: NoiseModel | None = None) -> Measurement:
+def measure(
+    phi: SamplingMatrix,
+    x: np.ndarray,
+    noise: NoiseModel | Sequence[NoiseModel] | None = None,
+) -> Measurement:
     """Simulate detection: y = Phi x (+ optional white Gaussian noise).
 
     ``phi`` must be lifted — a physical light field cannot carry negative
-    intensities. With ``kind="awgn"`` the noise is scaled so that
+    intensities. ``x`` is one image (any shape with N pixels) or an N x L
+    stack of images, one per column; a stack gives M x L readings from one
+    product, column j for image j. ``noise`` is one model for every image or,
+    for a stack, a sequence of L models, one per column. With
+    ``kind="awgn"`` the noise on each image is scaled so that
     10*log10(signal power / noise power) equals ``snr_db``, deterministically
-    under the model's seed.
+    under that image's model seed.
     """
     if not phi.lifted:
         raise ValueError("patterns must be lifted (non-negative) before display")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != phi.n_pixels:
-        raise ValueError(f"image length {x.size} != pattern length {phi.n_pixels}")
-    noise = noise or NoiseModel()
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != phi.n_pixels:
+        x = x.ravel()
+        if x.size != phi.n_pixels:
+            raise ValueError(f"image length {x.size} != pattern length {phi.n_pixels}")
+    n_images = 1 if x.ndim == 1 else x.shape[1]
+    if noise is None or isinstance(noise, NoiseModel):
+        noise = noise or NoiseModel()
+        models = [noise] * n_images
+    else:
+        noise = models = tuple(noise)
+        if x.ndim == 1 or len(models) != n_images:
+            raise ValueError(f"{len(models)} noise models for {n_images} image(s)")
     y = phi.rows @ x
-    if noise.kind == "awgn":
-        signal_power = float(y @ y) / y.size
-        sigma = np.sqrt(signal_power * 10.0 ** (-noise.snr_db / 10.0))
-        y = y + sigma * np.random.default_rng(noise.seed).standard_normal(y.size)
+    columns = y.reshape(y.shape[0], n_images)  # a view: one column per image
+    for j, model in enumerate(models):
+        if model.kind == "awgn":
+            _add_awgn(columns[:, j], model)
     return Measurement(values=y, provenance=phi.provenance, noise=noise)
+
+
+def _add_awgn(y: np.ndarray, noise: NoiseModel) -> None:
+    """Add white Gaussian noise at the model's SNR to one image's readings, in place."""
+    signal_power = float(y @ y) / y.size
+    sigma = np.sqrt(signal_power * 10.0 ** (-noise.snr_db / 10.0))
+    y += sigma * np.random.default_rng(noise.seed).standard_normal(y.size)
 
 
 def reconstruct(

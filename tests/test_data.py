@@ -1,10 +1,15 @@
 """IDX parsing, subset selection, and matrix-file round-trips."""
 
+import functools
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gifield as gf
 from gifield.data import IDX_IMAGE_MAGIC, atomic_write
@@ -149,6 +154,77 @@ def test_matrix_corrupt_metadata_raises_corruption_error(tmp_path, block):
     path.write_bytes(bytes(raw))
     with pytest.raises(gf.CorruptionError):
         gf.read_matrix_meta(path)
+
+
+def _set_exponent_bits(raw: bytearray, offset: int) -> None:
+    """Turn the little-endian float64 at ``offset`` into an inf or a NaN."""
+    raw[offset + 7] |= 0x7F
+    raw[offset + 6] |= 0xF0
+
+
+@pytest.mark.parametrize("value", [1.0, 0.37], ids=["inf", "nan"])
+def test_non_finite_payload_is_corruption(tmp_path, value):
+    atoms = gf.random_dictionary(16, 20, seed=3).atoms.copy()
+    atoms[5, 7] = value
+    path = tmp_path / "dict.gim"
+    gf.write_matrix(path, atoms, meta={"role": "dictionary"})
+    raw = bytearray(path.read_bytes())
+    _set_exponent_bits(raw, 24 + 8 * (5 * 20 + 7))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(gf.CorruptionError):
+        gf.read_matrix(path)
+    with pytest.raises(gf.CorruptionError):
+        gf.read_matrix_meta(path)
+    flipped = np.frombuffer(bytes(raw[24:24 + atoms.size * 8]), dtype="<f8").reshape(16, 20)
+    assert not np.isfinite(flipped[5, 7])
+    with pytest.raises(ValueError):
+        gf.Dictionary(atoms=flipped.copy(), sparsity=4).validate()
+
+
+@functools.cache
+def _valid_file_bytes(kind: str) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        if kind == "idx":
+            rng = np.random.default_rng(12)
+            _write_idx(path, rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8))
+        else:
+            m = 1.0 + np.arange(12.0).reshape(3, 4) / 16.0  # every entry in [1, 2)
+            gf.write_matrix(path, m, meta={"role": "dictionary", "sparsity": 2})
+        return path.read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    reader=st.sampled_from(["load_idx_images", "read_matrix", "read_matrix_meta"]),
+    truncate=st.booleans(),
+    position=st.integers(0, 2**16),
+    bit=st.integers(0, 7),
+)
+@example(reader="read_matrix", truncate=False, position=24 + 7, bit=6)  # first entry -> inf
+@example(reader="read_matrix_meta", truncate=False, position=24 + 8 * 5 + 7, bit=6)
+def test_damaged_files_raise_package_errors(reader, truncate, position, bit):
+    """A truncated or bit-flipped file either reads as finite data or raises
+    one of the package's own errors, never anything else."""
+    raw = bytearray(_valid_file_bytes("idx" if reader == "load_idx_images" else "gim"))
+    position %= len(raw)
+    if truncate:
+        del raw[position:]
+    else:
+        raw[position] ^= 1 << bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged"
+        path.write_bytes(bytes(raw))
+        try:
+            result = getattr(gf, reader)(path)
+        except gf.GifieldError:
+            return
+    if reader == "load_idx_images":
+        assert np.all(np.isfinite(result.images))
+    elif reader == "read_matrix":
+        assert np.all(np.isfinite(result))
+    else:
+        assert result is None or isinstance(result, dict)
 
 
 def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):

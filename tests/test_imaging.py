@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gifield as gf
+from gifield import harness
 
 
 def _identity_fields(n):
@@ -61,6 +62,54 @@ def test_measure_awgn_snr_scale():
     again = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=5))
     once = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=5))
     np.testing.assert_array_equal(again.values, once.values)
+
+
+def test_measure_stack_matches_single_images():
+    psi, phi = _setup(seed=9)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 255, size=(36, 7))
+    x[:, 2] = 0.0
+    batch = gf.measure(phi, x)
+    assert batch.values.shape == (18, 7) and batch.noise == gf.NoiseModel()
+    for i in range(7):
+        single = gf.measure(phi, x[:, i]).values
+        np.testing.assert_allclose(batch.values[:, i], single, rtol=1e-12, atol=1e-9)
+    assert not batch.values[:, 2].any()
+    # a 6 x 6 image is still one image, whatever its shape
+    np.testing.assert_array_equal(
+        gf.measure(phi, x[:, 0].reshape(6, 6)).values, gf.measure(phi, x[:, 0]).values
+    )
+
+
+def test_measure_stack_awgn_per_column_models():
+    """Each column gets its own model: its own SNR and the seed that the
+    harness gives that (variant, image), exactly as if measured alone."""
+    psi, phi = _setup(seed=10)
+    x = np.random.default_rng(10).uniform(0, 255, size=(36, 6))
+    x[:, 1] *= 50.0  # a far brighter image: its noise must scale with it
+    base = gf.NoiseModel(kind="awgn", snr_db=30.0, seed=4)
+    models = [harness._noise_for(base, 2, i) for i in range(6)]
+    models[4] = gf.NoiseModel(kind="awgn", snr_db=10.0, seed=models[4].seed)
+    models[5] = gf.NoiseModel()
+    clean = gf.measure(phi, x).values
+    noisy = gf.measure(phi, x, models)
+    assert noisy.noise == tuple(models)
+    for i, model in enumerate(models):
+        alone = gf.measure(phi, x[:, i], model).values
+        np.testing.assert_allclose(noisy.values[:, i], alone, rtol=1e-12, atol=1e-9)
+    np.testing.assert_array_equal(noisy.values[:, 5], clean[:, 5])
+    snr = [
+        10 * np.log10(np.sum(clean[:, i] ** 2) / np.sum((noisy.values[:, i] - clean[:, i]) ** 2))
+        for i in range(5)
+    ]
+    assert all(20.0 < s < 40.0 for s in snr[:4]) and 0.0 < snr[4] < 20.0
+    # one model for a whole stack applies to each column as it would alone
+    shared = gf.measure(phi, x, base).values
+    np.testing.assert_allclose(shared[:, 3], gf.measure(phi, x[:, 3], base).values, rtol=1e-12)
+    with pytest.raises(ValueError):
+        gf.measure(phi, x, models[:5])
+    with pytest.raises(ValueError):
+        gf.measure(phi, x[:, 0], models[:1])
 
 
 def test_reconstruct_zero_measurement():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gifield as gf
 from gifield import synthdata
@@ -102,6 +104,74 @@ def test_mutual_coherence_errors():
         gf.mutual_coherence(d)
     with pytest.raises(ValueError):
         gf.mutual_coherence(np.ones((5, 1)))
+
+
+def _dense_coherence(d):
+    """Every cosine from the full Gram, in extended precision."""
+    g = d.astype(np.longdouble).T @ d.astype(np.longdouble)
+    norms = np.sqrt(np.diag(g))
+    cosines = np.abs(g) / np.outer(norms, norms)
+    np.fill_diagonal(cosines, 0.0)
+    return float(cosines.max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    k=st.sampled_from([2, 127, 128, 129, 257]),
+    m=st.integers(1, 50),
+    repeat=st.sampled_from(["none", "copy", "negated"]),
+    into_last=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=129, m=50, repeat="copy", into_last=True, seed=0)  # the last block, one column
+@example(k=257, m=40, repeat="negated", into_last=False, seed=1)
+@example(k=2, m=1, repeat="none", into_last=False, seed=2)
+def test_mutual_coherence_matches_the_dense_gram(k, m, repeat, into_last, seed):
+    """The blocked upper-triangle Gram against every cosine of the full one,
+    across block edges; a repeated column gives exactly 1."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0, size=k)
+    if repeat != "none":
+        i, j = sorted(rng.choice(k, size=2, replace=False))
+        if into_last:
+            j = k - 1
+            i = min(i, k - 2)
+        d[:, j] = d[:, i] if repeat == "copy" else -d[:, i]
+    mu = gf.mutual_coherence(d)
+    if repeat != "none":
+        assert mu == 1.0
+    assert abs(mu - min(_dense_coherence(d), 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("k", [2, 127, 128, 129, 257])
+def test_mutual_coherence_orthonormal_is_zero(k):
+    rng = np.random.default_rng(k)
+    basis = np.eye(k)[:, rng.permutation(k)] * rng.choice([-1.0, 1.0], size=k)
+    assert gf.mutual_coherence(basis) == 0.0
+    assert gf.mutual_coherence(basis * rng.uniform(0.5, 2.0, size=k)) == 0.0
+
+
+def test_metrics_along_axis_match_single_images():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0, 255, size=(784, 12))
+    y = x + rng.normal(0.0, 20.0, size=x.shape)
+    y[:, 3] = x[:, 3]  # an exact reconstruction
+    y[:, 5] = 255.0 - x[:, 5]
+    x[:, 7] = y[:, 7] = 200.0  # constant and identical
+    for metric in (gf.mse, gf.psnr, gf.ssim):
+        batch = metric(x, y, axis=0)
+        assert batch.shape == (12,)
+        singles = [metric(x[:, i], y[:, i]) for i in range(12)]
+        np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=0)
+        # the images as rows score the same along the other axis
+        np.testing.assert_allclose(metric(x.T, y.T, axis=1), singles, rtol=1e-12, atol=0)
+    for i in (3, 7):
+        assert gf.mse(x, y, axis=0)[i] == 0.0
+        assert gf.psnr(x, y, axis=0)[i] == math.inf
+        assert gf.ssim(x, y, axis=0)[i] == 1.0
+    assert gf.ssim(x, y, axis=0)[5] < 0.0
+    with pytest.raises(ValueError):
+        gf.mse(x, y[:, :3], axis=0)
 
 
 def test_aggregate_basic():
