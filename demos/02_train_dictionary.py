@@ -25,9 +25,7 @@ def main():
     ap.add_argument("--atoms", type=int, default=1024)  # must be >= the pixel count
     ap.add_argument("--sparsity", type=int, default=8)
     ap.add_argument("--sweeps", type=int, default=6)
-    # keep the signal count >= the atom count: with fewer signals than atoms,
-    # dead-atom replacement churns and the sweep objective can bounce
-    ap.add_argument("--count", type=int, default=1200)
+    ap.add_argument("--count", type=int, default=1200)  # must be >= --atoms
     args = ap.parse_args()
     out = Path(args.out)
     if not (out / "train.idx").is_file():

@@ -24,7 +24,6 @@ from .dictionary import (
     ksvd_train,
     omp,
     random_dictionary,
-    replace_unused_atoms,
     sparse_code_columns,
 )
 from .errors import (
@@ -115,7 +114,6 @@ __all__ = [
     "read_matrix",
     "read_matrix_meta",
     "reconstruct",
-    "replace_unused_atoms",
     "run_experiment",
     "sampling_ratio",
     "sparse_code_columns",

@@ -38,7 +38,6 @@ class Dataset:
     images: np.ndarray
     height: int
     width: int
-    split: str
     source: str
 
     def __post_init__(self):
@@ -60,16 +59,11 @@ def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def load_idx_images(path, limit: int | None = None, split: str = "train") -> Dataset:
+def load_idx_images(path) -> Dataset:
     """Read an IDX image file (the MNIST container format).
 
     Layout: big-endian u32 magic 0x00000803, image count, rows, cols,
     then count*rows*cols unsigned bytes, row-major.
-
-    Args:
-        path: IDX file to read.
-        limit: if given, keep only the first ``limit`` images.
-        split: tag stored on the returned dataset ("train" or "test").
 
     Raises:
         FormatError: the magic tag is not the IDX image magic.
@@ -83,8 +77,6 @@ def load_idx_images(path, limit: int | None = None, split: str = "train") -> Dat
         raise FormatError(
             f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} (IDX images)"
         )
-    if limit is not None:
-        count = min(count, int(limit))
     need = count * rows * cols
     payload = raw[16:]
     if len(payload) < need:
@@ -94,7 +86,7 @@ def load_idx_images(path, limit: int | None = None, split: str = "train") -> Dat
     pixels = np.frombuffer(payload, dtype=np.uint8, count=need)
     images = pixels.reshape(count, rows * cols).astype(np.float64)
     source = f"{path}#sha256={_sha256_hex(raw)}"
-    return Dataset(images=images, height=rows, width=cols, split=split, source=source)
+    return Dataset(images=images, height=rows, width=cols, source=source)
 
 
 def random_subset(ds: Dataset, count: int, seed: int) -> Dataset:
@@ -107,7 +99,6 @@ def random_subset(ds: Dataset, count: int, seed: int) -> Dataset:
         images=ds.images[idx].copy(),
         height=ds.height,
         width=ds.width,
-        split=ds.split,
         source=f"{ds.source}#subset(count={count},seed={seed})",
     )
 

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DegenerateMatrixError
 
@@ -88,7 +87,6 @@ class TrainingConfig:
     sparsity: int
     sweeps: int
     seed: int = 0
-    replacement: str = "worst"  # dead-atom policy: "worst" column or "none"
 
     def __post_init__(self):
         if self.atom_count < 1:
@@ -97,8 +95,6 @@ class TrainingConfig:
             raise ValueError("sparsity must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.replacement not in ("worst", "none"):
-            raise ValueError(f"unknown replacement policy {self.replacement!r}")
 
 
 def omp(d: np.ndarray, y: np.ndarray, t0: int) -> SparseCode:
@@ -238,7 +234,7 @@ def _init_atoms(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n, n_signals = x.shape
     atoms = np.empty((n, k))
     atoms[:, 0] = n**-0.5
-    picks = rng.choice(n_signals, size=k - 1, replace=n_signals < k - 1) if k > 1 else []
+    picks = rng.choice(n_signals, size=k - 1, replace=False) if k > 1 else []
     for col, pick in enumerate(picks, start=1):
         atoms[:, col] = _constrain_atom(x[:, pick], rng)
     return atoms
@@ -279,46 +275,19 @@ def _replace_dead_atoms(
     x: np.ndarray,
     residual: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Replace unused atoms by the worst-coded columns of ``x``; ``residual`` is X - Psi Z."""
-    dead = [k for k in range(1, atoms.shape[1]) if usage_counts[k] == 0]
-    if not dead:
-        return atoms, 0
-    residual_norms = np.linalg.norm(residual, axis=0)
-    worst_first = np.argsort(residual_norms)[::-1]
-    atoms = atoms.copy()
-    for rank, k in enumerate(dead):
-        if rank < worst_first.size:
-            atoms[:, k] = _constrain_atom(x[:, worst_first[rank]], rng)
-        else:
-            atoms[:, k] = _random_zero_mean_unit(rng, atoms.shape[0])
-    return atoms, len(dead)
+) -> int:
+    """Replace unused atoms (beyond the first) in place by the worst-coded columns of ``x``.
 
-
-def replace_unused_atoms(
-    dictionary: Dictionary,
-    usage_counts: np.ndarray,
-    x: np.ndarray,
-    codes: np.ndarray,
-    seed: int,
-) -> Dictionary:
-    """Swap never-used atoms (beyond the first) for the worst-coded signals.
-
-    ``codes`` is the current sparse coefficient matrix for ``x``; it decides
-    which training columns are represented worst. No-op when every atom is
-    in use.
+    ``residual`` is X - Psi Z. ``x`` needs a column per dead atom, which
+    :func:`ksvd_train` ensures by asking for at least as many signals as
+    atoms. Returns the number of atoms replaced.
     """
-    usage_counts = np.asarray(usage_counts)
-    if usage_counts.size != dictionary.n_atoms:
-        raise ValueError("usage counts do not match the atom count")
-    x = np.asarray(x, dtype=np.float64)
-    atoms, n_dead = _replace_dead_atoms(
-        np.array(dictionary.atoms), usage_counts, x,
-        x - dictionary.atoms @ np.asarray(codes, dtype=np.float64), np.random.default_rng(seed),
-    )
-    if n_dead == 0:
-        return dictionary
-    return Dictionary(atoms=atoms, sparsity=dictionary.sparsity)
+    dead = np.flatnonzero(usage_counts[1:] == 0) + 1
+    if dead.size:
+        worst_first = np.argsort(np.linalg.norm(residual, axis=0))[::-1]
+        for k, col in zip(dead, worst_first):
+            atoms[:, k] = _constrain_atom(x[:, col], rng)
+    return dead.size
 
 
 def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarray]:
@@ -340,8 +309,9 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
     Every other atom becomes the exact best zero-mean unit atom for ``E``,
     the top left singular vector of the column-centred ``E``, found from the
     smaller centred Gram of ``E``; its coefficients are then refit. No
-    update can lose to the atom it replaces. Dead atoms are replaced per
-    ``cfg.replacement``.
+    update can lose to the atom it replaces. After each sweep, every atom
+    that no signal uses is replaced by one of the worst-coded signals.
+    There must be at least as many signals as atoms.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
@@ -353,6 +323,8 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
     n = x.shape[0]
     if cfg.atom_count < n:
         raise ValueError(f"atom count {cfg.atom_count} < signal dimension {n}")
+    if x.shape[1] < cfg.atom_count:
+        raise ValueError(f"{x.shape[1]} training signals < atom count {cfg.atom_count}")
 
     rng = np.random.default_rng(cfg.seed)
     atoms = _init_atoms(x, cfg.atom_count, rng)
@@ -363,9 +335,8 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
         # np.nonzero walks z row by row, so each atom's signals are one slice
         owner, signal = np.nonzero(z)
         bounds = np.searchsorted(owner, np.arange(cfg.atom_count + 1))
-        codes = scipy.sparse.csr_array((z[owner, signal], signal, bounds), shape=z.shape)
         # one row per signal, so that an atom's signals are a cheap row gather
-        residual = codes.T @ atoms.T
+        residual = z.T @ atoms.T
         np.subtract(x.T, residual, out=residual)
         objectives[sweep] = float(np.sum(residual * residual))
 
@@ -386,11 +357,9 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
             updated = float(np.sum(residual * residual))
             log.debug("sweep %d: objective %.6g -> %.6g", sweep, objectives[sweep], updated)
 
-        if cfg.replacement == "worst":
-            usage = np.count_nonzero(z, axis=1)
-            atoms, n_dead = _replace_dead_atoms(atoms, usage, x, residual.T, rng)
-            if n_dead:
-                log.debug("sweep %d: replaced %d dead atoms", sweep, n_dead)
+        n_dead = _replace_dead_atoms(atoms, np.count_nonzero(z, axis=1), x, residual.T, rng)
+        if n_dead:
+            log.debug("sweep %d: replaced %d dead atoms", sweep, n_dead)
 
     return Dictionary(atoms=atoms, sparsity=cfg.sparsity), objectives
 

@@ -62,7 +62,7 @@ METHODS = ("optimized", "gaussian")
 # every section and key that load_config reads
 _CONFIG_KEYS = {
     "data": ("train", "test", "train_count", "train_seed", "test_count", "test_seed"),
-    "dictionary": ("path", "atoms", "sparsity", "sweeps", "seed", "replacement"),
+    "dictionary": ("path", "atoms", "sparsity", "sweeps", "seed"),
     "fields": ("sr", "m", "methods", "qbits", "gaussian_seeds", "seed"),
     "noise": ("kind", "snr_db", "seed"),
     "run": ("out", "t0"),
@@ -187,7 +187,6 @@ def load_config(path) -> ExperimentConfig:
             sparsity=int(_get(parser, "dictionary", "sparsity", "8")),
             sweeps=int(_get(parser, "dictionary", "sweeps", "30")),
             seed=int(_get(parser, "dictionary", "seed", "0")),
-            replacement=_get(parser, "dictionary", "replacement", "worst"),
         )
         snr_raw = _get(parser, "noise", "snr_db", "")
         noise = NoiseModel(
@@ -266,7 +265,7 @@ def _subset_or_invalid(path: str, split: str, count: int, seed: int):
     if not Path(path).is_file():
         raise ValidationError(f"{split} dataset not found: {path}")
     try:
-        return random_subset(load_idx_images(path, split=split), count, seed)
+        return random_subset(load_idx_images(path), count, seed)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -43,7 +43,6 @@ class Measurement:
     """
 
     values: np.ndarray
-    provenance: str
     noise: NoiseModel | tuple[NoiseModel, ...] = field(default_factory=NoiseModel)
 
     def __post_init__(self):
@@ -104,7 +103,7 @@ def measure(
     for j, model in enumerate(models):
         if model.kind == "awgn":
             _add_awgn(columns[:, j], model)
-    return Measurement(values=y, provenance=phi.provenance, noise=noise)
+    return Measurement(values=y, noise=noise)
 
 
 def _add_awgn(y: np.ndarray, noise: NoiseModel) -> None:

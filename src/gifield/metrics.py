@@ -41,32 +41,30 @@ def mse(x, y, *, axis=None):
     return np.mean((x - y) ** 2, axis=axis)
 
 
-def psnr(x, y, dynamic_range: float = DYNAMIC_RANGE, *, axis=None):
-    """Peak signal-to-noise ratio in dB; +inf when the images are identical.
+def psnr(x, y, *, axis=None):
+    """Peak signal-to-noise ratio in dB for a peak of ``DYNAMIC_RANGE`` (255).
 
-    ``axis`` works as in :func:`mse`.
+    +inf when the images are identical. ``axis`` works as in :func:`mse`.
     """
-    if dynamic_range <= 0:
-        raise ValueError("dynamic range must be positive")
     err = mse(x, y, axis=axis)
     if axis is None:
         if err == 0.0:
             return math.inf
-        return 10.0 * math.log10(dynamic_range**2 / err)
+        return 10.0 * math.log10(DYNAMIC_RANGE**2 / err)
     with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(dynamic_range**2 / err)
+        return 10.0 * np.log10(DYNAMIC_RANGE**2 / err)
 
 
-def ssim(x, y, dynamic_range: float = DYNAMIC_RANGE, *, axis=None):
+def ssim(x, y, *, axis=None):
     """Structural similarity with a single window spanning the whole image.
 
     Uses population moments and the usual stabilizers c1 = (0.01*B)^2,
-    c2 = (0.03*B)^2 so constant images compare cleanly (ssim(x, x) == 1).
-    ``axis`` works as in :func:`mse`.
+    c2 = (0.03*B)^2 with B = ``DYNAMIC_RANGE`` (255), so constant images
+    compare cleanly (ssim(x, x) == 1). ``axis`` works as in :func:`mse`.
     """
     x, y = _check_same_shape(x, y)
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
+    c1 = (0.01 * DYNAMIC_RANGE) ** 2
+    c2 = (0.03 * DYNAMIC_RANGE) ** 2
     mu_x = np.mean(x, axis=axis, keepdims=True)
     mu_y = np.mean(y, axis=axis, keepdims=True)
     dx = x - mu_x
@@ -122,7 +120,7 @@ class QualityReport:
     """Aggregate metrics over a set of reconstructed images.
 
     PSNR statistics exclude infinite values (exact reconstructions);
-    ``n_exact`` counts how many were excluded. Standard deviations are
+    ``n_infinite`` counts how many were excluded. Standard deviations are
     population (1/n) ones.
     """
 
@@ -133,7 +131,7 @@ class QualityReport:
     psnr_std: float
     ssim_mean: float
     ssim_std: float
-    n_exact: int
+    n_infinite: int
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -150,8 +148,8 @@ def aggregate(mse_values, psnr_values, ssim_values) -> QualityReport:
     if not (mses.size == psnrs.size == ssims.size):
         raise ValueError("metric arrays must have equal length")
     finite = np.isfinite(psnrs)
-    n_exact = int(np.sum(~finite))
-    if n_exact == mses.size:
+    n_infinite = int(np.sum(~finite))
+    if n_infinite == mses.size:
         psnr_mean, psnr_std = math.inf, 0.0
     else:
         psnr_mean, psnr_std = _mean_std(psnrs[finite])
@@ -165,5 +163,5 @@ def aggregate(mse_values, psnr_values, ssim_values) -> QualityReport:
         psnr_std=psnr_std,
         ssim_mean=ssim_mean,
         ssim_std=ssim_std,
-        n_exact=n_exact,
+        n_infinite=n_infinite,
     )

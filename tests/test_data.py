@@ -35,14 +35,6 @@ def test_idx_parse_counts_and_order(tmp_path):
     assert ds.images.min() >= 0 and ds.images.max() <= 255
 
 
-def test_idx_limit_takes_first(tmp_path):
-    path = synthdata.generate_idx(tmp_path / "digits.idx", 10, seed=2)
-    full = gf.load_idx_images(path)
-    head = gf.load_idx_images(path, limit=3)
-    assert len(head) == 3
-    np.testing.assert_array_equal(head.images, full.images[:3])
-
-
 def test_idx_zero_image(tmp_path):
     path = _write_idx(tmp_path / "zero.idx", np.zeros((1, 28, 28), dtype=np.uint8))
     ds = gf.load_idx_images(path)

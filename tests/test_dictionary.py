@@ -1,6 +1,10 @@
 """OMP oracles (exhaustive search), K-SVD behavior, and constraint projection."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,8 +232,6 @@ def test_training_config_validation():
         gf.TrainingConfig(atom_count=4, sparsity=0, sweeps=1)
     with pytest.raises(ValueError):
         gf.TrainingConfig(atom_count=4, sparsity=1, sweeps=0)
-    with pytest.raises(ValueError):
-        gf.TrainingConfig(atom_count=4, sparsity=1, sweeps=1, replacement="oldest")
 
 
 def test_ksvd_constant_training_data():
@@ -283,6 +285,8 @@ def test_ksvd_rejects_bad_input():
         gf.ksvd_train(np.ones((16, 10)), cfg)  # K < N
     with pytest.raises(ValueError):
         gf.ksvd_train(np.full((8, 10), np.inf), cfg)
+    with pytest.raises(ValueError, match="7 training signals < atom count 8"):
+        gf.ksvd_train(np.random.default_rng(0).standard_normal((8, 7)), cfg)
 
 
 def test_replace_unused_atoms():
@@ -295,18 +299,28 @@ def test_replace_unused_atoms():
     if np.all(usage > 0):  # force a dead atom for the test
         codes[5, :] = 0.0
         usage = np.count_nonzero(codes, axis=1)
-    out = gf.replace_unused_atoms(psi, usage, x, codes, seed=0)
-    out.validate()
-    worst = int(np.argmax(np.linalg.norm(x - psi.atoms @ codes, axis=0)))
+    residual = x - psi.atoms @ codes
+    atoms = np.array(psi.atoms)
+    n_dead = dictionary._replace_dead_atoms(atoms, usage, x, residual, np.random.default_rng(0))
+    assert n_dead == np.count_nonzero(usage[1:] == 0)
+    gf.Dictionary(atoms=atoms, sparsity=psi.sparsity).validate()
+    worst = int(np.argmax(np.linalg.norm(residual, axis=0)))
     expected = x[:, worst] - x[:, worst].mean()
     expected /= np.linalg.norm(expected)
     dead = int(np.flatnonzero(usage == 0)[0])
-    assert abs(abs(expected @ out.atoms[:, dead]) - 1.0) < 1e-12
+    assert abs(abs(expected @ atoms[:, dead]) - 1.0) < 1e-12
 
-    # all atoms in use: unchanged object
-    assert gf.replace_unused_atoms(psi, np.ones(14), x, codes, seed=0) is psi
-    with pytest.raises(ValueError):
-        gf.replace_unused_atoms(psi, np.ones(3), x, codes, seed=0)
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing gifield loads no scipy module."""
+    src = str(Path(gf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, gifield; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == []
 
 
 def test_sparse_code_budget_per_column():

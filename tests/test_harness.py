@@ -78,8 +78,10 @@ def test_load_config_errors(tmp_path):
         ("[data]\ntest = t.idx\n[feilds]\nsr = 0.1\n[run]\nout = o\n", "[feilds]"),
         ("[data]\ntest = t.idx\ntest_cuont = 5\n[run]\nout = o\n", "data.test_cuont"),
         ("[DEFAULT]\nseed = 1\n[data]\ntest = t.idx\n[run]\nout = o\n", "[DEFAULT] seed"),
+        ("[data]\ntest = t.idx\n[dictionary]\nreplacement = worst\n[run]\nout = o\n",
+         "dictionary.replacement"),
     ],
-    ids=["section", "key", "default"],
+    ids=["section", "key", "default", "retired-key"],
 )
 def test_load_config_rejects_unknown_names(tmp_path, text, named):
     path = tmp_path / "typo.ini"

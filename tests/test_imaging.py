@@ -196,4 +196,4 @@ def test_sampling_ratio():
 
 def test_measurement_rejects_nonfinite():
     with pytest.raises(ValueError):
-        gf.Measurement(values=np.array([1.0, np.inf]), provenance="gaussian")
+        gf.Measurement(values=np.array([1.0, np.inf]))

@@ -184,10 +184,10 @@ def test_aggregate_basic():
 
 def test_aggregate_infinite_psnr():
     r = gf.aggregate([0.0, 1.0, 4.0], [math.inf, 10.0, 30.0], [1.0, 0.5, 0.2])
-    assert r.n_exact == 1
+    assert r.n_infinite == 1
     assert r.psnr_mean == 20.0 and r.psnr_std == 10.0
     r = gf.aggregate([0.0], [math.inf], [1.0])
-    assert r.n_exact == 1 and r.psnr_mean == math.inf and r.psnr_std == 0.0
+    assert r.n_infinite == 1 and r.psnr_mean == math.inf and r.psnr_std == 0.0
 
 
 def test_aggregate_errors():
