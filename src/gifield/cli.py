@@ -60,17 +60,8 @@ def _cmd_train_dict(args) -> int:
     return 0
 
 
-def _require_dictionary(cfg: ExperimentConfig) -> ExperimentConfig:
-    if not cfg.dictionary_path:
-        raise ValidationError("no trained dictionary configured (dictionary.path); "
-                              "run train-dict first")
-    if not Path(cfg.dictionary_path).is_file():
-        raise ValidationError(f"trained dictionary not found: {cfg.dictionary_path}")
-    return cfg
-
-
 def _cmd_build_fields(args) -> int:
-    cfg = _require_dictionary(_apply_overrides(load_config(args.config), args))
+    cfg = _apply_overrides(load_config(args.config), args)
     cfg.validate()
     psi = load_dictionary(cfg)
     state = build_state(psi)
@@ -96,7 +87,7 @@ def _cmd_build_fields(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _require_dictionary(_apply_overrides(load_config(args.config), args))
+    cfg = _apply_overrides(load_config(args.config), args)
     if args.limit is not None:
         cfg = dataclasses.replace(cfg, test_count=args.limit)
     records = run_experiment(cfg)

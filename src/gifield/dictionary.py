@@ -355,7 +355,7 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
 
         if log.isEnabledFor(logging.DEBUG):
             updated = float(np.sum(residual * residual))
-            log.debug("sweep %d: objective %.6g -> %.6g", sweep, objectives[sweep], updated)
+            log.debug("sweep %d: objective %r -> %r", sweep, float(objectives[sweep]), updated)
 
         n_dead = _replace_dead_atoms(atoms, np.count_nonzero(z, axis=1), x, residual.T, rng)
         if n_dead:

@@ -34,7 +34,7 @@ from .data import (
     write_matrix,
 )
 from .dictionary import Dictionary, TrainingConfig, ksvd_train, sparse_code_columns
-from .errors import ValidationError
+from .errors import CorruptionError, ValidationError
 from .fieldopt import (
     FieldOptState,
     SamplingMatrix,
@@ -59,15 +59,6 @@ DONE_MARKER = "_DONE"
 
 METHODS = ("optimized", "gaussian")
 
-# every section and key that load_config reads
-_CONFIG_KEYS = {
-    "data": ("train", "test", "train_count", "train_seed", "test_count", "test_seed"),
-    "dictionary": ("path", "atoms", "sparsity", "sweeps", "seed"),
-    "fields": ("sr", "m", "methods", "qbits", "gaussian_seeds", "seed"),
-    "noise": ("kind", "snr_db", "seed"),
-    "run": ("out", "t0"),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -86,16 +77,14 @@ class ExperimentConfig:
     qbits: int  # 0 = unquantized
     noise: NoiseModel
     out_dir: str
-    gaussian_seeds: int = 3
-    field_seed: int = 0
-    recon_sparsity: int | None = None  # default: the training budget
-    dictionary_path: str | None = None  # load instead of training
+    gaussian_seeds: int
+    field_seed: int
+    recon_sparsity: int | None  # None: the dictionary's training budget
+    dictionary_path: str | None  # the trained dictionary a sweep reads
 
     def validate(self) -> None:
         if not self.test_path:
             raise ValidationError("config: data.test path is required")
-        if not self.train_path and not self.dictionary_path:
-            raise ValidationError("config: data.train path or dictionary.path is required")
         if self.train_count < 1 or self.test_count < 1:
             raise ValidationError("config: image counts must be >= 1")
         if bool(self.sr_grid) == bool(self.m_grid):
@@ -153,16 +142,48 @@ class ExperimentRecord:
             raise ValueError("per-image rows must match the aggregate count")
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, fallback: str) -> str:
-    return parser.get(section, key, fallback=fallback).strip()
+def _optional(convert):
+    """Parse a value with ``convert``; an empty value parses to None."""
+    return lambda raw: convert(raw) if raw else None
 
 
-def _parse_list(raw: str, convert):
-    return tuple(convert(tok.strip()) for tok in raw.split(",") if tok.strip())
+def _items(convert):
+    """Parse a comma-separated list; an empty list parses to None."""
+    return lambda raw: tuple(convert(tok.strip()) for tok in raw.split(",") if tok.strip()) or None
+
+
+# (section, key) -> (ExperimentConfig field, parser, default). A dotted field
+# names a field of the TrainingConfig or NoiseModel sub-config. An absent key,
+# or a value that parses to None, takes the default; an empty integer is an
+# error. The README's key table mirrors this one.
+_CONFIG_TABLE = {
+    ("data", "train"): ("train_path", _optional(str), ""),
+    ("data", "test"): ("test_path", _optional(str), ""),
+    ("data", "train_count"): ("train_count", int, 2000),
+    ("data", "train_seed"): ("train_seed", int, 0),
+    ("data", "test_count"): ("test_count", int, 200),
+    ("data", "test_seed"): ("test_seed", int, 1),
+    ("dictionary", "path"): ("dictionary_path", _optional(str), None),
+    ("dictionary", "atoms"): ("training.atom_count", int, 1024),
+    ("dictionary", "sparsity"): ("training.sparsity", int, 8),
+    ("dictionary", "sweeps"): ("training.sweeps", int, 30),
+    ("dictionary", "seed"): ("training.seed", int, 0),
+    ("fields", "sr"): ("sr_grid", _items(float), ()),
+    ("fields", "m"): ("m_grid", _items(int), ()),
+    ("fields", "methods"): ("methods", _items(str), METHODS),
+    ("fields", "qbits"): ("qbits", int, 0),
+    ("fields", "gaussian_seeds"): ("gaussian_seeds", int, 3),
+    ("fields", "seed"): ("field_seed", int, 0),
+    ("noise", "kind"): ("noise.kind", _optional(str), "none"),
+    ("noise", "snr_db"): ("noise.snr_db", _optional(float), None),
+    ("noise", "seed"): ("noise.seed", int, 0),
+    ("run", "out"): ("out_dir", _optional(str), ""),
+    ("run", "t0"): ("recon_sparsity", _optional(int), None),
+}
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an INI-style run description; see the README for the key list."""
+    """Parse an INI-style run description; see the README for the key table."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -171,53 +192,31 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
-    unknown = [f"[{name}]" for name in parser.sections() if name not in _CONFIG_KEYS]
+    sections = {section for section, _ in _CONFIG_TABLE}
+    unknown = [f"[{name}]" for name in parser.sections() if name not in sections]
     unknown += [f"[DEFAULT] {key}" for key in parser.defaults()]
     unknown += [
         f"{name}.{key}"
-        for name, keys in _CONFIG_KEYS.items() if parser.has_section(name)
-        for key in parser[name] if key not in keys and key not in parser.defaults()
+        for name in parser.sections() if name in sections
+        for key in parser[name]
+        if (name, key) not in _CONFIG_TABLE and key not in parser.defaults()
     ]
     if unknown:
         raise ValidationError(f"config: unknown section or key: {', '.join(unknown)}")
 
+    values: dict = {"training": {}, "noise": {}}
     try:
-        training = TrainingConfig(
-            atom_count=int(_get(parser, "dictionary", "atoms", "1024")),
-            sparsity=int(_get(parser, "dictionary", "sparsity", "8")),
-            sweeps=int(_get(parser, "dictionary", "sweeps", "30")),
-            seed=int(_get(parser, "dictionary", "seed", "0")),
-        )
-        snr_raw = _get(parser, "noise", "snr_db", "")
-        noise = NoiseModel(
-            kind=_get(parser, "noise", "kind", "none") or "none",
-            snr_db=float(snr_raw) if snr_raw else None,
-            seed=int(_get(parser, "noise", "seed", "0")),
-        )
-        t0_raw = _get(parser, "run", "t0", "")
-        cfg = ExperimentConfig(
-            train_path=_get(parser, "data", "train", ""),
-            test_path=_get(parser, "data", "test", ""),
-            train_count=int(_get(parser, "data", "train_count", "2000")),
-            train_seed=int(_get(parser, "data", "train_seed", "0")),
-            test_count=int(_get(parser, "data", "test_count", "200")),
-            test_seed=int(_get(parser, "data", "test_seed", "1")),
-            training=training,
-            sr_grid=_parse_list(_get(parser, "fields", "sr", ""), float),
-            m_grid=_parse_list(_get(parser, "fields", "m", ""), int),
-            methods=_parse_list(_get(parser, "fields", "methods", "optimized,gaussian"), str)
-            or ("optimized", "gaussian"),
-            qbits=int(_get(parser, "fields", "qbits", "0")),
-            noise=noise,
-            out_dir=_get(parser, "run", "out", ""),
-            gaussian_seeds=int(_get(parser, "fields", "gaussian_seeds", "3")),
-            field_seed=int(_get(parser, "fields", "seed", "0")),
-            recon_sparsity=int(t0_raw) if t0_raw else None,
-            dictionary_path=_get(parser, "dictionary", "path", "") or None,
-        )
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+        for (section, key), (field, parse, default) in _CONFIG_TABLE.items():
+            raw = parser.get(section, key, fallback=None)
+            value = None if raw is None else parse(raw)
+            owner, _, name = field.rpartition(".")
+            (values[owner] if owner else values)[name] = default if value is None else value
+        cfg = ExperimentConfig(**{
+            **values,
+            "training": TrainingConfig(**values["training"]),
+            "noise": NoiseModel(**values["noise"]),
+        })
+    except (ValueError, TypeError, configparser.Error) as exc:
         raise ValidationError(f"config value error: {exc}") from exc
     # default grid: the desk-scale SR sweep
     if not cfg.sr_grid and not cfg.m_grid:
@@ -271,20 +270,24 @@ def _subset_or_invalid(path: str, split: str, count: int, seed: int):
 
 
 def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
-    """The configured dictionary: read from ``dictionary.path``, else trained afresh."""
-    if cfg.dictionary_path:
-        path = Path(cfg.dictionary_path)
-        if not path.is_file():
-            raise ValidationError(f"dictionary file not found: {path}")
-        meta = read_matrix_meta(path) or {}
-        dictionary = Dictionary(
-            atoms=read_matrix(path),
-            sparsity=int(meta.get("sparsity", cfg.training.sparsity)),
+    """The trained dictionary that ``dictionary.path`` names.
+
+    Its training budget comes from the file's ``sparsity`` metadata, which
+    must be an integer >= 1; a file without it takes ``dictionary.sparsity``.
+    """
+    if not cfg.dictionary_path:
+        raise ValidationError(
+            "no trained dictionary configured (dictionary.path); run train-dict first"
         )
-        dictionary.validate()
-        return dictionary
-    data = _subset_or_invalid(cfg.train_path, "train", cfg.train_count, cfg.train_seed)
-    dictionary, _ = ksvd_train(data.as_columns(), cfg.training)
+    path = Path(cfg.dictionary_path)
+    if not path.is_file():
+        raise ValidationError(f"trained dictionary not found: {path}")
+    meta = read_matrix_meta(path) or {}
+    sparsity = meta.get("sparsity", cfg.training.sparsity)
+    if type(sparsity) is not int or sparsity < 1:
+        raise CorruptionError(f"{path}: sparsity metadata {sparsity!r} is not an integer >= 1")
+    dictionary = Dictionary(atoms=read_matrix(path), sparsity=sparsity)
+    dictionary.validate()
     return dictionary
 
 
@@ -465,13 +468,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     partial run.
     """
     cfg.validate()
+    psi = load_dictionary(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / DONE_MARKER
     if marker.exists():
         marker.unlink()
 
-    psi = load_dictionary(cfg)
     state = build_state(psi)
     grid = resolve_grid(cfg, state)
     test = _subset_or_invalid(cfg.test_path, "test", cfg.test_count, cfg.test_seed)

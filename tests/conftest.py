@@ -5,6 +5,7 @@ are session-scoped and lazily built, so fast unit tests stay fast. Wall-clock
 costs are collected in ``timings`` for the acceptance budget checks.
 """
 
+import logging
 import time
 from pathlib import Path
 
@@ -52,15 +53,41 @@ def tiny_dict_file(data_dir, tmp_path_factory, timings):
     return out / "dictionary.gim"
 
 
+class _Messages(logging.Handler):
+    """Keeps the message of every record it handles."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
 @pytest.fixture(scope="session")
-def desk_dictionary(data_dir, timings):
-    """The 784x1024 dictionary trained at the desk-scale defaults."""
+def desk_training(data_dir, timings):
+    """The 784x1024 dictionary trained at the desk-scale defaults: (dictionary,
+    objectives, the DEBUG messages of ``gifield.dictionary`` during training)."""
     ds = gf.load_idx_images(data_dir / "train.idx")
     x = gf.random_subset(ds, DESK_TRAIN, seed=0).as_columns()
     cfg = gf.TrainingConfig(atom_count=1024, sparsity=8, sweeps=30, seed=0)
-    start = time.perf_counter()
-    psi, objectives = gf.ksvd_train(x, cfg)
-    timings["train"] = time.perf_counter() - start
+    logger = logging.getLogger("gifield.dictionary")
+    handler, level = _Messages(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        start = time.perf_counter()
+        psi, objectives = gf.ksvd_train(x, cfg)
+        timings["train"] = time.perf_counter() - start
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return psi, objectives, handler.messages
+
+
+@pytest.fixture(scope="session")
+def desk_dictionary(desk_training):
+    psi, objectives, _ = desk_training
     return psi, objectives
 
 

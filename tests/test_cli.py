@@ -89,6 +89,7 @@ def test_run_without_dictionary_exits_2(tmp_path, data_dir, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 2
     assert "train-dict first" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # refused before any output is made
     missing = write_run_config(
         tmp_path / "m.ini", data_dir, tmp_path / "nope.gim", tmp_path / "out",
         test=data_dir / "tiny_test.idx",

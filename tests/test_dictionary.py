@@ -1,6 +1,7 @@
 """OMP oracles (exhaustive search), K-SVD behavior, and constraint projection."""
 
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -328,6 +329,19 @@ def test_sparse_code_budget_per_column():
     x = np.random.default_rng(10).standard_normal((12, 50))
     z = gf.sparse_code_columns(psi.atoms, x, t0=3)
     assert int(np.count_nonzero(z, axis=0).max()) <= 3
+
+
+def test_ksvd_atom_update_never_raises_the_objective(desk_training):
+    """Within a sweep, the atom-update half never raises the objective left by
+    the coding half (greedy re-coding, in contrast, may raise it between sweeps)."""
+    _, objectives, messages = desk_training
+    logged = [re.fullmatch(r"sweep (\d+): objective (\S+) -> (\S+)", m) for m in messages]
+    logged = [m for m in logged if m]
+    assert [int(m[1]) for m in logged] == list(range(len(objectives)))
+    for m in logged:
+        coded, updated = float(m[2]), float(m[3])
+        assert coded == objectives[int(m[1])]  # logged at full precision
+        assert updated <= coded, f"sweep {m[1]}: {coded!r} -> {updated!r}"
 
 
 def test_desk_training_beats_dct_coding(desk_dictionary, data_dir):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import logging
 import re
 from pathlib import Path
@@ -44,14 +45,30 @@ def test_load_config_defaults(tmp_path):
     path = tmp_path / "min.ini"
     path.write_text("[data]\ntest = t.idx\n[run]\nout = o\n", encoding="utf-8")
     cfg = gf.load_config(path)
-    assert cfg.train_count == 2000 and cfg.test_count == 200
-    assert cfg.training.atom_count == 1024 and cfg.training.sparsity == 8
-    assert cfg.training.sweeps == 30
-    assert cfg.methods == ("optimized", "gaussian")
-    assert cfg.sr_grid == (0.05, 0.10, 0.20, 0.30, 0.51) and cfg.m_grid == ()
-    assert cfg.qbits == 0 and cfg.gaussian_seeds == 3
-    assert cfg.noise.kind == "none"
-    assert cfg.recon_sparsity is None
+    assert cfg == gf.ExperimentConfig(
+        train_path="", test_path="t.idx", train_count=2000, train_seed=0,
+        test_count=200, test_seed=1,
+        training=gf.TrainingConfig(atom_count=1024, sparsity=8, sweeps=30, seed=0),
+        sr_grid=(0.05, 0.10, 0.20, 0.30, 0.51), m_grid=(),
+        methods=("optimized", "gaussian"), qbits=0,
+        noise=gf.NoiseModel(kind="none", snr_db=None, seed=0),
+        out_dir="o", gaussian_seeds=3, field_seed=0, recon_sparsity=None,
+        dictionary_path=None,
+    )
+    # an empty value takes the default for string, list and optional keys ...
+    empty = tmp_path / "empty.ini"
+    empty.write_text(
+        "[data]\ntrain =\ntest = t.idx\n[dictionary]\npath =\n"
+        "[fields]\nsr =\nm =\nmethods = ,\n[noise]\nkind =\nsnr_db =\n"
+        "[run]\nout = o\nt0 =\n",
+        encoding="utf-8",
+    )
+    assert gf.load_config(empty) == cfg
+    # ... and is an error for integer keys
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[data]\ntest = t.idx\ntrain_count =\n[run]\nout = o\n", encoding="utf-8")
+    with pytest.raises(gf.ValidationError, match="config value error"):
+        gf.load_config(bad)
 
 
 def test_load_config_inline_comments(tmp_path):
@@ -68,6 +85,9 @@ def test_load_config_errors(tmp_path):
         gf.load_config(tmp_path / "missing.ini")
     bad = tmp_path / "bad.ini"
     bad.write_text("[fields]\nqbits = soon\n", encoding="utf-8")
+    with pytest.raises(gf.ValidationError):
+        gf.load_config(bad)
+    bad.write_text("[data]\ntest = t%1.idx\n", encoding="utf-8")  # a bare % interpolates
     with pytest.raises(gf.ValidationError):
         gf.load_config(bad)
 
@@ -98,6 +118,38 @@ def test_readme_config_loads(tmp_path):
     cfg = gf.load_config(path)
     assert cfg.dictionary_path == "out/dictionary.gim" and cfg.qbits == 0
     assert cfg.training.sweeps == 30 and cfg.gaussian_seeds == 3
+
+
+def test_readme_key_table_matches_the_config_table(tmp_path):
+    """The README lists every config key once, with the default load_config uses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = lines.index("| Section | Key | Default | Meaning |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+        section, key, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+        assert (section, key) not in rows, f"{section}.{key} listed twice"
+        rows[section, key] = default
+    assert set(rows) == set(harness._CONFIG_TABLE)
+    (tmp_path / "none.ini").write_text("", encoding="utf-8")
+    defaults = gf.load_config(tmp_path / "none.ini")
+    for (section, key), default in rows.items():
+        path = tmp_path / f"{section}.{key}.ini"
+        path.write_text(f"[{section}]\n{key} = {default}\n", encoding="utf-8")
+        assert gf.load_config(path) == defaults, f"README default of {section}.{key}"
+
+
+@pytest.mark.parametrize(
+    "sparsity", [0, -2, 2.7, "x", None, [3], True],
+    ids=["zero", "negative", "fraction", "text", "null", "list", "bool"],
+)
+def test_load_dictionary_rejects_bad_sparsity_metadata(tmp_path, sparsity):
+    path = tmp_path / "d.gim"
+    gf.write_matrix(path, gf.random_dictionary(16, 32, 0).atoms, meta={"sparsity": sparsity})
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\ntest = t.idx\n[dictionary]\npath = {path}\n", encoding="utf-8")
+    with pytest.raises(gf.CorruptionError, match=re.escape(str(path))):
+        harness.load_dictionary(gf.load_config(ini))
 
 
 def test_train_dictionary_persists_objectives(tmp_path, data_dir):
