@@ -27,13 +27,9 @@ from .dictionary import (
     sparse_code_columns,
 )
 from .errors import (
-    ConsistencyError,
     CorruptionError,
-    DegenerateMatrixError,
     FormatError,
     GifieldError,
-    NegativityError,
-    RankError,
     ValidationError,
 )
 from .fieldopt import (
@@ -70,10 +66,8 @@ from .metrics import QualityReport, aggregate, mse, mutual_coherence, psnr, ssim
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError",
     "CorruptionError",
     "Dataset",
-    "DegenerateMatrixError",
     "Dictionary",
     "ExperimentConfig",
     "ExperimentRecord",
@@ -82,10 +76,8 @@ __all__ = [
     "GifieldError",
     "ImageMetrics",
     "Measurement",
-    "NegativityError",
     "NoiseModel",
     "QualityReport",
-    "RankError",
     "ReconstructionResult",
     "SamplingMatrix",
     "SparseCode",

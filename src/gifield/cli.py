@@ -3,8 +3,9 @@
 Subcommands mirror the workflow: ``train-dict`` learns and saves the
 dictionary, ``build-fields`` materializes the sampling matrices for the
 configured grid, ``run`` executes the full measure/reconstruct sweep, and
-``report`` summarizes a finished run directory. Exit codes: 0 success,
-2 invalid configuration or usage, 1 runtime failure.
+``report`` summarizes a finished run directory. Exit codes: 0 success;
+2 bad usage or bad input (a bad config, dataset or dictionary file), which
+the package reports with its own ``GifieldError`` types; 1 any other failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .data import write_matrix
-from .errors import ValidationError
+from .errors import GifieldError, ValidationError
 from .fieldopt import build_state
 from .harness import (
     DONE_MARKER,
@@ -50,10 +51,9 @@ def _cmd_train_dict(args) -> int:
     cfg = _apply_overrides(cfg, args)
     if args.limit is not None:
         cfg = dataclasses.replace(cfg, train_count=args.limit)
-    out_path = Path(args.out) if args.out else (
-        Path(cfg.dictionary_path) if cfg.dictionary_path
-        else Path(cfg.out_dir or ".") / "dictionary.gim"
-    )
+    if not (args.out or cfg.dictionary_path):
+        raise ValidationError("train-dict needs --out or dictionary.path to write to")
+    out_path = Path(args.out or cfg.dictionary_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     dictionary = train_dictionary(cfg, out_path)
     print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {out_path}")
@@ -159,10 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except GifieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # noqa: BLE001 - map any runtime failure to exit 1
+    except Exception as exc:  # noqa: BLE001 - map any other failure to exit 1
         log.debug("unhandled failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError
-
 log = logging.getLogger(__name__)
 
 # signals the sparse coder moves in lockstep; bounds its work arrays
@@ -154,7 +152,7 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
         raise ValueError("sparsity budget must be >= 1")
     norms = np.linalg.norm(d, axis=0)
     if np.any(norms == 0.0):
-        raise DegenerateMatrixError("zero column in sparse-coding matrix")
+        raise ValueError("zero column in sparse-coding matrix")
 
     dt = np.ascontiguousarray(d.T)
     gram = dt @ d if x.shape[1] > d.shape[1] else None
@@ -319,7 +317,7 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
     if not np.all(np.isfinite(x)):
         raise ValueError("training data must be finite")
     if not np.any(x):
-        raise DegenerateMatrixError("training matrix is all zero")
+        raise ValueError("training matrix is all zero")
     n = x.shape[0]
     if cfg.atom_count < n:
         raise ValueError(f"atom count {cfg.atom_count} < signal dimension {n}")

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+They name bad input only: a bad config, bad usage or a bad input file. The
+command line exits 2 for any of them. Every other precondition is a plain
+``ValueError``.
+"""
 
 
 class GifieldError(Exception):
@@ -10,24 +15,8 @@ class FormatError(GifieldError, ValueError):
 
 
 class CorruptionError(GifieldError, ValueError):
-    """A file's payload does not match its declared structure."""
-
-
-class DegenerateMatrixError(GifieldError, ValueError):
-    """A matrix is unusable for the requested operation (zero column, zero rank, ...)."""
-
-
-class RankError(GifieldError, ValueError):
-    """Requested more sampling rows than the dictionary's Gram rank supports."""
-
-
-class ConsistencyError(GifieldError, ValueError):
-    """Two artifacts that must share provenance do not match."""
-
-
-class NegativityError(GifieldError, ValueError):
-    """A lifting constant is too small to make every matrix entry non-negative."""
+    """A file's payload does not match its declared structure or role."""
 
 
 class ValidationError(GifieldError, ValueError):
-    """An experiment configuration is invalid."""
+    """An experiment configuration or a command's arguments are invalid."""

@@ -15,12 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .errors import (
-    ConsistencyError,
-    DegenerateMatrixError,
-    NegativityError,
-    RankError,
-)
 from .metrics import mutual_coherence
 
 _RANK_TOL = 1e-10
@@ -96,7 +90,7 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
     vectors[:, flip] *= -1.0
 
     if values[0] <= 0.0:
-        raise DegenerateMatrixError("dictionary Gram has rank 0")
+        raise ValueError("dictionary Gram has rank 0")
     rank = int(np.count_nonzero(values > _RANK_TOL * values[0]))
     lift = max(0.0, -float(vectors[:, :rank].min()))
     return FieldOptState(
@@ -113,7 +107,7 @@ def optimize_sampling(state: FieldOptState, m: int) -> SamplingMatrix:
     if m < 1:
         raise ValueError("need at least one sampling row")
     if m > state.rank:
-        raise RankError(f"{m} rows requested but the Gram rank is only {state.rank}")
+        raise ValueError(f"{m} rows requested but the Gram rank is only {state.rank}")
     return SamplingMatrix(
         rows=state.eigenvectors[:, :m].T.copy(), lifted=False, provenance="optimized"
     )
@@ -130,13 +124,13 @@ def extend_sampling(state: FieldOptState, phi: SamplingMatrix, m_new: int) -> Sa
     if phi.lifted or phi.provenance != "optimized" or not np.array_equal(
         phi.rows, state.eigenvectors[:, :m].T
     ):
-        raise ConsistencyError("matrix was not produced from this state")
+        raise ValueError("matrix was not produced from this state")
     if m_new < m:
         raise ValueError(f"cannot extend {m} rows down to {m_new}")
     if m_new == m:
         return phi
     if m_new > state.rank:
-        raise RankError(f"{m_new} rows requested but the Gram rank is only {state.rank}")
+        raise ValueError(f"{m_new} rows requested but the Gram rank is only {state.rank}")
     rows = np.vstack([phi.rows, state.eigenvectors[:, m:m_new].T])
     return SamplingMatrix(rows=rows, lifted=False, provenance="optimized")
 
@@ -145,7 +139,7 @@ def nn_lift(phi: SamplingMatrix, c: float) -> SamplingMatrix:
     """Add the constant ``c`` to every entry so patterns are non-negative."""
     needed = max(0.0, -float(phi.rows.min()))
     if c < needed:
-        raise NegativityError(f"lift {c} leaves negative entries (need >= {needed})")
+        raise ValueError(f"lift {c} leaves negative entries (need >= {needed})")
     return SamplingMatrix(
         rows=phi.rows + c, lifted=True, provenance=phi.provenance, seed=phi.seed
     )

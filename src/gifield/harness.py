@@ -228,11 +228,14 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     """Train per config and persist the atoms with their training metadata.
 
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
-    one value per sweep) and its last value (``objective_last``).
+    one value per sweep) and its last value (``objective_last``). Only the
+    keys training reads are checked here, so a config without ``data.test``
+    or a grid still trains.
     """
-    cfg.validate()
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
+    if cfg.train_count < 1:
+        raise ValidationError("config: data.train_count must be >= 1")
     data = _subset_or_invalid(cfg.train_path, "train", cfg.train_count, cfg.train_seed)
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",
@@ -263,10 +266,12 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
 def _subset_or_invalid(path: str, split: str, count: int, seed: int):
     if not Path(path).is_file():
         raise ValidationError(f"{split} dataset not found: {path}")
-    try:
-        return random_subset(load_idx_images(path), count, seed)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    dataset = load_idx_images(path)
+    if count > len(dataset):
+        raise ValidationError(
+            f"config: data.{split}_count {count} exceeds the {len(dataset)} images in {path}"
+        )
+    return random_subset(dataset, count, seed)
 
 
 def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
@@ -274,6 +279,8 @@ def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
 
     Its training budget comes from the file's ``sparsity`` metadata, which
     must be an integer >= 1; a file without it takes ``dictionary.sparsity``.
+    Atoms that break the dictionary constraints make the file a
+    ``CorruptionError``.
     """
     if not cfg.dictionary_path:
         raise ValidationError(
@@ -287,7 +294,10 @@ def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
     if type(sparsity) is not int or sparsity < 1:
         raise CorruptionError(f"{path}: sparsity metadata {sparsity!r} is not an integer >= 1")
     dictionary = Dictionary(atoms=read_matrix(path), sparsity=sparsity)
-    dictionary.validate()
+    try:
+        dictionary.validate()
+    except ValueError as exc:
+        raise CorruptionError(f"{path}: {exc}") from exc
     return dictionary
 
 

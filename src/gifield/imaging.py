@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary, SparseCode, omp
-from .errors import ConsistencyError
 from .fieldopt import SamplingMatrix
 
 
@@ -118,14 +117,13 @@ def reconstruct(
     phi: SamplingMatrix,
     psi: Dictionary,
     t0: int | None = None,
-    equivalent: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Recover the image behind ``y`` by OMP in the dictionary.
 
-    Forms the equivalent matrix D = Phi Psi (or reuses a precomputed one),
-    solves for a code with at most ``t0`` atoms (default: the dictionary's
-    training budget), and returns x_hat = Psi z_hat. Many images under one
-    pattern stack code faster together, through ``sparse_code_columns``.
+    Forms the equivalent matrix D = Phi Psi, solves for a code with at most
+    ``t0`` atoms (default: the dictionary's training budget), and returns
+    x_hat = Psi z_hat. Many images under one pattern stack code faster
+    together, through ``sparse_code_columns``.
     """
     if len(y) != phi.n_patterns:
         raise ValueError(f"{len(y)} readings for {phi.n_patterns} patterns")
@@ -134,13 +132,7 @@ def reconstruct(
     if t0 is None:
         t0 = psi.sparsity
     start = time.perf_counter()
-    if equivalent is None:
-        equivalent = phi.rows @ psi.atoms
-    elif equivalent.shape != (phi.n_patterns, psi.n_atoms):
-        raise ConsistencyError(
-            f"equivalent matrix {equivalent.shape} does not match "
-            f"({phi.n_patterns}, {psi.n_atoms})"
-        )
+    equivalent = phi.rows @ psi.atoms
     code = omp(equivalent, y.values, t0)
     image = psi.atoms @ code.coefficients
     residual = float(np.linalg.norm(equivalent @ code.coefficients - y.values))

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError
-
 DYNAMIC_RANGE = 255.0
 
 # columns per Gram block in mutual_coherence; bounds its work buffer
@@ -93,7 +91,7 @@ def mutual_coherence(d: np.ndarray) -> float:
         raise ValueError("need a matrix with at least 2 columns")
     norms = np.linalg.norm(d, axis=0)
     if np.any(norms == 0.0):
-        raise DegenerateMatrixError("zero column in coherence computation")
+        raise ValueError("zero column in coherence computation")
     d = d / norms
     k = d.shape[1]
     buf = np.empty(k * min(k, _GRAM_BLOCK))

@@ -4,9 +4,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import gifield as gf
+from gifield import cli
 from gifield.cli import main
 
 from conftest import write_run_config
@@ -95,6 +97,75 @@ def test_run_without_dictionary_exits_2(tmp_path, data_dir, capsys):
         test=data_dir / "tiny_test.idx",
     )
     assert main(["build-fields", "--config", str(missing)]) == 2
+
+
+def test_train_dict_needs_a_destination(tmp_path, data_dir, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_run_config(
+        tmp_path / "r.ini", data_dir, None, tmp_path / "out",
+        train=data_dir / "tiny_train.idx", test=data_dir / "tiny_test.idx",
+        train_count=60, atoms=49, sparsity=3, sweeps=1,
+    )
+    assert main(["train-dict", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "dictionary.path" in err
+    assert not list(tmp_path.rglob("*.gim"))  # refused before training
+
+
+def test_train_dict_reads_only_training_keys(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(
+        f"[data]\ntrain = {data_dir / 'tiny_train.idx'}\ntrain_count = 60\n"
+        "[dictionary]\natoms = 49\nsparsity = 3\nsweeps = 2\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "d.gim"
+    assert main(["train-dict", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "dictionary: 49x49" in capsys.readouterr().out
+    assert gf.read_matrix_meta(out)["sparsity"] == 3
+    gf.Dictionary(atoms=gf.read_matrix(out), sparsity=3).validate()
+
+
+def _write_bad_magic(path):
+    path.write_bytes(b"NOTAGIM!" + bytes(64))
+
+
+def _write_broken_constraints(path):
+    atoms = np.random.default_rng(0).standard_normal((49, 64))
+    gf.write_matrix(path, atoms, meta={"role": "dictionary", "sparsity": 2})
+
+
+@pytest.mark.parametrize(
+    "key, write",
+    [
+        ("dictionary", _write_bad_magic),
+        ("dictionary", _write_broken_constraints),
+        ("test", _write_bad_magic),
+        ("test", None),  # test_count beyond the 40 images of tiny_test.idx
+    ],
+    ids=["dictionary-bad-magic", "dictionary-constraints", "test-bad-magic", "test-overdraw"],
+)
+def test_run_with_bad_input_file_exits_2(tmp_path, data_dir, tiny_dict_file, capsys, key, write):
+    files = {"dictionary": tiny_dict_file, "test": data_dir / "tiny_test.idx"}
+    if write:
+        files[key] = tmp_path / f"bad_{key}"
+        write(files[key])
+    cfg = write_run_config(
+        tmp_path / "r.ini", data_dir, files["dictionary"], tmp_path / "out",
+        test=files["test"], test_count=4 if write else 41,
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert str(files[key]) in capsys.readouterr().err
+
+
+def test_other_failures_exit_1(tmp_path, data_dir, monkeypatch, capsys):
+    def fail(cfg):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    cfg = write_run_config(tmp_path / "r.ini", data_dir, tmp_path / "d.gim", tmp_path / "out")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "disk on fire" in capsys.readouterr().err
 
 
 def test_report_on_empty_dir_exits_2(tmp_path, capsys):

@@ -69,7 +69,7 @@ def test_optimize_sampling_slices_rows():
     phi = gf.optimize_sampling(state, 2)
     np.testing.assert_array_equal(phi.rows, np.eye(3)[:2])
     assert not phi.lifted and phi.provenance == "optimized"
-    with pytest.raises(gf.RankError):
+    with pytest.raises(ValueError, match="4 rows requested but the Gram rank is only 3"):
         gf.optimize_sampling(state, 4)
     with pytest.raises(ValueError):
         gf.optimize_sampling(state, 0)
@@ -118,7 +118,7 @@ def test_extend_sampling():
     grown = gf.extend_sampling(state, phi, 20)
     assert np.array_equal(grown.rows[:8], phi.rows)
     np.testing.assert_array_equal(grown.rows, gf.optimize_sampling(state, 20).rows)
-    with pytest.raises(gf.RankError):
+    with pytest.raises(ValueError, match="rows requested but the Gram rank is only"):
         gf.extend_sampling(state, phi, state.rank + 1)
     with pytest.raises(ValueError):
         gf.extend_sampling(state, phi, 4)
@@ -128,13 +128,13 @@ def test_extend_sampling_provenance_checks():
     state = gf.build_state(gf.random_dictionary(30, 50, seed=5))
     other = gf.build_state(gf.random_dictionary(30, 50, seed=6))
     phi = gf.optimize_sampling(other, 8)  # wrong state
-    with pytest.raises(gf.ConsistencyError):
+    with pytest.raises(ValueError, match="matrix was not produced from this state"):
         gf.extend_sampling(state, phi, 12)
     gauss = gf.gaussian_sampling(8, 30, seed=0)
-    with pytest.raises(gf.ConsistencyError):
+    with pytest.raises(ValueError, match="matrix was not produced from this state"):
         gf.extend_sampling(state, gauss, 12)
     lifted = gf.nn_lift(gf.optimize_sampling(state, 8), state.lift)
-    with pytest.raises(gf.ConsistencyError):
+    with pytest.raises(ValueError, match="matrix was not produced from this state"):
         gf.extend_sampling(state, lifted, 12)
 
 
@@ -149,7 +149,7 @@ def test_nn_lift_values():
     phi = gf.SamplingMatrix(rows=rows, lifted=False, provenance="gaussian")
     out = gf.nn_lift(phi, 0.3)
     assert out.rows.min() == 0.0
-    with pytest.raises(gf.NegativityError):
+    with pytest.raises(ValueError, match="leaves negative entries"):
         gf.nn_lift(phi, 0.2)
 
 
@@ -252,7 +252,7 @@ def test_rank_deficient_dictionary():
     atoms = np.column_stack([a, b, -b, b])
     state = gf.build_state(gf.Dictionary(atoms=atoms, sparsity=1))
     assert state.rank == 2
-    with pytest.raises(gf.RankError):
+    with pytest.raises(ValueError, match="3 rows requested but the Gram rank is only 2"):
         gf.optimize_sampling(state, 3)
 
 

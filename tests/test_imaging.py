@@ -150,18 +150,6 @@ def test_reconstruct_consistency():
     assert result.duration_sec >= 0.0
 
 
-def test_reconstruct_with_precomputed_equivalent():
-    psi, phi = _setup(seed=7)
-    x = np.random.default_rng(7).uniform(0, 255, size=36)
-    y = gf.measure(phi, x)
-    direct = gf.reconstruct(y, phi, psi, t0=4)
-    shared = gf.reconstruct(y, phi, psi, t0=4, equivalent=phi.rows @ psi.atoms)
-    np.testing.assert_array_equal(direct.image, shared.image)
-    assert direct.code.support == shared.code.support
-    with pytest.raises(gf.ConsistencyError):
-        gf.reconstruct(y, phi, psi, equivalent=np.zeros((3, 3)))
-
-
 def test_recovery_oracle_small_k():
     """Exact support recovery whenever mu(D) < 1/(2k-1), k in {1, 2, 3}."""
     rng = np.random.default_rng(8)
