@@ -1,18 +1,20 @@
 """Command-line front end.
 
-Subcommands mirror the workflow: ``train-dict`` learns and saves the
-dictionary, ``build-fields`` materializes the sampling matrices for the
-configured grid, ``run`` executes the full measure/reconstruct sweep, and
-``report`` summarizes a finished run directory. Exit codes: 0 success;
-2 bad usage or bad input (a bad config, dataset or dictionary file), which
-the package reports with its own ``GifieldError`` types; 1 any other failure.
+Subcommands mirror the workflow: ``train-dict`` learns the dictionary and
+saves it to ``dictionary.path``, ``build-fields`` writes the sampling
+matrices for the configured grid to ``run.out``, ``run`` executes the full
+measure/reconstruct sweep into ``run.out``, and ``report`` summarizes a
+finished run directory, named by ``--out`` or by the ``run.out`` of
+``--config``. Every setting comes from the config file; no option overrides
+one. Exit codes: 0 success; 2 bad usage or bad input (a bad config, dataset
+or dictionary file), which the package reports with its own ``GifieldError``
+types; 1 any other failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -22,7 +24,6 @@ from .errors import GifieldError, ValidationError
 from .fieldopt import build_state
 from .harness import (
     DONE_MARKER,
-    ExperimentConfig,
     build_field_stack,
     load_config,
     load_dictionary,
@@ -34,26 +35,11 @@ from .harness import (
 log = logging.getLogger(__name__)
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.out:
-        cfg = dataclasses.replace(cfg, out_dir=str(args.out))
-    if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            field_seed=args.seed,
-            training=dataclasses.replace(cfg.training, seed=args.seed),
-        )
-    return cfg
-
-
 def _cmd_train_dict(args) -> int:
     cfg = load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    if args.limit is not None:
-        cfg = dataclasses.replace(cfg, train_count=args.limit)
-    if not (args.out or cfg.dictionary_path):
-        raise ValidationError("train-dict needs --out or dictionary.path to write to")
-    out_path = Path(args.out or cfg.dictionary_path)
+    if not cfg.dictionary_path:
+        raise ValidationError("train-dict needs dictionary.path to write to")
+    out_path = Path(cfg.dictionary_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     dictionary = train_dictionary(cfg, out_path)
     print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {out_path}")
@@ -61,42 +47,44 @@ def _cmd_train_dict(args) -> int:
 
 
 def _cmd_build_fields(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     cfg.validate()
     psi = load_dictionary(cfg)
     state = build_state(psi)
-    grid = resolve_grid(cfg, state)
-    if args.limit is not None:
-        grid = grid[: args.limit]
-    out = Path(cfg.out_dir or ".")
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for sr, m in grid:
+    for sr, m in resolve_grid(cfg, state):
         for method in cfg.methods:
-            for phi in build_field_stack(method, m, state, cfg):
+            for s, phi in enumerate(build_field_stack(method, m, state, cfg)):
                 meta = {"role": "sampling", "provenance": method, "m": m, "sr": sr,
                         "lifted": True, "qbits": cfg.qbits}
                 if method == "optimized":
                     path = out / f"field_optimized_m{m}.gim"
-                    meta.update(lift=state.lift, dictionary_checksum=state.dictionary_checksum)
+                    meta.update(lift=state.lift, dictionary_checksum=psi.checksum)
                 else:
-                    path = out / f"field_gaussian_m{m}_s{phi.seed}.gim"
-                    meta.update(seed=phi.seed)
+                    seed = cfg.field_seed + s
+                    path = out / f"field_gaussian_m{m}_s{seed}.gim"
+                    meta.update(seed=seed)
                 write_matrix(path, phi.rows, meta=meta)
                 print(f"wrote {path}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    if args.limit is not None:
-        cfg = dataclasses.replace(cfg, test_count=args.limit)
+    cfg = load_config(args.config)
     records = run_experiment(cfg)
     print(f"{len(records)} records -> {cfg.out_dir}/results.csv")
     return 0
 
 
 def _cmd_report(args) -> int:
-    out = Path(args.out) if args.out else Path(load_config(args.config).out_dir)
+    if args.config is None:
+        out = Path(args.out)
+    else:
+        out_dir = load_config(args.config).out_dir
+        if not out_dir:
+            raise ValidationError("config: run.out directory is required")
+        out = Path(out_dir)
     results = out / "results.csv"
     if not results.is_file():
         raise ValidationError(f"no results.csv under {out}")
@@ -143,10 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
             group.add_argument("--out", help="run directory to read")
         else:
             p.add_argument("--config", required=True, help="INI run description")
-            p.add_argument("--seed", type=int, help="override field/training seed")
-            p.add_argument("--out", help="override the output path")
-            p.add_argument("--limit", type=int,
-                           help="cap image count (train-dict/run) or grid points")
         p.set_defaults(handler=handler)
     return parser
 

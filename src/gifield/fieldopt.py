@@ -26,16 +26,12 @@ class SamplingMatrix:
 
     rows: np.ndarray
     lifted: bool
-    provenance: str  # "optimized" | "gaussian"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.rows.ndim != 2:
             raise ValueError("sampling matrix must be 2-D")
         if self.lifted and self.rows.size and float(self.rows.min()) < 0.0:
             raise ValueError("lifted sampling matrix has negative entries")
-        if self.provenance == "optimized" and self.rows.shape[0] > self.rows.shape[1]:
-            raise ValueError("optimized sampling cannot exceed the pixel count")
         self.rows.setflags(write=False)
 
     @property
@@ -60,7 +56,6 @@ class FieldOptState:
     eigenvalues: np.ndarray
     rank: int
     lift: float
-    dictionary_checksum: str
 
     def __post_init__(self):
         self.eigenvectors.setflags(write=False)
@@ -98,7 +93,6 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
         eigenvalues=values,
         rank=rank,
         lift=lift,
-        dictionary_checksum=dictionary.checksum,
     )
 
 
@@ -108,9 +102,7 @@ def optimize_sampling(state: FieldOptState, m: int) -> SamplingMatrix:
         raise ValueError("need at least one sampling row")
     if m > state.rank:
         raise ValueError(f"{m} rows requested but the Gram rank is only {state.rank}")
-    return SamplingMatrix(
-        rows=state.eigenvectors[:, :m].T.copy(), lifted=False, provenance="optimized"
-    )
+    return SamplingMatrix(rows=state.eigenvectors[:, :m].T.copy(), lifted=False)
 
 
 def extend_sampling(state: FieldOptState, phi: SamplingMatrix, m_new: int) -> SamplingMatrix:
@@ -121,9 +113,7 @@ def extend_sampling(state: FieldOptState, phi: SamplingMatrix, m_new: int) -> Sa
     unlifted product of :func:`optimize_sampling` on the same state.
     """
     m = phi.n_patterns
-    if phi.lifted or phi.provenance != "optimized" or not np.array_equal(
-        phi.rows, state.eigenvectors[:, :m].T
-    ):
+    if phi.lifted or not np.array_equal(phi.rows, state.eigenvectors[:, :m].T):
         raise ValueError("matrix was not produced from this state")
     if m_new < m:
         raise ValueError(f"cannot extend {m} rows down to {m_new}")
@@ -132,7 +122,7 @@ def extend_sampling(state: FieldOptState, phi: SamplingMatrix, m_new: int) -> Sa
     if m_new > state.rank:
         raise ValueError(f"{m_new} rows requested but the Gram rank is only {state.rank}")
     rows = np.vstack([phi.rows, state.eigenvectors[:, m:m_new].T])
-    return SamplingMatrix(rows=rows, lifted=False, provenance="optimized")
+    return SamplingMatrix(rows=rows, lifted=False)
 
 
 def nn_lift(phi: SamplingMatrix, c: float) -> SamplingMatrix:
@@ -140,9 +130,7 @@ def nn_lift(phi: SamplingMatrix, c: float) -> SamplingMatrix:
     needed = max(0.0, -float(phi.rows.min()))
     if c < needed:
         raise ValueError(f"lift {c} leaves negative entries (need >= {needed})")
-    return SamplingMatrix(
-        rows=phi.rows + c, lifted=True, provenance=phi.provenance, seed=phi.seed
-    )
+    return SamplingMatrix(rows=phi.rows + c, lifted=True)
 
 
 def gaussian_sampling(m: int, n: int, seed: int) -> SamplingMatrix:
@@ -150,7 +138,7 @@ def gaussian_sampling(m: int, n: int, seed: int) -> SamplingMatrix:
     if m < 1 or n < 1:
         raise ValueError("sampling matrix must have at least one row and column")
     rows = np.random.default_rng(seed).standard_normal((m, n))
-    return SamplingMatrix(rows=rows, lifted=False, provenance="gaussian", seed=seed)
+    return SamplingMatrix(rows=rows, lifted=False)
 
 
 def quantize_matrix(phi: SamplingMatrix, bits: int) -> SamplingMatrix:
@@ -168,9 +156,7 @@ def quantize_matrix(phi: SamplingMatrix, bits: int) -> SamplingMatrix:
         return phi
     levels = float(2**bits - 1)
     rows = np.floor(phi.rows * (levels / peak) + 0.5) * (peak / levels)
-    return SamplingMatrix(
-        rows=rows, lifted=phi.lifted, provenance=phi.provenance, seed=phi.seed
-    )
+    return SamplingMatrix(rows=rows, lifted=phi.lifted)
 
 
 def coherence_bound_check(d: np.ndarray, k: int) -> tuple[bool, float]:

@@ -8,9 +8,10 @@ maps the coefficients back through the dictionary.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +30,18 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "awgn"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "awgn" and self.snr_db is None:
-            raise ValueError("awgn noise needs a target SNR in dB")
+        if self.kind == "awgn" and (self.snr_db is None or not math.isfinite(self.snr_db)):
+            raise ValueError(f"awgn noise needs a finite target SNR in dB, not {self.snr_db}")
 
 
 @dataclass(frozen=True)
 class Measurement:
     """Bucket-detector readings for one object (or a stack) under one pattern stack.
 
-    ``values`` is length M for one object, M x L for L objects. ``noise`` is
-    the model every object was measured under, or one model per object.
+    ``values`` is length M for one object, M x L for L objects.
     """
 
     values: np.ndarray
-    noise: NoiseModel | tuple[NoiseModel, ...] = field(default_factory=NoiseModel)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -91,10 +90,9 @@ def measure(
             raise ValueError(f"image length {x.size} != pattern length {phi.n_pixels}")
     n_images = 1 if x.ndim == 1 else x.shape[1]
     if noise is None or isinstance(noise, NoiseModel):
-        noise = noise or NoiseModel()
-        models = [noise] * n_images
+        models = [noise or NoiseModel()] * n_images
     else:
-        noise = models = tuple(noise)
+        models = tuple(noise)
         if x.ndim == 1 or len(models) != n_images:
             raise ValueError(f"{len(models)} noise models for {n_images} image(s)")
     y = phi.rows @ x
@@ -102,7 +100,7 @@ def measure(
     for j, model in enumerate(models):
         if model.kind == "awgn":
             _add_awgn(columns[:, j], model)
-    return Measurement(values=y, noise=noise)
+    return Measurement(values=y)
 
 
 def _add_awgn(y: np.ndarray, noise: NoiseModel) -> None:

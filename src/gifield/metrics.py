@@ -123,8 +123,6 @@ class QualityReport:
     """
 
     count: int
-    mse_mean: float
-    mse_std: float
     psnr_mean: float
     psnr_std: float
     ssim_mean: float
@@ -151,12 +149,9 @@ def aggregate(mse_values, psnr_values, ssim_values) -> QualityReport:
         psnr_mean, psnr_std = math.inf, 0.0
     else:
         psnr_mean, psnr_std = _mean_std(psnrs[finite])
-    mse_mean, mse_std = _mean_std(mses)
     ssim_mean, ssim_std = _mean_std(ssims)
     return QualityReport(
         count=int(mses.size),
-        mse_mean=mse_mean,
-        mse_std=mse_std,
         psnr_mean=psnr_mean,
         psnr_std=psnr_std,
         ssim_mean=ssim_mean,

@@ -38,9 +38,6 @@ def test_pipeline_end_to_end(workdir, capsys):
     assert (out / "dictionary.gim").is_file()
     assert "dictionary: 49x64" in capsys.readouterr().out
 
-    assert main(["build-fields", "--config", str(cfg), "--limit", "1"]) == 0
-    assert (out / "field_optimized_m10.gim").is_file()
-    assert not (out / "field_optimized_m29.gim").exists()  # --limit 1 grid point
     assert main(["build-fields", "--config", str(cfg)]) == 0
     capsys.readouterr()
     for m in (10, 29):  # round(0.2 * 49), round(0.6 * 49)
@@ -53,11 +50,11 @@ def test_pipeline_end_to_end(workdir, capsys):
             assert gf.read_matrix(g).min() >= 0.0
             assert gf.read_matrix_meta(g)["provenance"] == "gaussian"
 
-    assert main(["run", "--config", str(cfg), "--limit", "8"]) == 0
+    assert main(["run", "--config", str(cfg)]) == 0
     capsys.readouterr()
     assert (out / "_DONE").is_file()
     per_image = (out / "per_image.csv").read_text(encoding="utf-8").splitlines()
-    assert len(per_image) == 1 + 4 * 8  # 2 methods x 2 SRs x --limit images
+    assert len(per_image) == 1 + 4 * 20  # 2 methods x 2 SRs x data.test_count images
 
     assert main(["report", "--out", str(out)]) == 0
     text = capsys.readouterr().out
@@ -67,21 +64,12 @@ def test_pipeline_end_to_end(workdir, capsys):
     assert capsys.readouterr().out == text
 
 
-def test_train_dict_seed_and_limit_overrides(workdir, tmp_path, capsys):
-    cfg, out = workdir
-    if not (out / "dictionary.gim").is_file():  # independent of test order
-        assert main(["train-dict", "--config", str(cfg)]) == 0
-    alt = tmp_path / "alt.gim"
-    code = main([
-        "train-dict", "--config", str(cfg), "--out", str(alt), "--seed", "3",
-        "--limit", "100",
-    ])
-    assert code == 0
-    capsys.readouterr()
-    base = gf.Dictionary(atoms=gf.read_matrix(out / "dictionary.gim"), sparsity=4)
-    other = gf.Dictionary(atoms=gf.read_matrix(alt), sparsity=4)
-    other.validate()
-    assert other.checksum != base.checksum  # seed/limit actually reached training
+@pytest.mark.parametrize("command", ["train-dict", "build-fields", "run"])
+@pytest.mark.parametrize("flag", ["--seed", "--limit", "--out"])
+def test_settings_come_only_from_the_config(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "run.ini"), flag, "3"])
+    assert exc.value.code == 2
 
 
 def test_run_without_dictionary_exits_2(tmp_path, data_dir, capsys):
@@ -108,19 +96,18 @@ def test_train_dict_needs_a_destination(tmp_path, data_dir, monkeypatch, capsys)
     )
     assert main(["train-dict", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "--out" in err and "dictionary.path" in err
+    assert "dictionary.path" in err
     assert not list(tmp_path.rglob("*.gim"))  # refused before training
 
 
 def test_train_dict_reads_only_training_keys(tmp_path, data_dir, capsys):
-    cfg = tmp_path / "train.ini"
+    cfg, out = tmp_path / "train.ini", tmp_path / "d.gim"
     cfg.write_text(
         f"[data]\ntrain = {data_dir / 'tiny_train.idx'}\ntrain_count = 60\n"
-        "[dictionary]\natoms = 49\nsparsity = 3\nsweeps = 2\n",
+        f"[dictionary]\npath = {out}\natoms = 49\nsparsity = 3\nsweeps = 2\n",
         encoding="utf-8",
     )
-    out = tmp_path / "d.gim"
-    assert main(["train-dict", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train-dict", "--config", str(cfg)]) == 0
     assert "dictionary: 49x49" in capsys.readouterr().out
     assert gf.read_matrix_meta(out)["sparsity"] == 3
     gf.Dictionary(atoms=gf.read_matrix(out), sparsity=3).validate()
@@ -171,6 +158,20 @@ def test_other_failures_exit_1(tmp_path, data_dir, monkeypatch, capsys):
 def test_report_on_empty_dir_exits_2(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
     assert "results.csv" in capsys.readouterr().err
+
+
+def test_report_config_needs_run_out(tmp_path, monkeypatch, capsys):
+    # a stray results.csv in the working directory must not stand in for run.out
+    monkeypatch.chdir(tmp_path)
+    row = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0,0.2,0.004"
+    (tmp_path / "results.csv").write_text(
+        f"{gf.harness.RESULTS_HEADER}\n{row}\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "r.ini"
+    cfg.write_text("[data]\ntest = t.idx\n", encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "run.out" in captured.err and not captured.out
 
 
 def test_report_warns_on_unfinished_run(tmp_path, capsys):

@@ -56,7 +56,6 @@ def test_build_state_random_dictionary_invariants():
     assert rel <= 1e-8
     assert np.all(np.diff(state.eigenvalues) <= 1e-12)  # descending
     assert state.eigenvalues.min() >= 0.0
-    assert state.dictionary_checksum == psi.checksum
     assert 0.0 <= state.lift <= 1.0
 
 
@@ -64,11 +63,11 @@ def test_optimize_sampling_slices_rows():
     # hand-built state with V = I: the optimum is literally the first rows
     state = gf.FieldOptState(
         eigenvectors=np.eye(3), eigenvalues=np.array([3.0, 2.0, 1.0]),
-        rank=3, lift=0.0, dictionary_checksum="",
+        rank=3, lift=0.0,
     )
     phi = gf.optimize_sampling(state, 2)
     np.testing.assert_array_equal(phi.rows, np.eye(3)[:2])
-    assert not phi.lifted and phi.provenance == "optimized"
+    assert not phi.lifted
     with pytest.raises(ValueError, match="4 rows requested but the Gram rank is only 3"):
         gf.optimize_sampling(state, 4)
     with pytest.raises(ValueError):
@@ -140,13 +139,13 @@ def test_extend_sampling_provenance_checks():
 
 def test_nn_lift_values():
     rows = np.array([[0.2, 0.0], [0.5, 0.1]])
-    phi = gf.SamplingMatrix(rows=rows, lifted=False, provenance="gaussian")
+    phi = gf.SamplingMatrix(rows=rows, lifted=False)
     out = gf.nn_lift(phi, 0.0)  # already non-negative
     np.testing.assert_array_equal(out.rows, rows)
     assert out.lifted
 
     rows = np.array([[-0.3, 0.4], [0.1, 0.2]])
-    phi = gf.SamplingMatrix(rows=rows, lifted=False, provenance="gaussian")
+    phi = gf.SamplingMatrix(rows=rows, lifted=False)
     out = gf.nn_lift(phi, 0.3)
     assert out.rows.min() == 0.0
     with pytest.raises(ValueError, match="leaves negative entries"):
@@ -172,7 +171,6 @@ def test_gaussian_sampling_statistics():
     a = gf.gaussian_sampling(100, 50, seed=12)
     b = gf.gaussian_sampling(100, 50, seed=12)
     np.testing.assert_array_equal(a.rows, b.rows)
-    assert a.seed == 12 and a.provenance == "gaussian"
 
     big = gf.gaussian_sampling(1000, 1000, seed=13)
     assert abs(big.rows.mean()) < 0.01
@@ -184,14 +182,10 @@ def test_gaussian_sampling_statistics():
 
 
 def test_quantize_matrix_grid():
-    exact = gf.SamplingMatrix(
-        rows=np.array([[0.0, 1.0], [1.0, 0.0]]), lifted=True, provenance="gaussian"
-    )
+    exact = gf.SamplingMatrix(rows=np.array([[0.0, 1.0], [1.0, 0.0]]), lifted=True)
     np.testing.assert_array_equal(gf.quantize_matrix(exact, 8).rows, exact.rows)
 
-    half = gf.SamplingMatrix(
-        rows=np.array([[0.5, 1.0]]), lifted=True, provenance="gaussian"
-    )
+    half = gf.SamplingMatrix(rows=np.array([[0.5, 1.0]]), lifted=True)
     # 1-bit grid is {0, 1}: 0.5 rounds half-up to 1.0
     np.testing.assert_array_equal(gf.quantize_matrix(half, 1).rows, [[1.0, 1.0]])
 
@@ -200,7 +194,7 @@ def test_quantize_matrix_idempotent_and_bounded():
     rng = np.random.default_rng(14)
     for bits in (1, 4, 8, 12):
         rows = rng.uniform(0.0, rng.uniform(0.5, 7.0), size=(13, 17))
-        phi = gf.SamplingMatrix(rows=rows, lifted=True, provenance="gaussian")
+        phi = gf.SamplingMatrix(rows=rows, lifted=True)
         q1 = gf.quantize_matrix(phi, bits)
         q2 = gf.quantize_matrix(q1, bits)
         np.testing.assert_array_equal(q1.rows, q2.rows)
@@ -210,14 +204,13 @@ def test_quantize_matrix_idempotent_and_bounded():
 
 
 def test_quantize_matrix_edges():
-    zero = gf.SamplingMatrix(rows=np.zeros((3, 3)), lifted=True, provenance="gaussian")
+    zero = gf.SamplingMatrix(rows=np.zeros((3, 3)), lifted=True)
     assert gf.quantize_matrix(zero, 8) is zero
-    phi = gf.SamplingMatrix(rows=np.ones((2, 2)), lifted=True, provenance="gaussian")
+    phi = gf.SamplingMatrix(rows=np.ones((2, 2)), lifted=True)
     for bad in (0, 17):
         with pytest.raises(ValueError):
             gf.quantize_matrix(phi, bad)
-    negative = gf.SamplingMatrix(rows=np.array([[-1.0, 1.0]]), lifted=False,
-                                 provenance="gaussian")
+    negative = gf.SamplingMatrix(rows=np.array([[-1.0, 1.0]]), lifted=False)
     with pytest.raises(ValueError):
         gf.quantize_matrix(negative, 8)
 
@@ -237,11 +230,9 @@ def test_coherence_bound_check():
 
 def test_sampling_matrix_invariants():
     with pytest.raises(ValueError):
-        gf.SamplingMatrix(rows=np.array([[-0.1, 1.0]]), lifted=True, provenance="gaussian")
+        gf.SamplingMatrix(rows=np.array([[-0.1, 1.0]]), lifted=True)
     with pytest.raises(ValueError):
-        gf.SamplingMatrix(rows=np.zeros((5, 3)), lifted=False, provenance="optimized")
-    with pytest.raises(ValueError):
-        gf.SamplingMatrix(rows=np.zeros(3), lifted=False, provenance="gaussian")
+        gf.SamplingMatrix(rows=np.zeros(3), lifted=False)
 
 
 def test_rank_deficient_dictionary():

@@ -92,6 +92,17 @@ def test_load_config_errors(tmp_path):
         gf.load_config(bad)
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_load_config_rejects_a_non_finite_snr(tmp_path, snr):
+    path = tmp_path / "c.ini"
+    path.write_text(
+        f"[data]\ntest = t.idx\n[noise]\nkind = awgn\nsnr_db = {snr}\n[run]\nout = o\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(gf.ValidationError, match="finite target SNR"):
+        gf.load_config(path)
+
+
 @pytest.mark.parametrize(
     "text, named",
     [
