@@ -55,22 +55,22 @@ def main():
 
     small = gf.optimize_sampling(state, 20)
     grown = gf.extend_sampling(state, small, m)
-    assert np.array_equal(grown.rows[:20], small.rows)
+    assert np.array_equal(grown[:20], small)
     print("successive sampling: rows 1..20 unchanged after extending to", m)
 
     lifted = gf.nn_lift(phi, state.lift)
-    d_shift = np.abs(lifted.rows @ psi.atoms - phi.rows @ psi.atoms)
+    d_shift = np.abs(lifted @ psi.atoms - phi @ psi.atoms)
     print(f"after lifting, equivalent-matrix change: column 1 max {d_shift[:, 0].max():.3f}, "
           f"elsewhere max {d_shift[:, 1:].max():.2e}")
 
     gauss = gf.gaussian_sampling(m, psi.n_pixels, seed=0)
-    gauss = gf.nn_lift(gauss, -float(gauss.rows.min()))
-    mu_opt = gf.mutual_coherence((lifted.rows @ psi.atoms)[:, 1:])
-    mu_gauss = gf.mutual_coherence((gauss.rows @ psi.atoms)[:, 1:])
+    gauss = gf.nn_lift(gauss, -float(gauss.min()))
+    mu_opt = gf.mutual_coherence((lifted @ psi.atoms)[:, 1:])
+    mu_gauss = gf.mutual_coherence((gauss @ psi.atoms)[:, 1:])
     print(f"equivalent-matrix coherence (zero-mean atoms): optimized {mu_opt:.4f} "
           f"vs gaussian {mu_gauss:.4f}")
 
-    gf.write_matrix(out / f"field_optimized_m{m}.gim", lifted.rows,
+    gf.write_matrix(out / f"field_optimized_m{m}.gim", lifted,
                     meta={"role": "sampling", "m": m, "lift": state.lift})
     print(f"saved {out / f'field_optimized_m{m}.gim'}")
 

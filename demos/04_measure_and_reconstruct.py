@@ -39,13 +39,13 @@ def main():
     x = gf.load_idx_images(out / "test.idx").images[args.image]
     n = x.size
     print(f"image {args.image}, M={args.m} measurements of N={n} pixels "
-          f"(SR={gf.sampling_ratio(args.m, n):.3f})\n")
+          f"(SR={args.m / n:.3f})\n")
 
     fields = {
         "optimized": gf.nn_lift(gf.optimize_sampling(state, args.m), state.lift),
     }
     raw = gf.gaussian_sampling(args.m, n, seed=1)
-    fields["gaussian"] = gf.nn_lift(raw, -float(raw.rows.min()))
+    fields["gaussian"] = gf.nn_lift(raw, -float(raw.min()))
 
     for name, phi in fields.items():
         y = gf.measure(phi, x)

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fieldopt import (
     FieldOptState,
-    SamplingMatrix,
     build_state,
     coherence_bound_check,
     design_objective,
@@ -54,12 +53,10 @@ from .harness import (
     train_dictionary,
 )
 from .imaging import (
-    Measurement,
     NoiseModel,
     ReconstructionResult,
     measure,
     reconstruct,
-    sampling_ratio,
 )
 from .metrics import QualityReport, aggregate, mse, mutual_coherence, psnr, ssim
 
@@ -75,11 +72,9 @@ __all__ = [
     "FormatError",
     "GifieldError",
     "ImageMetrics",
-    "Measurement",
     "NoiseModel",
     "QualityReport",
     "ReconstructionResult",
-    "SamplingMatrix",
     "SparseCode",
     "TrainingConfig",
     "ValidationError",
@@ -107,7 +102,6 @@ __all__ = [
     "read_matrix_meta",
     "reconstruct",
     "run_experiment",
-    "sampling_ratio",
     "sparse_code_columns",
     "ssim",
     "train_dictionary",

@@ -65,7 +65,7 @@ def _cmd_build_fields(args) -> int:
                     seed = cfg.field_seed + s
                     path = out / f"field_gaussian_m{m}_s{seed}.gim"
                     meta.update(seed=seed)
-                write_matrix(path, phi.rows, meta=meta)
+                write_matrix(path, phi, meta=meta)
                 print(f"wrote {path}")
     return 0
 
@@ -78,13 +78,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # an empty name would read the working directory, since Path("") is "."
     if args.config is None:
-        out = Path(args.out)
+        out_dir, source = args.out, "--out"
     else:
-        out_dir = load_config(args.config).out_dir
-        if not out_dir:
-            raise ValidationError("config: run.out directory is required")
-        out = Path(out_dir)
+        out_dir, source = load_config(args.config).out_dir, "config: run.out"
+    if not out_dir:
+        raise ValidationError(f"{source} directory is required")
+    out = Path(out_dir)
     results = out / "results.csv"
     if not results.is_file():
         raise ValidationError(f"no results.csv under {out}")

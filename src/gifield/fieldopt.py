@@ -3,9 +3,11 @@
 Given a constrained dictionary Psi, the Frobenius surrogate of the
 mutual-coherence objective is minimized in closed form by the
 eigendecomposition of Psi Psi^T: the optimal M-row sampling matrix is the
-first M rows of V^T with eigenvalues sorted descending. Extending a matrix
-to more rows is pure row augmentation (successive sampling), and a constant
-lift makes the patterns physically displayable (non-negative).
+first M rows of V^T with eigenvalues sorted descending. A sampling matrix is
+a plain M x N float array, one illumination pattern per row. Extending it to
+more rows is pure row augmentation (successive sampling), and a constant
+lift makes the patterns physically displayable (non-negative), which
+:func:`gifield.imaging.measure` requires.
 """
 
 from __future__ import annotations
@@ -18,29 +20,6 @@ from .dictionary import Dictionary
 from .metrics import mutual_coherence
 
 _RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SamplingMatrix:
-    """Light-field pattern stack: one illumination pattern per row."""
-
-    rows: np.ndarray
-    lifted: bool
-
-    def __post_init__(self):
-        if self.rows.ndim != 2:
-            raise ValueError("sampling matrix must be 2-D")
-        if self.lifted and self.rows.size and float(self.rows.min()) < 0.0:
-            raise ValueError("lifted sampling matrix has negative entries")
-        self.rows.setflags(write=False)
-
-    @property
-    def n_patterns(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_pixels(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -96,24 +75,25 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
     )
 
 
-def optimize_sampling(state: FieldOptState, m: int) -> SamplingMatrix:
+def optimize_sampling(state: FieldOptState, m: int) -> np.ndarray:
     """First ``m`` rows of V^T: the closed-form optimum of the design objective."""
     if m < 1:
         raise ValueError("need at least one sampling row")
     if m > state.rank:
         raise ValueError(f"{m} rows requested but the Gram rank is only {state.rank}")
-    return SamplingMatrix(rows=state.eigenvectors[:, :m].T.copy(), lifted=False)
+    return state.eigenvectors[:, :m].T.copy()
 
 
-def extend_sampling(state: FieldOptState, phi: SamplingMatrix, m_new: int) -> SamplingMatrix:
+def extend_sampling(state: FieldOptState, phi: np.ndarray, m_new: int) -> np.ndarray:
     """Augment an optimized matrix with further rows of V^T.
 
     The first rows of the result are bit-identical to ``phi`` (successive
-    sampling: patterns already displayed stay valid). ``phi`` must be an
-    unlifted product of :func:`optimize_sampling` on the same state.
+    sampling: patterns already displayed stay valid). ``phi`` must equal the
+    first rows of V^T, as :func:`optimize_sampling` on the same state returns
+    them; extend before :func:`nn_lift`, then lift the result.
     """
-    m = phi.n_patterns
-    if phi.lifted or not np.array_equal(phi.rows, state.eigenvectors[:, :m].T):
+    m = phi.shape[0]
+    if not np.array_equal(phi, state.eigenvectors[:, :m].T):
         raise ValueError("matrix was not produced from this state")
     if m_new < m:
         raise ValueError(f"cannot extend {m} rows down to {m_new}")
@@ -121,27 +101,25 @@ def extend_sampling(state: FieldOptState, phi: SamplingMatrix, m_new: int) -> Sa
         return phi
     if m_new > state.rank:
         raise ValueError(f"{m_new} rows requested but the Gram rank is only {state.rank}")
-    rows = np.vstack([phi.rows, state.eigenvectors[:, m:m_new].T])
-    return SamplingMatrix(rows=rows, lifted=False)
+    return np.vstack([phi, state.eigenvectors[:, m:m_new].T])
 
 
-def nn_lift(phi: SamplingMatrix, c: float) -> SamplingMatrix:
+def nn_lift(phi: np.ndarray, c: float) -> np.ndarray:
     """Add the constant ``c`` to every entry so patterns are non-negative."""
-    needed = max(0.0, -float(phi.rows.min()))
+    needed = max(0.0, -float(phi.min()))
     if c < needed:
         raise ValueError(f"lift {c} leaves negative entries (need >= {needed})")
-    return SamplingMatrix(rows=phi.rows + c, lifted=True)
+    return phi + c
 
 
-def gaussian_sampling(m: int, n: int, seed: int) -> SamplingMatrix:
+def gaussian_sampling(m: int, n: int, seed: int) -> np.ndarray:
     """Baseline: i.i.d. standard-normal patterns."""
     if m < 1 or n < 1:
         raise ValueError("sampling matrix must have at least one row and column")
-    rows = np.random.default_rng(seed).standard_normal((m, n))
-    return SamplingMatrix(rows=rows, lifted=False)
+    return np.random.default_rng(seed).standard_normal((m, n))
 
 
-def quantize_matrix(phi: SamplingMatrix, bits: int) -> SamplingMatrix:
+def quantize_matrix(phi: np.ndarray, bits: int) -> np.ndarray:
     """Uniform quantization of [0, max] into 2**bits levels, round half up.
 
     Models a light modulator's finite precision. Idempotent: quantizing a
@@ -149,14 +127,13 @@ def quantize_matrix(phi: SamplingMatrix, bits: int) -> SamplingMatrix:
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
-    if float(phi.rows.min()) < 0.0:
+    if float(phi.min()) < 0.0:
         raise ValueError("quantization expects a lifted (non-negative) matrix")
-    peak = float(phi.rows.max())
+    peak = float(phi.max())
     if peak == 0.0:
         return phi
     levels = float(2**bits - 1)
-    rows = np.floor(phi.rows * (levels / peak) + 0.5) * (peak / levels)
-    return SamplingMatrix(rows=rows, lifted=phi.lifted)
+    return np.floor(phi * (levels / peak) + 0.5) * (peak / levels)
 
 
 def coherence_bound_check(d: np.ndarray, k: int) -> tuple[bool, float]:
@@ -167,15 +144,14 @@ def coherence_bound_check(d: np.ndarray, k: int) -> tuple[bool, float]:
     return mu < 1.0 / (2 * k - 1), mu
 
 
-def design_objective(state: FieldOptState, phi: SamplingMatrix | np.ndarray) -> float:
+def design_objective(state: FieldOptState, phi: np.ndarray) -> float:
     """Frobenius design objective ||Lambda^2 - W W^T||_F^2 with W = Lambda V^T Phi^T.
 
     This is the surrogate whose minimizer over M orthonormal rows is
     :func:`optimize_sampling`; at that optimum the value equals the sum of
     the fourth powers of the discarded eigenvalues.
     """
-    rows = phi.rows if isinstance(phi, SamplingMatrix) else np.asarray(phi, dtype=np.float64)
-    w = state.eigenvalues[:, None] * (state.eigenvectors.T @ rows.T)
+    w = state.eigenvalues[:, None] * (state.eigenvectors.T @ np.asarray(phi, dtype=np.float64).T)
     diff = -(w @ w.T)
     diff[np.diag_indices_from(diff)] += state.eigenvalues**2
     return float(np.sum(diff * diff))

@@ -37,7 +37,6 @@ from .dictionary import Dictionary, TrainingConfig, ksvd_train, sparse_code_colu
 from .errors import CorruptionError, ValidationError
 from .fieldopt import (
     FieldOptState,
-    SamplingMatrix,
     build_state,
     gaussian_sampling,
     nn_lift,
@@ -320,7 +319,7 @@ def resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[floa
 
 def build_field_stack(
     method: str, m: int, state: FieldOptState, cfg: ExperimentConfig
-) -> list[SamplingMatrix]:
+) -> list[np.ndarray]:
     """The lifted, and per ``fields.qbits`` quantized, M-row fields of one cell.
 
     One matrix for ``optimized``; for ``gaussian`` one per seed
@@ -332,7 +331,7 @@ def build_field_stack(
         stack = []
         for s in range(cfg.gaussian_seeds):
             raw = gaussian_sampling(m, state.n_pixels, cfg.field_seed + s)
-            stack.append(nn_lift(raw, max(0.0, -float(raw.rows.min()))))
+            stack.append(nn_lift(raw, max(0.0, -float(raw.min()))))
     if cfg.qbits:
         stack = [quantize_matrix(phi, cfg.qbits) for phi in stack]
     return stack
@@ -360,7 +359,7 @@ def _run_cell(
 
     # build every field variant for this cell (one optimized, or one per seed)
     build_start = time.perf_counter()
-    variants = [(phi, phi.rows @ psi.atoms) for phi in build_field_stack(method, m, state, cfg)]
+    variants = [(phi, phi @ psi.atoms) for phi in build_field_stack(method, m, state, cfg)]
     build_sec = time.perf_counter() - build_start
     mu = float(np.mean([mutual_coherence(eq) for _, eq in variants]))
 
@@ -372,7 +371,7 @@ def _run_cell(
     coding_sec = 0.0
     for v_idx, (phi, equivalent) in enumerate(variants):
         noise = [_noise_for(cfg.noise, v_idx, i) for i in range(n_images)]
-        readings = measure(phi, x_test, noise).values
+        readings = measure(phi, x_test, noise)
         start = time.perf_counter()
         images = psi.atoms @ sparse_code_columns(equivalent, readings, t0)
         coding_sec += time.perf_counter() - start

@@ -1,9 +1,10 @@
 """Ghost-imaging detection simulation and sparse reconstruction.
 
 The object arm is modeled as y = Phi x + n: each row of the sampling matrix
-is one illumination pattern, each entry of y one bucket-detector reading.
-Reconstruction sparse-codes y against the equivalent matrix D = Phi Psi and
-maps the coefficients back through the dictionary.
+(a plain M x N array) is one illumination pattern, each entry of the readings
+array y one bucket-detector reading. Reconstruction sparse-codes y against
+the equivalent matrix D = Phi Psi and maps the coefficients back through the
+dictionary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary, SparseCode, omp
-from .fieldopt import SamplingMatrix
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """Bucket-detector readings for one object (or a stack) under one pattern stack.
-
-    ``values`` is length M for one object, M x L for L objects.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("measurement contains non-finite readings")
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     """Recovered image, its sparse code, and the fit diagnostics."""
 
@@ -66,28 +48,32 @@ class ReconstructionResult:
 
 
 def measure(
-    phi: SamplingMatrix,
+    phi: np.ndarray,
     x: np.ndarray,
     noise: NoiseModel | Sequence[NoiseModel] | None = None,
-) -> Measurement:
-    """Simulate detection: y = Phi x (+ optional white Gaussian noise).
+) -> np.ndarray:
+    """Simulate detection: the readings y = Phi x (+ optional white Gaussian noise).
 
-    ``phi`` must be lifted — a physical light field cannot carry negative
-    intensities. ``x`` is one image (any shape with N pixels) or an N x L
-    stack of images, one per column; a stack gives M x L readings from one
-    product, column j for image j. ``noise`` is one model for every image or,
-    for a stack, a sequence of L models, one per column. With
-    ``kind="awgn"`` the noise on each image is scaled so that
-    10*log10(signal power / noise power) equals ``snr_db``, deterministically
-    under that image's model seed.
+    ``phi`` is M x N with no negative entry — a physical light field cannot
+    carry negative intensities, so lift it first (:func:`gifield.nn_lift`).
+    ``x`` is one image (any shape with N pixels) or an N x L stack of images,
+    one per column; a stack gives M x L readings from one product, column j
+    for image j. ``noise`` is one model for every image or, for a stack, a
+    sequence of L models, one per column. With ``kind="awgn"`` the noise on
+    each image is scaled so that 10*log10(signal power / noise power) equals
+    ``snr_db``, deterministically under that image's model seed. Returns M
+    readings for one image, M x L for a stack, all finite.
     """
-    if not phi.lifted:
-        raise ValueError("patterns must be lifted (non-negative) before display")
+    if phi.ndim != 2:
+        raise ValueError(f"sampling matrix must be 2-D, got shape {phi.shape}")
+    if (phi < 0.0).any():
+        raise ValueError("patterns have negative entries; lift them before display")
+    n_pixels = phi.shape[1]
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != phi.n_pixels:
+    if x.ndim != 2 or x.shape[0] != n_pixels:
         x = x.ravel()
-        if x.size != phi.n_pixels:
-            raise ValueError(f"image length {x.size} != pattern length {phi.n_pixels}")
+        if x.size != n_pixels:
+            raise ValueError(f"image length {x.size} != pattern length {n_pixels}")
     n_images = 1 if x.ndim == 1 else x.shape[1]
     if noise is None or isinstance(noise, NoiseModel):
         models = [noise or NoiseModel()] * n_images
@@ -95,12 +81,14 @@ def measure(
         models = tuple(noise)
         if x.ndim == 1 or len(models) != n_images:
             raise ValueError(f"{len(models)} noise models for {n_images} image(s)")
-    y = phi.rows @ x
+    y = phi @ x
     columns = y.reshape(y.shape[0], n_images)  # a view: one column per image
     for j, model in enumerate(models):
         if model.kind == "awgn":
             _add_awgn(columns[:, j], model)
-    return Measurement(values=y)
+    if not np.isfinite(y).all():
+        raise ValueError("measurement contains non-finite readings")
+    return y
 
 
 def _add_awgn(y: np.ndarray, noise: NoiseModel) -> None:
@@ -111,39 +99,35 @@ def _add_awgn(y: np.ndarray, noise: NoiseModel) -> None:
 
 
 def reconstruct(
-    y: Measurement,
-    phi: SamplingMatrix,
+    y: np.ndarray,
+    phi: np.ndarray,
     psi: Dictionary,
     t0: int | None = None,
 ) -> ReconstructionResult:
-    """Recover the image behind ``y`` by OMP in the dictionary.
+    """Recover the image behind the readings ``y`` by OMP in the dictionary.
 
-    Forms the equivalent matrix D = Phi Psi, solves for a code with at most
-    ``t0`` atoms (default: the dictionary's training budget), and returns
-    x_hat = Psi z_hat. Many images under one pattern stack code faster
-    together, through ``sparse_code_columns``.
+    ``y`` holds one finite reading per row of ``phi``. Forms the equivalent
+    matrix D = Phi Psi, solves for a code with at most ``t0`` atoms (default:
+    the dictionary's training budget), and returns x_hat = Psi z_hat. Many
+    images under one pattern stack code faster together, through
+    ``sparse_code_columns``.
     """
-    if len(y) != phi.n_patterns:
-        raise ValueError(f"{len(y)} readings for {phi.n_patterns} patterns")
-    if phi.n_pixels != psi.n_pixels:
+    if phi.ndim != 2 or phi.shape[1] != psi.n_pixels:
         raise ValueError("pattern length does not match the dictionary's pixel count")
+    if np.shape(y) != (phi.shape[0],):
+        raise ValueError(f"readings of shape {np.shape(y)} for {phi.shape[0]} patterns")
+    if not np.isfinite(y).all():
+        raise ValueError("measurement contains non-finite readings")
     if t0 is None:
         t0 = psi.sparsity
     start = time.perf_counter()
-    equivalent = phi.rows @ psi.atoms
-    code = omp(equivalent, y.values, t0)
+    equivalent = phi @ psi.atoms
+    code = omp(equivalent, y, t0)
     image = psi.atoms @ code.coefficients
-    residual = float(np.linalg.norm(equivalent @ code.coefficients - y.values))
+    residual = float(np.linalg.norm(equivalent @ code.coefficients - y))
     return ReconstructionResult(
         image=image,
         code=code,
         residual_norm=residual,
         duration_sec=time.perf_counter() - start,
     )
-
-
-def sampling_ratio(m: int, n: int) -> float:
-    """Measurements per pixel, M/N."""
-    if n <= 0:
-        raise ValueError("pixel count must be positive")
-    return m / n

@@ -63,8 +63,8 @@ def test_criterion_2_successive_sampling():
             small = gf.optimize_sampling(state, m_small)
             extended = gf.extend_sampling(state, small, m_big)
             direct = gf.optimize_sampling(state, m_big)
-            prefix_exact &= np.array_equal(extended.rows[:m_small], small.rows)
-            prefix_exact &= np.array_equal(extended.rows, direct.rows)
+            prefix_exact &= np.array_equal(extended[:m_small], small)
+            prefix_exact &= np.array_equal(extended, direct)
             pairs += 1
     elapsed = time.perf_counter() - start
     ok = pairs == 50 and prefix_exact and elapsed < 10.0
@@ -87,7 +87,7 @@ def test_criterion_3_lifting_column_property():
         m = int(rng.integers(1, state.rank + 1))
         phi = gf.optimize_sampling(state, m)
         lifted = gf.nn_lift(phi, state.lift)
-        diff = np.abs(lifted.rows @ psi.atoms - phi.rows @ psi.atoms)
+        diff = np.abs(lifted @ psi.atoms - phi @ psi.atoms)
         worst_elsewhere = max(worst_elsewhere, float(diff[:, 1:].max()))
     elapsed = time.perf_counter() - start
     ok = worst_elsewhere <= 1e-10 and elapsed < 10.0

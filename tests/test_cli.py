@@ -160,13 +160,17 @@ def test_report_on_empty_dir_exits_2(tmp_path, capsys):
     assert "results.csv" in capsys.readouterr().err
 
 
+def _write_results(directory):
+    row = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0,0.2,0.004"
+    (directory / "results.csv").write_text(
+        f"{gf.harness.RESULTS_HEADER}\n{row}\n", encoding="utf-8"
+    )
+
+
 def test_report_config_needs_run_out(tmp_path, monkeypatch, capsys):
     # a stray results.csv in the working directory must not stand in for run.out
     monkeypatch.chdir(tmp_path)
-    row = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0,0.2,0.004"
-    (tmp_path / "results.csv").write_text(
-        f"{gf.harness.RESULTS_HEADER}\n{row}\n", encoding="utf-8"
-    )
+    _write_results(tmp_path)
     cfg = tmp_path / "r.ini"
     cfg.write_text("[data]\ntest = t.idx\n", encoding="utf-8")
     assert main(["report", "--config", str(cfg)]) == 2
@@ -174,11 +178,17 @@ def test_report_config_needs_run_out(tmp_path, monkeypatch, capsys):
     assert "run.out" in captured.err and not captured.out
 
 
+def test_report_rejects_empty_out(tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory; its stray results.csv must not be read
+    monkeypatch.chdir(tmp_path)
+    _write_results(tmp_path)
+    assert main(["report", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and not captured.out
+
+
 def test_report_warns_on_unfinished_run(tmp_path, capsys):
-    row = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0,0.2,0.004"
-    (tmp_path / "results.csv").write_text(
-        f"{gf.harness.RESULTS_HEADER}\n{row}\n", encoding="utf-8"
-    )
+    _write_results(tmp_path)
     assert main(["report", "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "did not finish" in captured.err

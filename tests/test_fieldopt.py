@@ -66,8 +66,7 @@ def test_optimize_sampling_slices_rows():
         rank=3, lift=0.0,
     )
     phi = gf.optimize_sampling(state, 2)
-    np.testing.assert_array_equal(phi.rows, np.eye(3)[:2])
-    assert not phi.lifted
+    np.testing.assert_array_equal(phi, np.eye(3)[:2])
     with pytest.raises(ValueError, match="4 rows requested but the Gram rank is only 3"):
         gf.optimize_sampling(state, 4)
     with pytest.raises(ValueError):
@@ -77,7 +76,7 @@ def test_optimize_sampling_slices_rows():
 def test_optimized_rows_orthonormal():
     state = gf.build_state(gf.random_dictionary(48, 80, seed=1))
     phi = gf.optimize_sampling(state, 24)
-    np.testing.assert_allclose(phi.rows @ phi.rows.T, np.eye(24), atol=1e-9)
+    np.testing.assert_allclose(phi @ phi.T, np.eye(24), atol=1e-9)
 
 
 def test_design_objective_certificate():
@@ -106,17 +105,17 @@ def test_prefix_invariance():
         m1, m2 = sorted(rng.choice(np.arange(1, state.rank + 1), size=2, replace=False))
         big = gf.optimize_sampling(state, int(m2))
         small = gf.optimize_sampling(state, int(m1))
-        assert np.array_equal(big.rows[:m1], small.rows)
+        assert np.array_equal(big[:m1], small)
 
 
 def test_extend_sampling():
     state = gf.build_state(gf.random_dictionary(30, 50, seed=4))
     phi = gf.optimize_sampling(state, 8)
     same = gf.extend_sampling(state, phi, 8)
-    np.testing.assert_array_equal(same.rows, phi.rows)
+    np.testing.assert_array_equal(same, phi)
     grown = gf.extend_sampling(state, phi, 20)
-    assert np.array_equal(grown.rows[:8], phi.rows)
-    np.testing.assert_array_equal(grown.rows, gf.optimize_sampling(state, 20).rows)
+    assert np.array_equal(grown[:8], phi)
+    np.testing.assert_array_equal(grown, gf.optimize_sampling(state, 20))
     with pytest.raises(ValueError, match="rows requested but the Gram rank is only"):
         gf.extend_sampling(state, phi, state.rank + 1)
     with pytest.raises(ValueError):
@@ -139,15 +138,12 @@ def test_extend_sampling_provenance_checks():
 
 def test_nn_lift_values():
     rows = np.array([[0.2, 0.0], [0.5, 0.1]])
-    phi = gf.SamplingMatrix(rows=rows, lifted=False)
-    out = gf.nn_lift(phi, 0.0)  # already non-negative
-    np.testing.assert_array_equal(out.rows, rows)
-    assert out.lifted
+    out = gf.nn_lift(rows, 0.0)  # already non-negative
+    np.testing.assert_array_equal(out, rows)
 
-    rows = np.array([[-0.3, 0.4], [0.1, 0.2]])
-    phi = gf.SamplingMatrix(rows=rows, lifted=False)
+    phi = np.array([[-0.3, 0.4], [0.1, 0.2]])
     out = gf.nn_lift(phi, 0.3)
-    assert out.rows.min() == 0.0
+    assert out.min() == 0.0
     with pytest.raises(ValueError, match="leaves negative entries"):
         gf.nn_lift(phi, 0.2)
 
@@ -158,7 +154,7 @@ def test_lifted_equivalent_differs_only_in_first_column():
         state = gf.build_state(psi)
         phi = gf.optimize_sampling(state, 10)
         lifted = gf.nn_lift(phi, state.lift)
-        diff = lifted.rows @ psi.atoms - phi.rows @ psi.atoms
+        diff = lifted @ psi.atoms - phi @ psi.atoms
         assert np.abs(diff[:, 1:]).max() <= 1e-10
         # the first-column shift is c * sqrt(N) exactly (column sums: the
         # constant atom sums to sqrt(N), every other atom to zero)
@@ -170,47 +166,46 @@ def test_lifted_equivalent_differs_only_in_first_column():
 def test_gaussian_sampling_statistics():
     a = gf.gaussian_sampling(100, 50, seed=12)
     b = gf.gaussian_sampling(100, 50, seed=12)
-    np.testing.assert_array_equal(a.rows, b.rows)
+    np.testing.assert_array_equal(a, b)
 
     big = gf.gaussian_sampling(1000, 1000, seed=13)
-    assert abs(big.rows.mean()) < 0.01
-    assert 0.99 < big.rows.var() < 1.01
-    lifted = gf.nn_lift(big, -float(big.rows.min()))
-    assert lifted.rows.min() >= 0.0
+    assert abs(big.mean()) < 0.01
+    assert 0.99 < big.var() < 1.01
+    lifted = gf.nn_lift(big, -float(big.min()))
+    assert lifted.min() >= 0.0
     with pytest.raises(ValueError):
         gf.gaussian_sampling(0, 5, seed=0)
 
 
 def test_quantize_matrix_grid():
-    exact = gf.SamplingMatrix(rows=np.array([[0.0, 1.0], [1.0, 0.0]]), lifted=True)
-    np.testing.assert_array_equal(gf.quantize_matrix(exact, 8).rows, exact.rows)
+    exact = np.array([[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(gf.quantize_matrix(exact, 8), exact)
 
-    half = gf.SamplingMatrix(rows=np.array([[0.5, 1.0]]), lifted=True)
+    half = np.array([[0.5, 1.0]])
     # 1-bit grid is {0, 1}: 0.5 rounds half-up to 1.0
-    np.testing.assert_array_equal(gf.quantize_matrix(half, 1).rows, [[1.0, 1.0]])
+    np.testing.assert_array_equal(gf.quantize_matrix(half, 1), [[1.0, 1.0]])
 
 
 def test_quantize_matrix_idempotent_and_bounded():
     rng = np.random.default_rng(14)
     for bits in (1, 4, 8, 12):
         rows = rng.uniform(0.0, rng.uniform(0.5, 7.0), size=(13, 17))
-        phi = gf.SamplingMatrix(rows=rows, lifted=True)
-        q1 = gf.quantize_matrix(phi, bits)
+        q1 = gf.quantize_matrix(rows, bits)
         q2 = gf.quantize_matrix(q1, bits)
-        np.testing.assert_array_equal(q1.rows, q2.rows)
+        np.testing.assert_array_equal(q1, q2)
         bound = rows.max() / (2 * (2**bits - 1))
-        assert np.abs(q1.rows - rows).max() <= bound * (1 + 1e-12)
-        assert q1.lifted
+        assert np.abs(q1 - rows).max() <= bound * (1 + 1e-12)
+        assert q1.min() >= 0.0  # still displayable
 
 
 def test_quantize_matrix_edges():
-    zero = gf.SamplingMatrix(rows=np.zeros((3, 3)), lifted=True)
+    zero = np.zeros((3, 3))
     assert gf.quantize_matrix(zero, 8) is zero
-    phi = gf.SamplingMatrix(rows=np.ones((2, 2)), lifted=True)
+    phi = np.ones((2, 2))
     for bad in (0, 17):
         with pytest.raises(ValueError):
             gf.quantize_matrix(phi, bad)
-    negative = gf.SamplingMatrix(rows=np.array([[-1.0, 1.0]]), lifted=False)
+    negative = np.array([[-1.0, 1.0]])
     with pytest.raises(ValueError):
         gf.quantize_matrix(negative, 8)
 
@@ -226,13 +221,6 @@ def test_coherence_bound_check():
     assert ok and np.isclose(mu, 0.70711, atol=5e-6)
     with pytest.raises(ValueError):
         gf.coherence_bound_check(np.eye(4), k=0)
-
-
-def test_sampling_matrix_invariants():
-    with pytest.raises(ValueError):
-        gf.SamplingMatrix(rows=np.array([[-0.1, 1.0]]), lifted=True)
-    with pytest.raises(ValueError):
-        gf.SamplingMatrix(rows=np.zeros(3), lifted=False)
 
 
 def test_rank_deficient_dictionary():
@@ -255,9 +243,9 @@ def test_desk_dictionary_rank_and_successive_prefix(desk_state):
     a = gf.optimize_sampling(desk_state, 78)
     b = gf.extend_sampling(desk_state, a, 156)
     c = gf.extend_sampling(desk_state, b, 392)
-    assert np.array_equal(b.rows[:78], a.rows)
-    assert np.array_equal(c.rows[:156], b.rows)
-    np.testing.assert_array_equal(c.rows, gf.optimize_sampling(desk_state, 392).rows)
+    assert np.array_equal(b[:78], a)
+    assert np.array_equal(c[:156], b)
+    np.testing.assert_array_equal(c, gf.optimize_sampling(desk_state, 392))
 
 
 def test_desk_coherence_comparison(desk_dictionary, desk_state):
@@ -266,10 +254,10 @@ def test_desk_coherence_comparison(desk_dictionary, desk_state):
     psi, _ = desk_dictionary
     for m in (78, 157, 400):
         lifted = gf.nn_lift(gf.optimize_sampling(desk_state, m), desk_state.lift)
-        mu_opt = gf.mutual_coherence((lifted.rows @ psi.atoms)[:, 1:])
+        mu_opt = gf.mutual_coherence((lifted @ psi.atoms)[:, 1:])
         mu_gauss = []
         for s in range(10):
             raw = gf.gaussian_sampling(m, 784, seed=1000 + s)
-            lg = gf.nn_lift(raw, max(0.0, -float(raw.rows.min())))
-            mu_gauss.append(gf.mutual_coherence((lg.rows @ psi.atoms)[:, 1:]))
+            lg = gf.nn_lift(raw, max(0.0, -float(raw.min())))
+            mu_gauss.append(gf.mutual_coherence((lg @ psi.atoms)[:, 1:]))
         assert mu_opt <= np.mean(mu_gauss)

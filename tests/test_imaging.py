@@ -7,10 +7,6 @@ import gifield as gf
 from gifield import harness
 
 
-def _identity_fields(n):
-    return gf.SamplingMatrix(rows=np.eye(n), lifted=True)
-
-
 def _setup(seed, n=36, k=60, m=18):
     psi = gf.random_dictionary(n, k, seed=seed)
     state = gf.build_state(psi)
@@ -20,19 +16,19 @@ def _setup(seed, n=36, k=60, m=18):
 
 def test_measure_identity_and_zero():
     x = np.random.default_rng(0).uniform(0, 255, size=16)
-    y = gf.measure(_identity_fields(16), x)
-    np.testing.assert_array_equal(y.values, x)
+    y = gf.measure(np.eye(16), x)
+    np.testing.assert_array_equal(y, x)
     assert len(y) == 16
-    y0 = gf.measure(_identity_fields(16), np.zeros(16))
-    assert not y0.values.any()
+    y0 = gf.measure(np.eye(16), np.zeros(16))
+    assert not y0.any()
 
 
 def test_measure_linearity():
     rng = np.random.default_rng(1)
     psi, phi = _setup(seed=1)
     x1, x2 = rng.standard_normal((2, 36))
-    lhs = gf.measure(phi, 2.0 * x1 - 3.0 * x2).values
-    rhs = 2.0 * gf.measure(phi, x1).values - 3.0 * gf.measure(phi, x2).values
+    lhs = gf.measure(phi, 2.0 * x1 - 3.0 * x2)
+    rhs = 2.0 * gf.measure(phi, x1) - 3.0 * gf.measure(phi, x2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
@@ -44,24 +40,38 @@ def test_measure_validation():
     with pytest.raises(ValueError):
         gf.measure(unlifted, np.zeros(8))
     with pytest.raises(ValueError):
+        gf.measure(np.ones(8), np.zeros(8))  # not 2-D
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.measure(np.eye(2), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError):
         gf.NoiseModel(kind="poisson")
     with pytest.raises(ValueError):
         gf.NoiseModel(kind="awgn")  # missing SNR
 
 
+def test_measure_checks_the_entries_not_their_history():
+    # non-negative, never passed through nn_lift: displayable, so accepted
+    phi = np.abs(gf.gaussian_sampling(4, 8, seed=0))
+    np.testing.assert_allclose(gf.measure(phi, np.ones(8)), phi.sum(axis=1), rtol=1e-12)
+    # one negative entry, however small, cannot be displayed
+    phi[2, 5] = -1e-12
+    with pytest.raises(ValueError, match="negative"):
+        gf.measure(phi, np.ones(8))
+
+
 def test_measure_awgn_snr_scale():
     psi, phi = _setup(seed=3)
     x = np.random.default_rng(3).uniform(0, 255, size=36)
-    clean = gf.measure(phi, x).values
+    clean = gf.measure(phi, x)
     ratios = []
     for seed in range(100):
         noisy = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=seed))
-        ratios.append(np.linalg.norm(noisy.values - clean) / np.linalg.norm(clean))
+        ratios.append(np.linalg.norm(noisy - clean) / np.linalg.norm(clean))
     # 40 dB SNR puts the relative perturbation near 1e-2
     assert 0.5e-2 < np.mean(ratios) < 2e-2
     again = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=5))
     once = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=5))
-    np.testing.assert_array_equal(again.values, once.values)
+    np.testing.assert_array_equal(again, once)
 
 
 def test_measure_stack_matches_single_images():
@@ -70,14 +80,14 @@ def test_measure_stack_matches_single_images():
     x = rng.uniform(0, 255, size=(36, 7))
     x[:, 2] = 0.0
     batch = gf.measure(phi, x)
-    assert batch.values.shape == (18, 7)
+    assert batch.shape == (18, 7)
     for i in range(7):
-        single = gf.measure(phi, x[:, i]).values
-        np.testing.assert_allclose(batch.values[:, i], single, rtol=1e-12, atol=1e-9)
-    assert not batch.values[:, 2].any()
+        single = gf.measure(phi, x[:, i])
+        np.testing.assert_allclose(batch[:, i], single, rtol=1e-12, atol=1e-9)
+    assert not batch[:, 2].any()
     # a 6 x 6 image is still one image, whatever its shape
     np.testing.assert_array_equal(
-        gf.measure(phi, x[:, 0].reshape(6, 6)).values, gf.measure(phi, x[:, 0]).values
+        gf.measure(phi, x[:, 0].reshape(6, 6)), gf.measure(phi, x[:, 0])
     )
 
 
@@ -91,20 +101,20 @@ def test_measure_stack_awgn_per_column_models():
     models = [harness._noise_for(base, 2, i) for i in range(6)]
     models[4] = gf.NoiseModel(kind="awgn", snr_db=10.0, seed=models[4].seed)
     models[5] = gf.NoiseModel()
-    clean = gf.measure(phi, x).values
+    clean = gf.measure(phi, x)
     noisy = gf.measure(phi, x, models)
     for i, model in enumerate(models):
-        alone = gf.measure(phi, x[:, i], model).values
-        np.testing.assert_allclose(noisy.values[:, i], alone, rtol=1e-12, atol=1e-9)
-    np.testing.assert_array_equal(noisy.values[:, 5], clean[:, 5])
+        alone = gf.measure(phi, x[:, i], model)
+        np.testing.assert_allclose(noisy[:, i], alone, rtol=1e-12, atol=1e-9)
+    np.testing.assert_array_equal(noisy[:, 5], clean[:, 5])
     snr = [
-        10 * np.log10(np.sum(clean[:, i] ** 2) / np.sum((noisy.values[:, i] - clean[:, i]) ** 2))
+        10 * np.log10(np.sum(clean[:, i] ** 2) / np.sum((noisy[:, i] - clean[:, i]) ** 2))
         for i in range(5)
     ]
     assert all(20.0 < s < 40.0 for s in snr[:4]) and 0.0 < snr[4] < 20.0
     # one model for a whole stack applies to each column as it would alone
-    shared = gf.measure(phi, x, base).values
-    np.testing.assert_allclose(shared[:, 3], gf.measure(phi, x[:, 3], base).values, rtol=1e-12)
+    shared = gf.measure(phi, x, base)
+    np.testing.assert_allclose(shared[:, 3], gf.measure(phi, x[:, 3], base), rtol=1e-12)
     with pytest.raises(ValueError):
         gf.measure(phi, x, models[:5])
     with pytest.raises(ValueError):
@@ -123,7 +133,7 @@ def test_reconstruct_one_sparse_exact():
     rng = np.random.default_rng(5)
     for seed in range(10):
         psi, phi = _setup(seed=seed, m=2 + seed % 5)
-        equivalent = phi.rows @ psi.atoms
+        equivalent = phi @ psi.atoms
         ok, mu = gf.coherence_bound_check(equivalent, k=1)
         if not ok:
             continue  # mu >= 1 would void the recovery guarantee
@@ -141,12 +151,23 @@ def test_reconstruct_consistency():
     result = gf.reconstruct(y, phi, psi)
     # the image is exactly the dictionary applied to the code
     np.testing.assert_array_equal(result.image, psi.atoms @ result.code.coefficients)
-    d = phi.rows @ psi.atoms
+    d = phi @ psi.atoms
     assert np.isclose(
-        result.residual_norm, np.linalg.norm(d @ result.code.coefficients - y.values)
+        result.residual_norm, np.linalg.norm(d @ result.code.coefficients - y)
     )
     assert result.code.n_nonzero <= psi.sparsity  # default budget
     assert result.duration_sec >= 0.0
+
+
+def test_reconstruct_validates_readings():
+    psi, phi = _setup(seed=7)
+    y = gf.measure(phi, np.random.default_rng(7).uniform(0, 255, size=36))
+    y[3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.reconstruct(y, phi, psi)
+    stack = gf.measure(phi, np.ones((36, 2)))  # M x 2: two images, not one
+    with pytest.raises(ValueError, match="readings of shape"):
+        gf.reconstruct(stack, phi, psi)
 
 
 def test_recovery_oracle_small_k():
@@ -172,15 +193,3 @@ def test_recovery_oracle_small_k():
             np.testing.assert_allclose(code.coefficients, z, atol=1e-8)
             done += 1
 
-
-def test_sampling_ratio():
-    assert gf.sampling_ratio(784, 784) == 1.0
-    assert round(gf.sampling_ratio(78, 784), 4) == 0.0995
-    assert round(gf.sampling_ratio(400, 784), 4) == 0.5102
-    with pytest.raises(ValueError):
-        gf.sampling_ratio(10, 0)
-
-
-def test_measurement_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        gf.Measurement(values=np.array([1.0, np.inf]))
