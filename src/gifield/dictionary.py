@@ -99,7 +99,7 @@ def omp(d: np.ndarray, y: np.ndarray, t0: int) -> SparseCode:
     """Orthogonal matching pursuit on one signal.
 
     Greedily picks the column most correlated with the residual
-    (normalized by column norm), re-solves least squares on the selected
+    (normalized by column norm), refits least squares on the selected
     support, and stops once ``t0`` atoms are used or the residual norm
     drops to 1e-6 * ||y||. This is the one-column case of
     :func:`sparse_code_columns`.
@@ -111,6 +111,10 @@ def omp(d: np.ndarray, y: np.ndarray, t0: int) -> SparseCode:
 
     Returns:
         SparseCode over the columns of ``d``.
+
+    Raises:
+        ValueError: ``d`` or ``y`` holds a NaN or an infinity, or ``d`` a zero
+            column.
     """
     support, coeffs = _lockstep_omp(d, np.asarray(y, dtype=np.float64).reshape(-1, 1), t0)
     selected = support[0][support[0] >= 0]
@@ -123,8 +127,8 @@ def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray
     """OMP-code every column of ``x`` against the columns of ``atoms``.
 
     Selection, least-squares fits and the stopping rule are those of
-    :func:`omp`, applied to all columns at once. Returns the K x L
-    coefficient matrix.
+    :func:`omp`, applied to all columns at once, and so are its errors.
+    Returns the K x L coefficient matrix.
     """
     support, coeffs = _lockstep_omp(atoms, x, t0)
     cols, slots = np.nonzero(support >= 0)
@@ -137,12 +141,18 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
     """Batch OMP (Rubinstein, Zibulevsky & Elad, Technion TR CS-2008-08).
 
     All running columns of ``x`` hold the same number of atoms, so each step
-    is one argmax over |correlation| / column norm (first index on ties), one
-    batched solve of the support Gram systems and one correlation update,
-    from the atom Gram D^T D when there are more signals than atoms, else as
-    D^T r. Columns go in blocks of ``_OMP_BLOCK``. Returns (support, coeffs):
-    L x budget atom indices in selection order and their coefficients, with
-    -1 and 0 in unused slots.
+    is one argmax over |correlation| / column norm (first index on ties,
+    selected atoms masked), one batched Cholesky step (:func:`_grow_factors`)
+    and one correlation update. With more signals than atoms the update comes
+    from the atom Gram D^T D: a buffer keeps each signal's selected Gram rows,
+    which give both the new Cholesky column and, in one batched matvec, the
+    correlations alpha - G_I c. Otherwise a buffer keeps the selected atoms,
+    which give the new column and the residual r, and the correlations are
+    D^T r. A signal stops at the budget, once its residual energy drops to
+    1e-12 ||y||^2, or when no atom correlates with its residual. Columns go
+    in blocks of ``_OMP_BLOCK``; the buffers are allocated once per call.
+    Returns (support, coeffs): L x budget atom indices in selection order and
+    their coefficients, with -1 and 0 in unused slots.
     """
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -150,55 +160,113 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
         raise ValueError(f"matrix {d.shape} incompatible with signals {x.shape}")
     if t0 < 1:
         raise ValueError("sparsity budget must be >= 1")
-    norms = np.linalg.norm(d, axis=0)
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(d * d, axis=0))  # np.linalg.norm(d, axis=0) without its overhead
+    if not (np.isfinite(norms).all() and np.isfinite(x).all()):
+        raise ValueError("sparse coding needs finite atoms and signals")
+    if np.count_nonzero(norms == 0.0):
         raise ValueError("zero column in sparse-coding matrix")
 
-    dt = np.ascontiguousarray(d.T)
-    gram = dt @ d if x.shape[1] > d.shape[1] else None
-    support = np.full((x.shape[1], min(t0, d.shape[1])), -1)
+    n_atoms, n_signals = d.shape[1], x.shape[1]
+    gram = d.T @ d if n_signals > n_atoms else None
+    support = np.full((n_signals, min(t0, n_atoms)), -1)
     coeffs = np.zeros(support.shape)
-    for first in range(0, x.shape[1], _OMP_BLOCK):
+    budget, block = support.shape[1], min(_OMP_BLOCK, n_signals)
+    # slot t holds each running signal's t-th atom: its Gram row, or the atom itself
+    picked = np.empty((budget, block, n_atoms if gram is not None else d.shape[0]))
+    corr = np.empty((block, n_atoms))
+    scores = np.empty((block, n_atoms))
+    index = np.arange(block)
+    for first in range(0, n_signals, _OMP_BLOCK):
         y = x[:, first:first + _OMP_BLOCK].T  # one signal per row
-        corr0 = y @ d
+        alpha = y @ d
         energy = np.einsum("ln,ln->l", y, y)
-        tol2 = 1e-12 * energy
-        live = np.flatnonzero(energy > tol2)  # rows of y still running
-        corr = corr0[live]
-        for t in range(support.shape[1]):
-            rows = np.arange(live.size)
-            scores = np.abs(corr) / norms
-            scores[rows[:, None], support[first + live, :t]] = -1.0
-            best = np.argmax(scores, axis=1)
-            moving = scores[rows, best] > 0.0
-            live, best = live[moving], best[moving]
-            if live.size == 0:
+        tol = 1e-12 * energy
+        n = energy.size
+        # one row per running signal: its column of x, energy, tolerance and
+        # correlations with the atoms, what it selected and its factors
+        state = (first + index[:n], energy, tol, alpha, np.empty((n, budget), dtype=np.intp),
+                 np.zeros((n, budget, budget + 1)), np.empty((n, budget, budget + 1)),
+                 np.zeros(n, dtype=bool))
+        going = energy > tol  # a zero signal stops before it starts
+        for t in range(budget):
+            cols, energy, tol, alpha, sel, *factors = state
+            np.abs(alpha if t == 0 else corr[:n], out=scores[:n])
+            np.divide(scores[:n], norms, out=scores[:n])
+            scores[index[:n, None], sel[:, :t]] = -1.0
+            best = np.argmax(scores[:n], axis=1)
+            going &= scores[index[:n], best] > 0.0
+            if np.count_nonzero(going) < n:  # drop the signals that stopped
+                kept = going.nonzero()[0]
+                state, best, n = tuple(a[kept] for a in state), best[kept], kept.size
+                cols, energy, tol, alpha, sel, *factors = state
+                picked[:t, :n] = picked[:t, kept]
+                if n == 0:
+                    break
+            sel[:, t] = best
+            support[cols, t] = best
+            rows = picked[: t + 1, :n].transpose(1, 0, 2)
+            if gram is not None:
+                np.take(gram, best, axis=0, out=picked[t, :n], mode="clip")
+                col = picked[t, index[:n, None], sel[:, : t + 1]]
+            else:
+                picked[t, :n] = d[:, best].T
+                col = (rows @ picked[t, :n, :, None])[:, :, 0]
+            c, fit = _grow_factors(factors, col, alpha[index[:n], best], t)
+            coeffs[cols, : t + 1] = c
+            if t + 1 == budget:
                 break
-            support[first + live, t] = best
-            sel = support[first + live, : t + 1]
-            rhs = corr0[live[:, None], sel]
             if gram is not None:
-                sub = gram[sel[:, :, None], sel[:, None, :]]
+                going = energy - fit > tol
+                np.matmul(c[:, None, :], rows, out=corr[:n, None, :])
+                np.subtract(alpha, corr[:n], out=corr[:n])
             else:
-                d_rows = dt[sel]
-                sub = d_rows @ d_rows.transpose(0, 2, 1)
-            try:
-                c = np.linalg.solve(sub, rhs[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:  # a singular support Gram: least-norm fit
-                c = (np.linalg.pinv(sub) @ rhs[:, :, None])[:, :, 0]
-            coeffs[first + live, : t + 1] = c
-            if gram is not None:
-                corr = corr0[live]
-                for i in range(t + 1):  # one Gram row per support slot keeps memory flat
-                    corr -= c[:, i, None] * gram[sel[:, i]]
-                err2 = energy[live] - np.einsum("li,li->l", c, rhs)
-            else:
-                r = y[live] - (c[:, None, :] @ d_rows)[:, 0]
-                corr = r @ d
-                err2 = np.einsum("ln,ln->l", r, r)
-            going = err2 > tol2[live]
-            live, corr = live[going], corr[going]
+                residual = x[:, cols].T - (c[:, None, :] @ rows)[:, 0]
+                going = np.einsum("ln,ln->l", residual, residual) > tol
+                np.matmul(residual, d, out=corr[:n])
     return support, coeffs
+
+
+def _grow_factors(
+    factors: list[np.ndarray], col: np.ndarray, a_new: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add atom ``t`` to every running support: one batched Cholesky step.
+
+    ``factors`` is (chol, held, singular), one row per signal. Row i of
+    ``chol`` is row i of L^-1, for the support Gram G_I = L L^T, with entry i
+    of the forward vector w = L^-1 alpha_I in its last column; row i of
+    ``held`` is row i of G_I's lower triangle with alpha_i (atom i's
+    correlation with the signal) in its last column; ``singular`` marks the
+    supports whose Gram turned singular. All three grow in place. ``col`` is
+    the new atom's row of the grown G_I, its diagonal entry last, and
+    ``a_new`` its correlation with the signal. Returns the coefficients
+    c = L^-T w and the captured energy ||w||^2, so the residual energy is
+    ||y||^2 - ||w||^2. A pivot within rounding of zero marks a support
+    singular; from then on that signal takes the least-norm fit
+    pinv(G_I) alpha_I.
+    """
+    chol, held, singular = factors
+    held[:, t, : t + 1] = col
+    held[:, t, -1] = a_new
+    v = chol[:, :t, :t] @ col[:, :t, None]  # L^-1 g, one column per signal
+    vt = v.transpose(0, 2, 1)
+    pivot2 = col[:, t] - (vt @ v)[:, 0, 0]
+    singular |= pivot2 <= 1e-14 * col[:, t]  # a duplicate atom leaves a few ulps of G_jj
+    pivot2[singular] = np.inf  # a singular support stops growing its factor
+    row = chol[:, t]  # (e_t, a_new) - v^T (L^-1, w), over the pivot
+    row[:, t] = 1.0
+    row[:, -1] = a_new
+    row -= (vt @ chol[:, :t])[:, 0]
+    row /= np.sqrt(pivot2)[:, None]
+    fitted = (chol[:, None, : t + 1, -1] @ chol[:, : t + 1])[:, 0]  # w^T L^-1, then w . w
+    c, fit = fitted[:, : t + 1], fitted[:, -1]
+    if np.count_nonzero(singular):
+        s = singular.nonzero()[0]
+        g = np.tril(held[s, : t + 1, : t + 1])
+        g += np.tril(g, -1).transpose(0, 2, 1)
+        a_s = held[s, : t + 1, -1]
+        c[s] = (np.linalg.pinv(g) @ a_s[:, :, None])[:, :, 0]
+        fit[s] = np.einsum("li,li->l", c[s], a_s)
+    return c, fit
 
 
 def _random_zero_mean_unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -358,6 +426,7 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
         n_dead = _replace_dead_atoms(atoms, np.count_nonzero(z, axis=1), x, residual.T, rng)
         if n_dead:
             log.debug("sweep %d: replaced %d dead atoms", sweep, n_dead)
+        del z, residual, owner, signal  # free them before the next sweep's coding pass
 
     return Dictionary(atoms=atoms, sparsity=cfg.sparsity), objectives
 

@@ -54,9 +54,10 @@ def measure(
 ) -> np.ndarray:
     """Simulate detection: the readings y = Phi x (+ optional white Gaussian noise).
 
-    ``phi`` is M x N with no negative entry — a physical light field cannot
-    carry negative intensities, so lift it first (:func:`gifield.nn_lift`).
-    ``x`` is one image (any shape with N pixels) or an N x L stack of images,
+    ``phi`` is a finite M x N matrix with no negative entry — a physical
+    light field cannot carry negative intensities, so lift it first
+    (:func:`gifield.nn_lift`). ``x`` is one finite image (any shape with N
+    pixels) or an N x L stack of images,
     one per column; a stack gives M x L readings from one product, column j
     for image j. ``noise`` is one model for every image or, for a stack, a
     sequence of L models, one per column. With ``kind="awgn"`` the noise on
@@ -66,6 +67,8 @@ def measure(
     """
     if phi.ndim != 2:
         raise ValueError(f"sampling matrix must be 2-D, got shape {phi.shape}")
+    if not np.isfinite(phi).all():
+        raise ValueError("sampling matrix holds a non-finite entry")
     if (phi < 0.0).any():
         raise ValueError("patterns have negative entries; lift them before display")
     n_pixels = phi.shape[1]
@@ -74,6 +77,8 @@ def measure(
         x = x.ravel()
         if x.size != n_pixels:
             raise ValueError(f"image length {x.size} != pattern length {n_pixels}")
+    if not np.isfinite(x).all():
+        raise ValueError("image holds a non-finite pixel")
     n_images = 1 if x.ndim == 1 else x.shape[1]
     if noise is None or isinstance(noise, NoiseModel):
         models = [noise or NoiseModel()] * n_images

@@ -372,6 +372,23 @@ def test_omp_duplicate_columns_and_signal_outside_range():
         outside = rng.standard_normal(6)
         outside -= q @ (q.T @ outside)
         y = 2.0 * a + outside
-        for z in (gf.omp(d, y, 3).coefficients, gf.sparse_code_columns(d, y[:, None], 3)[:, 0]):
+        # one signal goes the direct way; four signals against three atoms take the Gram side
+        tiled = gf.sparse_code_columns(d, np.tile(y[:, None], 4), 3)
+        for z in (gf.omp(d, y, 3).coefficients, gf.sparse_code_columns(d, y[:, None], 3)[:, 0],
+                  *tiled.T):
             assert np.all(np.isfinite(z))
             np.testing.assert_allclose(d @ z, 2.0 * a, atol=1e-9)
+
+
+def test_coder_refuses_non_finite_input():
+    d = _unit_columns(10, 8, seed=12)
+    y = d[:, 1] + d[:, 4]
+    with pytest.raises(ValueError, match="finite"):
+        gf.omp(d, np.where(np.arange(10) == 3, np.nan, y), 3)
+    x = np.tile(y[:, None], 3)
+    x[5, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        gf.sparse_code_columns(d, x, 3)
+    d[:, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        gf.omp(d, y, 3)

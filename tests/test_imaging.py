@@ -43,6 +43,10 @@ def test_measure_validation():
         gf.measure(np.ones(8), np.zeros(8))  # not 2-D
     with pytest.raises(ValueError, match="non-finite"):
         gf.measure(np.eye(2), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.measure(np.eye(2), np.array([1.0, np.inf]))  # 0 * inf is checked, not computed
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.measure(np.array([[1.0, 0.0], [np.inf, 1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         gf.NoiseModel(kind="poisson")
     with pytest.raises(ValueError):
