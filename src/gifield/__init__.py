@@ -46,8 +46,6 @@ from .fieldopt import (
 from .harness import (
     ExperimentConfig,
     ExperimentRecord,
-    ImageMetrics,
-    emit_curves,
     load_config,
     run_experiment,
     train_dictionary,
@@ -71,7 +69,6 @@ __all__ = [
     "FieldOptState",
     "FormatError",
     "GifieldError",
-    "ImageMetrics",
     "NoiseModel",
     "QualityReport",
     "ReconstructionResult",
@@ -82,7 +79,6 @@ __all__ = [
     "build_state",
     "coherence_bound_check",
     "design_objective",
-    "emit_curves",
     "extend_sampling",
     "gaussian_sampling",
     "ksvd_train",

@@ -20,10 +20,11 @@ import sys
 from pathlib import Path
 
 from .data import write_matrix
-from .errors import GifieldError, ValidationError
+from .errors import FormatError, GifieldError, ValidationError
 from .fieldopt import build_state
 from .harness import (
     DONE_MARKER,
+    RESULTS_HEADER,
     build_field_stack,
     load_config,
     load_dictionary,
@@ -89,27 +90,55 @@ def _cmd_report(args) -> int:
     results = out / "results.csv"
     if not results.is_file():
         raise ValidationError(f"no results.csv under {out}")
-    with open(results, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValidationError(f"{results} has no records")
+    rows = _read_results(results)
     if not (out / DONE_MARKER).is_file():
         print("warning: run did not finish (_DONE marker missing)", file=sys.stderr)
 
     print(f"{'method':<10} {'sr':>6} {'M':>5} {'qbits':>5} {'psnr':>8} "
           f"{'ssim':>8} {'mu':>8} {'exact':>5}")
     for r in rows:
-        print(f"{r['method']:<10} {float(r['sr']):>6.3f} {r['M']:>5} {r['qbits']:>5} "
-              f"{float(r['psnr_mean']):>8.2f} {float(r['ssim_mean']):>8.4f} "
-              f"{float(r['mu']):>8.4f} {r['n_exact']:>5}")
-    by_sr: dict[str, dict[str, float]] = {}
+        print(f"{r['method']:<10} {r['sr']:>6.3f} {r['M']:>5.0f} {r['qbits']:>5.0f} "
+              f"{r['psnr_mean']:>8.2f} {r['ssim_mean']:>8.4f} "
+              f"{r['mu']:>8.4f} {r['n_exact']:>5.0f}")
+    by_sr: dict[float, dict[str, float]] = {}
     for r in rows:
-        by_sr.setdefault(r["sr"], {})[r["method"]] = float(r["psnr_mean"])
+        by_sr.setdefault(r["sr"], {})[r["method"]] = r["psnr_mean"]
     for sr, methods in by_sr.items():
         if "optimized" in methods and "gaussian" in methods:
             gain = methods["optimized"] - methods["gaussian"]
-            print(f"SR {float(sr):.3f}: optimized {gain:+.2f} dB vs gaussian")
+            print(f"SR {sr:.3f}: optimized {gain:+.2f} dB vs gaussian")
     return 0
+
+
+def _read_results(path: Path) -> list[dict]:
+    """The rows of a ``results.csv``, numbers parsed; a malformed file is a ``FormatError``."""
+    columns = RESULTS_HEADER.split(",")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            lines = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a readable CSV file: {exc}") from exc
+    if header != columns:
+        missing = [name for name in columns if name not in header]
+        raise FormatError(f"{path}: no {missing[0]!r} column" if missing
+                          else f"{path}: header is not {RESULTS_HEADER!r}")
+    if not lines:
+        raise ValidationError(f"{path} has no records")
+    rows = []
+    for line, values in lines:
+        if len(values) != len(columns):
+            raise FormatError(f"{path} line {line}: {len(values)} fields, expected {len(columns)}")
+        rows.append(row := dict(zip(columns, values)))
+        for name in columns[1:]:
+            try:
+                row[name] = float(row[name])
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path} line {line}, column {name}: {row[name]!r} is not a number"
+                ) from exc
+    return rows
 
 
 def _build_parser() -> argparse.ArgumentParser:

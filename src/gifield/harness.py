@@ -5,9 +5,10 @@ knobs, the SR grid, methods, quantization, noise. For every (method, SR) cell
 the harness builds and lifts the sampling matrix, forms the equivalent matrix
 D = Phi Psi once, measures, reconstructs and scores all test images of each
 field variant together (one call of each per variant), and appends one
-aggregate record. Outputs: ``results.csv`` (aggregates), ``per_image.csv``
-(one row per test image per cell), per-method curve files, and a zero-byte
-``_DONE`` marker written last so interrupted runs are detectable.
+record: per-image scores pooled over field seeds, as arrays, and their
+aggregate. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row
+per test image per cell), per-method curve files, and a zero-byte ``_DONE``
+marker written last so interrupted runs are detectable.
 
 Everything derived from seeds is byte-reproducible across runs with one BLAS
 build and thread count; the two wall-clock columns of results.csv are the
@@ -96,9 +97,11 @@ class ExperimentConfig:
                 raise ValidationError(f"config: row count {m} must be >= 1")
         if not self.methods:
             raise ValidationError("config: at least one method")
-        for name in self.methods:
+        for i, name in enumerate(self.methods):
             if name not in METHODS:
                 raise ValidationError(f"config: unknown method {name!r}")
+            if name in self.methods[:i]:
+                raise ValidationError(f"config: fields.methods names {name!r} more than once")
         if self.qbits != 0 and not 1 <= self.qbits <= 16:
             raise ValidationError("config: qbits must be 0 (off) or in [1, 16]")
         if self.gaussian_seeds < 1:
@@ -110,40 +113,44 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ImageMetrics:
-    """Per-test-image reconstruction quality (seed-averaged for gaussian)."""
-
-    index: int
-    mse: float
-    psnr: float
-    ssim: float
-
-
-@dataclass(frozen=True)
 class ExperimentRecord:
-    """One (method, SR) cell: aggregates, coherence, and timings."""
+    """One (method, SR) cell: per-image scores, their aggregate, coherence, timings.
+
+    ``mse``, ``psnr`` and ``ssim`` hold each test image's mean over field seeds
+    (``psnr``'s over the finite ones, +inf if all are) and are made read-only.
+    """
 
     method: str
     sr: float
     m: int
     qbits: int
-    report: QualityReport
+    mse: np.ndarray
+    psnr: np.ndarray
+    ssim: np.ndarray
     mu: float
     n_exact: int  # reconstructions (image x field seed) with infinite PSNR
     build_sec: float
     recon_sec_mean: float
-    per_image: tuple[ImageMetrics, ...]
+    report: QualityReport = dataclasses.field(init=False)
 
     def __post_init__(self):
         if self.build_sec < 0 or self.recon_sec_mean < 0:
             raise ValueError("timings must be non-negative")
-        if len(self.per_image) != self.report.count:
-            raise ValueError("per-image rows must match the aggregate count")
+        for scores in (self.mse, self.psnr, self.ssim):
+            scores.setflags(write=False)
+        object.__setattr__(self, "report", aggregate(self.mse, self.psnr, self.ssim))
 
 
 def _optional(convert):
     """Parse a value with ``convert``; an empty value parses to None."""
     return lambda raw: convert(raw) if raw else None
+
+
+def _seed(raw: str) -> int:
+    """Parse a seed: an integer >= 0, as numpy's generators need."""
+    if (value := int(raw)) < 0:
+        raise ValueError(f"seed {value} must be >= 0")
+    return value
 
 
 def _items(convert):
@@ -159,23 +166,23 @@ _CONFIG_TABLE = {
     ("data", "train"): ("train_path", _optional(str), ""),
     ("data", "test"): ("test_path", _optional(str), ""),
     ("data", "train_count"): ("train_count", int, 2000),
-    ("data", "train_seed"): ("train_seed", int, 0),
+    ("data", "train_seed"): ("train_seed", _seed, 0),
     ("data", "test_count"): ("test_count", int, 200),
-    ("data", "test_seed"): ("test_seed", int, 1),
+    ("data", "test_seed"): ("test_seed", _seed, 1),
     ("dictionary", "path"): ("dictionary_path", _optional(str), None),
     ("dictionary", "atoms"): ("training.atom_count", int, 1024),
     ("dictionary", "sparsity"): ("training.sparsity", int, 8),
     ("dictionary", "sweeps"): ("training.sweeps", int, 30),
-    ("dictionary", "seed"): ("training.seed", int, 0),
+    ("dictionary", "seed"): ("training.seed", _seed, 0),
     ("fields", "sr"): ("sr_grid", _items(float), ()),
     ("fields", "m"): ("m_grid", _items(int), ()),
     ("fields", "methods"): ("methods", _items(str), METHODS),
     ("fields", "qbits"): ("qbits", int, 0),
     ("fields", "gaussian_seeds"): ("gaussian_seeds", int, 3),
-    ("fields", "seed"): ("field_seed", int, 0),
+    ("fields", "seed"): ("field_seed", _seed, 0),
     ("noise", "kind"): ("noise.kind", _optional(str), "none"),
     ("noise", "snr_db"): ("noise.snr_db", _optional(float), None),
-    ("noise", "seed"): ("noise.seed", int, 0),
+    ("noise", "seed"): ("noise.seed", _seed, 0),
     ("run", "out"): ("out_dir", _optional(str), ""),
     ("run", "t0"): ("recon_sparsity", _optional(int), None),
 }
@@ -191,6 +198,8 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ValidationError(f"config parse error: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8 text: {exc}") from exc
     sections = {section for section, _ in _CONFIG_TABLE}
     unknown = [f"[{name}]" for name in parser.sections() if name not in sections]
     unknown += [f"[DEFAULT] {key}" for key in parser.defaults()]
@@ -204,18 +213,21 @@ def load_config(path) -> ExperimentConfig:
         raise ValidationError(f"config: unknown section or key: {', '.join(unknown)}")
 
     values: dict = {"training": {}, "noise": {}}
-    try:
-        for (section, key), (field, parse, default) in _CONFIG_TABLE.items():
+    for (section, key), (field, parse, default) in _CONFIG_TABLE.items():
+        try:
             raw = parser.get(section, key, fallback=None)
             value = None if raw is None else parse(raw)
-            owner, _, name = field.rpartition(".")
-            (values[owner] if owner else values)[name] = default if value is None else value
+        except (ValueError, configparser.Error) as exc:
+            raise ValidationError(f"config value error: {section}.{key}: {exc}") from exc
+        owner, _, name = field.rpartition(".")
+        (values[owner] if owner else values)[name] = default if value is None else value
+    try:
         cfg = ExperimentConfig(**{
             **values,
             "training": TrainingConfig(**values["training"]),
             "noise": NoiseModel(**values["noise"]),
         })
-    except (ValueError, TypeError, configparser.Error) as exc:
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"config value error: {exc}") from exc
     # default grid: the desk-scale SR sweep
     if not cfg.sr_grid and not cfg.m_grid:
@@ -353,7 +365,9 @@ def _run_cell(
     psi: Dictionary,
     x_test: np.ndarray,
     cfg: ExperimentConfig,
+    scores: np.ndarray,
 ) -> ExperimentRecord:
+    """Score one cell; its per-image mse, psnr and ssim go to the rows of ``scores``."""
     n_images = x_test.shape[1]
     t0 = cfg.recon_sparsity or psi.sparsity
 
@@ -382,38 +396,27 @@ def _run_cell(
     # pool over field seeds: per-image means, with infinite (exact) PSNRs
     # excluded from the mean and tallied separately
     finite = np.isfinite(psnr_grid)
-    pooled_psnr = np.where(
+    scores[1] = np.where(
         finite.any(axis=0),
         np.where(finite, psnr_grid, 0.0).sum(axis=0) / np.maximum(finite.sum(axis=0), 1),
         np.inf,
-    )
-    rows = tuple(
-        ImageMetrics(
-            index=i,
-            mse=float(mse_grid[:, i].mean()),
-            psnr=float(pooled_psnr[i]),
-            ssim=float(ssim_grid[:, i].mean()),
-        )
-        for i in range(n_images)
-    )
-    report = aggregate(
-        [r.mse for r in rows], [r.psnr for r in rows], [r.ssim for r in rows]
     )
     record = ExperimentRecord(
         method=method,
         sr=sr,
         m=m,
         qbits=cfg.qbits,
-        report=report,
+        mse=np.mean(mse_grid, axis=0, out=scores[0]),
+        psnr=scores[1],
+        ssim=np.mean(ssim_grid, axis=0, out=scores[2]),
         n_exact=int(np.count_nonzero(~finite)),
         mu=mu,
         build_sec=build_sec,
         recon_sec_mean=coding_sec / psnr_grid.size,
-        per_image=rows,
     )
     log.info(
         "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f",
-        method, sr, m, report.psnr_mean, report.ssim_mean, mu,
+        method, sr, m, record.report.psnr_mean, record.report.ssim_mean, mu,
     )
     return record
 
@@ -422,51 +425,25 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row after ``header``; floats as ``_fmt`` gives them, the rest as ``str``."""
+    lines = [header, *(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+                       for row in rows)]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _write_results(path: Path, records: list[ExperimentRecord]) -> None:
-    lines = [RESULTS_HEADER]
-    for r in records:
-        q = r.report
-        lines.append(
-            f"{r.method},{_fmt(r.sr)},{r.m},{r.qbits},{_fmt(q.psnr_mean)},"
-            f"{_fmt(q.psnr_std)},{_fmt(q.ssim_mean)},{_fmt(q.ssim_std)},"
-            f"{_fmt(r.mu)},{r.n_exact},{_fmt(r.build_sec)},{_fmt(r.recon_sec_mean)}"
-        )
-    _write_lines(path, lines)
-
-
-def _write_per_image(path: Path, records: list[ExperimentRecord]) -> None:
-    lines = [PER_IMAGE_HEADER]
-    for r in records:
-        for row in r.per_image:
-            lines.append(
-                f"{r.method},{_fmt(r.sr)},{r.m},{r.qbits},{row.index},"
-                f"{_fmt(row.mse)},{_fmt(row.psnr)},{_fmt(row.ssim)}"
-            )
-    _write_lines(path, lines)
-
-
-def emit_curves(records: list[ExperimentRecord], out_dir) -> list[Path]:
+def emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
     """Write per-method (sr, psnr_mean) and (sr, ssim_mean) files, sorted by sr."""
-    out_dir = Path(out_dir)
-    written = []
     for method in dict.fromkeys(r.method for r in records):
         cells = sorted((r for r in records if r.method == method), key=lambda r: r.sr)
-        for metric, pick in (("psnr", lambda r: r.report.psnr_mean),
-                             ("ssim", lambda r: r.report.ssim_mean)):
-            path = out_dir / f"curve_{method}_{metric}.csv"
-            lines = [f"sr,{metric}_mean"] + [f"{_fmt(r.sr)},{_fmt(pick(r))}" for r in cells]
-            _write_lines(path, lines)
-            written.append(path)
+        for metric in ("psnr", "ssim"):
+            _write_csv(out_dir / f"curve_{method}_{metric}.csv", f"sr,{metric}_mean",
+                       [(r.sr, getattr(r.report, f"{metric}_mean")) for r in cells])
         gains = np.diff([c.report.psnr_mean for c in cells])
         if method == "optimized" and len(cells) > 1 and np.any(gains < 0):
             log.warning("optimized PSNR is not monotone over the SR grid: %s",
                         [round(c.report.psnr_mean, 2) for c in cells])
-    return written
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -493,14 +470,25 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         )
     x_test = test.as_columns()
 
+    # one block for every record's scores: small arrays kept per cell fragment
+    # glibc's heap (a 100-cell, 4-image sweep then peaked at 85 MB, not 79)
+    scores = np.empty((len(cfg.methods), len(grid), 3, x_test.shape[1]))
     records = [
-        _run_cell(method, sr, m, state, psi, x_test, cfg)
-        for method in cfg.methods
-        for sr, m in grid
+        _run_cell(method, sr, m, state, psi, x_test, cfg, scores[i, j])
+        for i, method in enumerate(cfg.methods)
+        for j, (sr, m) in enumerate(grid)
     ]
 
-    _write_results(out / "results.csv", records)
-    _write_per_image(out / "per_image.csv", records)
+    _write_csv(out / "results.csv", RESULTS_HEADER, [
+        (r.method, r.sr, r.m, r.qbits, r.report.psnr_mean, r.report.psnr_std,
+         r.report.ssim_mean, r.report.ssim_std, r.mu, r.n_exact, r.build_sec, r.recon_sec_mean)
+        for r in records
+    ])
+    _write_csv(out / "per_image.csv", PER_IMAGE_HEADER, [
+        (r.method, r.sr, r.m, r.qbits, i, *image)
+        for r in records
+        for i, image in enumerate(zip(r.mse, r.psnr, r.ssim))
+    ])
     emit_curves(records, out)
     marker.touch()
     return records

@@ -117,17 +117,15 @@ def mutual_coherence(d: np.ndarray) -> float:
 class QualityReport:
     """Aggregate metrics over a set of reconstructed images.
 
-    PSNR statistics exclude infinite values (exact reconstructions);
-    ``n_infinite`` counts how many were excluded. Standard deviations are
-    population (1/n) ones.
+    PSNR statistics exclude infinite values (exact reconstructions); if
+    every value is infinite the mean is +inf and the std 0. Standard
+    deviations are population (1/n) ones.
     """
 
-    count: int
     psnr_mean: float
     psnr_std: float
     ssim_mean: float
     ssim_std: float
-    n_infinite: int
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -144,17 +142,5 @@ def aggregate(mse_values, psnr_values, ssim_values) -> QualityReport:
     if not (mses.size == psnrs.size == ssims.size):
         raise ValueError("metric arrays must have equal length")
     finite = np.isfinite(psnrs)
-    n_infinite = int(np.sum(~finite))
-    if n_infinite == mses.size:
-        psnr_mean, psnr_std = math.inf, 0.0
-    else:
-        psnr_mean, psnr_std = _mean_std(psnrs[finite])
-    ssim_mean, ssim_std = _mean_std(ssims)
-    return QualityReport(
-        count=int(mses.size),
-        psnr_mean=psnr_mean,
-        psnr_std=psnr_std,
-        ssim_mean=ssim_mean,
-        ssim_std=ssim_std,
-        n_infinite=n_infinite,
-    )
+    psnr_stats = _mean_std(psnrs[finite]) if finite.any() else (math.inf, 0.0)
+    return QualityReport(*psnr_stats, *_mean_std(ssims))

@@ -2,10 +2,14 @@
 
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gifield as gf
 from gifield import cli
@@ -193,6 +197,59 @@ def test_report_warns_on_unfinished_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "did not finish" in captured.err
     assert "optimized" in captured.out
+
+
+_HEADER = gf.harness.RESULTS_HEADER
+_ROW = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0,0.2,0.004"
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (_HEADER.replace(",M,", ",") + "\n" + _ROW.replace(",78,", ",") + "\n", "no 'M' column"),
+        (f"{_HEADER}\n{_ROW.replace(',0.1,', ',tenth,')}\n", "line 2, column sr: 'tenth'"),
+        (f"{_HEADER}\n{_ROW}\n{_ROW.replace(',0,0.2,', ',none,0.2,')}\n",
+         "line 3, column n_exact: 'none'"),
+        (f"{_HEADER}\n{_ROW},1\n", "line 2: 13 fields, expected 12"),
+        (b"\xff\xfe" + f"{_HEADER}\n{_ROW}\n".encode(), "not a readable CSV file"),
+    ],
+    ids=["missing-column", "text-ratio", "text-count", "extra-field", "not-utf8"],
+)
+def test_report_on_a_malformed_results_file_exits_2(tmp_path, capsys, content, named):
+    results = tmp_path / "results.csv"
+    if isinstance(content, str):
+        results.write_text(content, encoding="utf-8")
+    else:
+        results.write_bytes(content)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and str(results) in captured.err
+    assert not captured.out
+
+
+_CELL = st.sampled_from(["optimized", "gaussian", "0.1", "78", "-0", "nan", "inf", "1e400", ""])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(content=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(_CELL | st.text(max_size=6), min_size=11, max_size=13), max_size=3)
+    .map(lambda rows: "".join(",".join(row) + "\n" for row in [_HEADER.split(","), *rows])
+         .encode("utf-8")),
+))
+def test_report_on_any_results_bytes_exits_0_or_2(content):
+    """Whatever ``results.csv`` holds, ``report`` prints it or exits 2, never 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "results.csv").write_bytes(content)
+        assert main(["report", "--out", tmp]) in (0, 2)
+
+
+def test_run_with_a_config_that_is_not_utf8_exits_2(tmp_path, data_dir, tiny_dict_file, capsys):
+    cfg = write_run_config(tmp_path / "r.ini", data_dir, tiny_dict_file, tmp_path / "out")
+    cfg.write_bytes(cfg.read_bytes() + b"\xff")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{cfg} is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -5,10 +5,13 @@ import dataclasses
 import itertools
 import logging
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gifield as gf
 from gifield import harness, synthdata
@@ -119,6 +122,63 @@ def test_load_config_rejects_unknown_names(tmp_path, text, named):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(gf.ValidationError, match=re.escape(named)):
         gf.load_config(path)
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_bytes(b"[data]\ntest = t.idx\n[run]\nout = o\n\xff\n")
+    with pytest.raises(gf.ValidationError, match=re.escape(f"{path} is not UTF-8")):
+        gf.load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("data", "train_seed"), ("data", "test_seed"), ("dictionary", "seed"),
+     ("fields", "seed"), ("noise", "seed")],
+)
+def test_load_config_rejects_a_negative_seed(tmp_path, section, key):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[{section}]\n{key} = -5\n", encoding="utf-8")
+    with pytest.raises(gf.ValidationError, match=rf"{section}\.{key}: seed -5 must be >= 0"):
+        gf.load_config(path)
+    path.write_text(f"[{section}]\n{key} = 0\n", encoding="utf-8")
+    gf.load_config(path)
+
+
+def test_repeated_method_rejected_before_any_output(tmp_path, data_dir, tiny_dict_file):
+    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, methods="optimized,optimized")
+    with pytest.raises(gf.ValidationError, match="'optimized' more than once"):
+        gf.run_experiment(cfg)
+    assert not out.exists()
+
+
+_CONFIG_TEXT = st.text(max_size=10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(entries=st.lists(st.tuples(
+    st.sampled_from(sorted({section for section, _ in harness._CONFIG_TABLE})) | _CONFIG_TEXT,
+    st.sampled_from(sorted({key for _, key in harness._CONFIG_TABLE})) | _CONFIG_TEXT,
+    st.sampled_from(["", "0", "-1", "3", "0.2", "nan", "1e999", "optimized,gaussian", "awgn"])
+    | _CONFIG_TEXT,
+), max_size=6), tail=st.binary(max_size=4))
+def test_any_config_text_loads_or_raises_validation_error(entries, tail):
+    """Random sections, keys and values, and random bytes after them, either
+    make a valid config or raise ``ValidationError``, never anything else."""
+    sections = {"data": {"test": "t.idx"}, "run": {"out": "o"}}
+    for section, key, value in entries:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_bytes(text.encode("utf-8") + tail)
+        try:
+            gf.load_config(path).validate()
+        except gf.ValidationError:
+            pass
 
 
 def test_readme_config_loads(tmp_path):
@@ -236,7 +296,7 @@ def test_tiny_run_outputs(tiny_run):
     assert [r.m for r in records[:3]] == [10, 20, 39]  # round(sr * 49)
     for r in records:
         assert 0.0 < r.mu <= 1.0
-        assert r.report.count == 12 and len(r.per_image) == 12
+        assert r.mse.shape == r.psnr.shape == r.ssim.shape == (12,)
         assert np.isfinite(r.report.ssim_mean)
     assert (out / harness.DONE_MARKER).exists()
 
@@ -364,38 +424,38 @@ def test_stale_done_marker_removed(tmp_path, data_dir, tiny_dict_file):
     assert (out / harness.DONE_MARKER).exists()
 
 
-def test_experiment_record_invariants():
-    report = gf.aggregate([1.0], [30.0], [0.9])
-    rows = (gf.ImageMetrics(index=0, mse=1.0, psnr=30.0, ssim=0.9),)
-    with pytest.raises(ValueError):
-        gf.ExperimentRecord(
-            method="optimized", sr=0.1, m=10, qbits=0, report=report, mu=0.5,
-            n_exact=0, build_sec=-1.0, recon_sec_mean=0.0, per_image=rows,
-        )
-    with pytest.raises(ValueError):
-        gf.ExperimentRecord(
-            method="optimized", sr=0.1, m=10, qbits=0, report=report, mu=0.5,
-            n_exact=0, build_sec=0.0, recon_sec_mean=0.0, per_image=(),
-        )
-
-
-def _fake_record(method, sr, psnr_mean):
-    report = gf.aggregate([1.0], [psnr_mean], [0.9])
-    rows = (gf.ImageMetrics(index=0, mse=1.0, psnr=psnr_mean, ssim=0.9),)
+def _record(method="optimized", sr=0.1, psnr=(30.0,), build_sec=0.0):
+    psnr = np.array(psnr)
     return gf.ExperimentRecord(
-        method=method, sr=sr, m=int(sr * 100), qbits=0, report=report, mu=0.5,
-        n_exact=0, build_sec=0.0, recon_sec_mean=0.0, per_image=rows,
+        method=method, sr=sr, m=int(sr * 100), qbits=0,
+        mse=np.ones_like(psnr), psnr=psnr, ssim=np.full_like(psnr, 0.9), mu=0.5,
+        n_exact=0, build_sec=build_sec, recon_sec_mean=0.0,
     )
+
+
+def test_experiment_record_invariants():
+    with pytest.raises(ValueError, match="non-negative"):
+        _record(build_sec=-1.0)
+    with pytest.raises(ValueError, match="equal length"):
+        gf.ExperimentRecord(
+            method="optimized", sr=0.1, m=10, qbits=0, mse=np.ones(2), psnr=np.ones(1),
+            ssim=np.ones(2), mu=0.5, n_exact=0, build_sec=0.0, recon_sec_mean=0.0,
+        )
+    # the report aggregates the record's own scores, which cannot change after
+    record = _record(psnr=(10.0, 20.0, np.inf))
+    assert (record.report.psnr_mean, record.report.psnr_std) == (15.0, 5.0)
+    with pytest.raises(ValueError, match="read-only"):
+        record.psnr[0] = 40.0
 
 
 def test_emit_curves_sorts_and_warns(tmp_path, caplog):
     records = [
-        _fake_record("optimized", 0.5, 28.0),  # out of order and non-monotone
-        _fake_record("optimized", 0.1, 30.0),
+        _record("optimized", 0.5, (28.0,)),  # out of order and non-monotone
+        _record("optimized", 0.1, (30.0,)),
     ]
     with caplog.at_level(logging.WARNING, logger="gifield.harness"):
-        written = gf.emit_curves(records, tmp_path)
-    assert sorted(p.name for p in written) == [
+        harness.emit_curves(records, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
         "curve_optimized_psnr.csv", "curve_optimized_ssim.csv",
     ]
     lines = (tmp_path / "curve_optimized_psnr.csv").read_text(encoding="utf-8").splitlines()

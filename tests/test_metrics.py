@@ -176,7 +176,7 @@ def test_metrics_along_axis_match_single_images():
 
 def test_aggregate_basic():
     r = gf.aggregate([1.0], [30.0], [0.9])
-    assert r.count == 1 and r.psnr_std == 0.0 and r.psnr_mean == 30.0
+    assert r.psnr_std == 0.0 and r.psnr_mean == 30.0
     r = gf.aggregate([1.0, 2.0], [10.0, 20.0], [0.5, 0.7])
     assert r.psnr_mean == 15.0 and r.psnr_std == 5.0  # population std
     assert np.isclose(r.ssim_mean, 0.6)
@@ -184,10 +184,10 @@ def test_aggregate_basic():
 
 def test_aggregate_infinite_psnr():
     r = gf.aggregate([0.0, 1.0, 4.0], [math.inf, 10.0, 30.0], [1.0, 0.5, 0.2])
-    assert r.n_infinite == 1
-    assert r.psnr_mean == 20.0 and r.psnr_std == 10.0
+    assert r.psnr_mean == 20.0 and r.psnr_std == 10.0  # the exact image is left out
+    assert np.isclose(r.ssim_mean, 1.7 / 3)  # but its SSIM counts
     r = gf.aggregate([0.0], [math.inf], [1.0])
-    assert r.n_infinite == 1 and r.psnr_mean == math.inf and r.psnr_std == 0.0
+    assert r.psnr_mean == math.inf and r.psnr_std == 0.0
 
 
 def test_aggregate_errors():
