@@ -52,7 +52,6 @@ from .harness import (
 )
 from .imaging import (
     NoiseModel,
-    ReconstructionResult,
     measure,
     reconstruct,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "GifieldError",
     "NoiseModel",
     "QualityReport",
-    "ReconstructionResult",
     "SparseCode",
     "TrainingConfig",
     "ValidationError",

@@ -28,6 +28,7 @@ from .harness import (
     build_field_stack,
     load_config,
     load_dictionary,
+    make_dir,
     resolve_grid,
     run_experiment,
     train_dictionary,
@@ -41,7 +42,7 @@ def _cmd_train_dict(args) -> int:
     if not cfg.dictionary_path:
         raise ValidationError("train-dict needs dictionary.path to write to")
     out_path = Path(cfg.dictionary_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    make_dir(out_path.parent, "dictionary.path", cfg.dictionary_path)
     dictionary = train_dictionary(cfg, out_path)
     print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {out_path}")
     return 0
@@ -53,7 +54,7 @@ def _cmd_build_fields(args) -> int:
     psi = load_dictionary(cfg)
     state = build_state(psi)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out, "run.out", cfg.out_dir)
     for sr, m in resolve_grid(cfg, state):
         for method in cfg.methods:
             for s, phi in enumerate(build_field_stack(method, m, state, cfg)):

@@ -4,11 +4,12 @@ A run is fully described by one INI-style config file: dataset paths, training
 knobs, the SR grid, methods, quantization, noise. For every (method, SR) cell
 the harness builds and lifts the sampling matrix, forms the equivalent matrix
 D = Phi Psi once, measures, reconstructs and scores all test images of each
-field variant together (one call of each per variant), and appends one
-record: per-image scores pooled over field seeds, as arrays, and their
-aggregate. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row
-per test image per cell), per-method curve files, and a zero-byte ``_DONE``
-marker written last so interrupted runs are detectable.
+field variant together (one call of each per variant, the measurement under
+one noise model seeded for that variant), and appends one record: per-image
+scores pooled over field seeds, as arrays, and their aggregate. Outputs:
+``results.csv`` (aggregates), ``per_image.csv`` (one row per test image per
+cell), per-method curve files, and a zero-byte ``_DONE`` marker written
+last so interrupted runs are detectable.
 
 Everything derived from seeds is byte-reproducible across runs with one BLAS
 build and thread count; the two wall-clock columns of results.csv are the
@@ -274,6 +275,20 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     return dictionary
 
 
+def make_dir(path: Path, key: str, value: str) -> None:
+    """Create the directory ``path`` (and its parents) that config ``key`` = ``value`` needs.
+
+    A file where the directory or one of its parents must go is a
+    ``ValidationError`` naming the key and its value.
+    """
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(
+            f"config: {key} {value}: a file stands where a directory must go ({exc.filename})"
+        ) from exc
+
+
 def _subset_or_invalid(path: str, split: str, count: int, seed: int):
     if not Path(path).is_file():
         raise ValidationError(f"{split} dataset not found: {path}")
@@ -349,11 +364,11 @@ def build_field_stack(
     return stack
 
 
-def _noise_for(base: NoiseModel, variant: int, image: int) -> NoiseModel:
-    """The noise model of one reconstruction, seeded apart from every other one."""
+def _noise_for(base: NoiseModel, variant: int) -> NoiseModel:
+    """The noise model of one field variant's readings, seeded apart from every other one."""
     if base.kind == "none":
         return base
-    seq = np.random.SeedSequence(base.seed, spawn_key=(variant, image))
+    seq = np.random.SeedSequence(base.seed, spawn_key=(variant,))
     return dataclasses.replace(base, seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
@@ -368,7 +383,6 @@ def _run_cell(
     scores: np.ndarray,
 ) -> ExperimentRecord:
     """Score one cell; its per-image mse, psnr and ssim go to the rows of ``scores``."""
-    n_images = x_test.shape[1]
     t0 = cfg.recon_sparsity or psi.sparsity
 
     # build every field variant for this cell (one optimized, or one per seed)
@@ -379,13 +393,12 @@ def _run_cell(
 
     # (variants, images) metric grids; each variant's images are measured,
     # coded and scored together, one call of each per variant
-    psnr_grid = np.empty((len(variants), n_images))
+    psnr_grid = np.empty((len(variants), x_test.shape[1]))
     ssim_grid = np.empty_like(psnr_grid)
     mse_grid = np.empty_like(psnr_grid)
     coding_sec = 0.0
     for v_idx, (phi, equivalent) in enumerate(variants):
-        noise = [_noise_for(cfg.noise, v_idx, i) for i in range(n_images)]
-        readings = measure(phi, x_test, noise)
+        readings = measure(phi, x_test, _noise_for(cfg.noise, v_idx))
         start = time.perf_counter()
         images = psi.atoms @ sparse_code_columns(equivalent, readings, t0)
         coding_sec += time.perf_counter() - start
@@ -456,7 +469,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     cfg.validate()
     psi = load_dictionary(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_dir(out, "run.out", cfg.out_dir)
     marker = out / DONE_MARKER
     if marker.exists():
         marker.unlink()

@@ -34,9 +34,8 @@ def mse(x, y, *, axis=None):
     image along the other axes is scored at once and an array comes back.
     """
     x, y = _check_same_shape(x, y)
-    if axis is None:
-        return float(np.mean((x - y) ** 2))
-    return np.mean((x - y) ** 2, axis=axis)
+    err = np.mean((x - y) ** 2, axis=axis)
+    return float(err) if axis is None else err
 
 
 def psnr(x, y, *, axis=None):
@@ -44,13 +43,9 @@ def psnr(x, y, *, axis=None):
 
     +inf when the images are identical. ``axis`` works as in :func:`mse`.
     """
-    err = mse(x, y, axis=axis)
-    if axis is None:
-        if err == 0.0:
-            return math.inf
-        return 10.0 * math.log10(DYNAMIC_RANGE**2 / err)
     with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(DYNAMIC_RANGE**2 / err)
+        db = 10.0 * np.log10(np.divide(DYNAMIC_RANGE**2, mse(x, y, axis=axis)))
+    return float(db) if axis is None else db
 
 
 def ssim(x, y, *, axis=None):

@@ -117,6 +117,36 @@ def test_train_dict_reads_only_training_keys(tmp_path, data_dir, capsys):
     gf.Dictionary(atoms=gf.read_matrix(out), sparsity=3).validate()
 
 
+@pytest.mark.parametrize("command", ["train-dict", "build-fields", "run"])
+def test_output_path_through_a_file_exits_2(
+    tmp_path, data_dir, tiny_dict_file, monkeypatch, capsys, command
+):
+    blocker = tmp_path / "blocker"
+    blocker.touch()
+
+    def no_training(*args):
+        raise AssertionError("trained before checking where the dictionary goes")
+
+    monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
+    if command == "train-dict":
+        key, path = "dictionary.path", blocker / "d.gim"
+        cfg = write_run_config(
+            tmp_path / "r.ini", data_dir, path, tmp_path / "out",
+            train=data_dir / "tiny_train.idx", train_count=60, atoms=49, sparsity=3, sweeps=1,
+        )
+    else:
+        key, path = "run.out", blocker
+        cfg = write_run_config(
+            tmp_path / "r.ini", data_dir, tiny_dict_file, blocker,
+            test=data_dir / "tiny_test.idx", test_count=4, sr="0.2",
+        )
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(path) in err
+    assert sorted(tmp_path.iterdir()) == [blocker, tmp_path / "r.ini"]  # nothing written
+    assert blocker.read_bytes() == b""
+
+
 def _write_bad_magic(path):
     path.write_bytes(b"NOTAGIM!" + bytes(64))
 

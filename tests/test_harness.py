@@ -282,10 +282,15 @@ def test_duplicate_m_rejected(tmp_path, data_dir, tiny_dict_file, grid):
 
 def test_noise_seeds_never_collide():
     base = gf.NoiseModel(kind="awgn", snr_db=20.0, seed=5)
-    assert harness._noise_for(base, 0, 7919).seed != harness._noise_for(base, 1, 0).seed
-    seeds = {harness._noise_for(base, v, i).seed for v in range(3) for i in range(8000)}
-    assert len(seeds) == 3 * 8000
-    assert harness._noise_for(gf.NoiseModel(), 1, 2) == gf.NoiseModel()
+    models = [harness._noise_for(base, v) for v in range(8000)]
+    assert len({m.seed for m in models}) == 8000
+    assert base.seed not in {m.seed for m in models}
+    assert all(m.kind == "awgn" and m.snr_db == 20.0 for m in models)
+    # another base seed gives another family of variant seeds
+    other = {harness._noise_for(gf.NoiseModel("awgn", 20.0, seed=6), v).seed for v in range(8000)}
+    assert not other & {m.seed for m in models}
+    assert harness._noise_for(base, 3) == harness._noise_for(base, 3)
+    assert harness._noise_for(gf.NoiseModel(), 1) == gf.NoiseModel()
 
 
 def test_tiny_run_outputs(tiny_run):

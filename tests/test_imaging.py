@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import gifield as gf
-from gifield import harness
 
 
 def _setup(seed, n=36, k=60, m=18):
@@ -95,42 +94,42 @@ def test_measure_stack_matches_single_images():
     )
 
 
-def test_measure_stack_awgn_per_column_models():
-    """Each column gets its own model: its own SNR and the seed that the
-    harness gives that (variant, image), exactly as if measured alone."""
+def test_measure_stack_awgn_one_model():
+    """One model for a stack: each column at its own SNR, with noise of its own."""
     psi, phi = _setup(seed=10)
     x = np.random.default_rng(10).uniform(0, 255, size=(36, 6))
     x[:, 1] *= 50.0  # a far brighter image: its noise must scale with it
-    base = gf.NoiseModel(kind="awgn", snr_db=30.0, seed=4)
-    models = [harness._noise_for(base, 2, i) for i in range(6)]
-    models[4] = gf.NoiseModel(kind="awgn", snr_db=10.0, seed=models[4].seed)
-    models[5] = gf.NoiseModel()
+    model = gf.NoiseModel(kind="awgn", snr_db=30.0, seed=4)
     clean = gf.measure(phi, x)
-    noisy = gf.measure(phi, x, models)
-    for i, model in enumerate(models):
-        alone = gf.measure(phi, x[:, i], model)
-        np.testing.assert_allclose(noisy[:, i], alone, rtol=1e-12, atol=1e-9)
-    np.testing.assert_array_equal(noisy[:, 5], clean[:, 5])
-    snr = [
-        10 * np.log10(np.sum(clean[:, i] ** 2) / np.sum((noisy[:, i] - clean[:, i]) ** 2))
-        for i in range(5)
-    ]
-    assert all(20.0 < s < 40.0 for s in snr[:4]) and 0.0 < snr[4] < 20.0
-    # one model for a whole stack applies to each column as it would alone
-    shared = gf.measure(phi, x, base)
-    np.testing.assert_allclose(shared[:, 3], gf.measure(phi, x[:, 3], base), rtol=1e-12)
-    with pytest.raises(ValueError):
-        gf.measure(phi, x, models[:5])
-    with pytest.raises(ValueError):
-        gf.measure(phi, x[:, 0], models[:1])
+    noisy = gf.measure(phi, x, model)
+    noise = noisy - clean
+    for i in range(6):
+        snr = 10 * np.log10(np.sum(clean[:, i] ** 2) / np.sum(noise[:, i] ** 2))
+        assert 20.0 < snr < 40.0
+    # the unit draws behind the noise differ from column to column
+    unit = noise / np.sqrt(np.mean(clean**2, axis=0) * 10.0 ** (-30.0 / 10.0))
+    for i in range(6):
+        for j in range(i):
+            assert not np.allclose(unit[:, i], unit[:, j])
+    np.testing.assert_array_equal(gf.measure(phi, x, model), noisy)  # reruns agree
+    # an N x 1 stack is the single image
+    np.testing.assert_allclose(
+        gf.measure(phi, x[:, :1], model)[:, 0], gf.measure(phi, x[:, 0], model), rtol=1e-12
+    )
+    # for the same L, the draw for M rows is the first M rows of a larger draw
+    _, tall = _setup(seed=10, m=30)
+    unit_tall = gf.measure(tall, x, model) - gf.measure(tall, x)
+    unit_tall /= np.sqrt(np.mean(gf.measure(tall, x) ** 2, axis=0) * 10.0 ** (-30.0 / 10.0))
+    np.testing.assert_allclose(unit_tall[:18], unit, rtol=1e-9, atol=1e-9)
+    with pytest.raises(TypeError):
+        gf.measure(phi, x, [model] * 6)
 
 
 def test_reconstruct_zero_measurement():
     psi, phi = _setup(seed=4)
-    result = gf.reconstruct(gf.measure(phi, np.zeros(36)), phi, psi)
-    assert not result.image.any()
-    assert result.code.support == ()
-    assert result.residual_norm == 0.0
+    image = gf.reconstruct(gf.measure(phi, np.zeros(36)), phi, psi)
+    assert image.shape == (36,)
+    assert not image.any()
 
 
 def test_reconstruct_one_sparse_exact():
@@ -143,24 +142,20 @@ def test_reconstruct_one_sparse_exact():
             continue  # mu >= 1 would void the recovery guarantee
         j = int(rng.integers(1, psi.n_atoms))
         x = 100.0 * psi.atoms[:, j]
-        result = gf.reconstruct(gf.measure(phi, x), phi, psi, t0=1)
-        assert np.linalg.norm(result.image - x) <= 1e-6 * np.linalg.norm(x)
-        assert set(result.code.support) == {j}
+        image = gf.reconstruct(gf.measure(phi, x), phi, psi, t0=1)
+        assert np.linalg.norm(image - x) <= 1e-6 * np.linalg.norm(x)
 
 
 def test_reconstruct_consistency():
     psi, phi = _setup(seed=6)
     x = np.random.default_rng(6).uniform(0, 255, size=36)
     y = gf.measure(phi, x)
-    result = gf.reconstruct(y, phi, psi)
-    # the image is exactly the dictionary applied to the code
-    np.testing.assert_array_equal(result.image, psi.atoms @ result.code.coefficients)
-    d = phi @ psi.atoms
-    assert np.isclose(
-        result.residual_norm, np.linalg.norm(d @ result.code.coefficients - y)
-    )
-    assert result.code.n_nonzero <= psi.sparsity  # default budget
-    assert result.duration_sec >= 0.0
+    image = gf.reconstruct(y, phi, psi)
+    # the image is exactly the dictionary applied to the OMP code, at the default budget
+    code = gf.omp(phi @ psi.atoms, y, psi.sparsity)
+    np.testing.assert_array_equal(image, psi.atoms @ code.coefficients)
+    np.testing.assert_array_equal(gf.reconstruct(y, phi, psi, t0=2),
+                                  psi.atoms @ gf.omp(phi @ psi.atoms, y, 2).coefficients)
 
 
 def test_reconstruct_validates_readings():
