@@ -35,7 +35,6 @@ from .errors import (
 from .fieldopt import (
     FieldOptState,
     build_state,
-    coherence_bound_check,
     design_objective,
     extend_sampling,
     gaussian_sampling,
@@ -75,7 +74,6 @@ __all__ = [
     "ValidationError",
     "aggregate",
     "build_state",
-    "coherence_bound_check",
     "design_objective",
     "extend_sampling",
     "gaussian_sampling",

@@ -42,7 +42,6 @@ def _cmd_train_dict(args) -> int:
     if not cfg.dictionary_path:
         raise ValidationError("train-dict needs dictionary.path to write to")
     out_path = Path(cfg.dictionary_path)
-    make_dir(out_path.parent, "dictionary.path", cfg.dictionary_path)
     dictionary = train_dictionary(cfg, out_path)
     print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {out_path}")
     return 0
@@ -55,19 +54,20 @@ def _cmd_build_fields(args) -> int:
     state = build_state(psi)
     out = Path(cfg.out_dir)
     make_dir(out, "run.out", cfg.out_dir)
-    for sr, m in resolve_grid(cfg, state):
-        for method in cfg.methods:
-            for s, phi in enumerate(build_field_stack(method, m, state, cfg)):
+    grid = resolve_grid(cfg, state)
+    for method in cfg.methods:
+        for s, (phi, lift) in enumerate(build_field_stack(method, state, cfg)):
+            for sr, m in grid:
                 meta = {"role": "sampling", "provenance": method, "m": m, "sr": sr,
-                        "lifted": True, "qbits": cfg.qbits}
+                        "lifted": True, "qbits": cfg.qbits, "lift": lift}
                 if method == "optimized":
                     path = out / f"field_optimized_m{m}.gim"
-                    meta.update(lift=state.lift, dictionary_checksum=psi.checksum)
+                    meta.update(dictionary_checksum=psi.checksum)
                 else:
                     seed = cfg.field_seed + s
                     path = out / f"field_gaussian_m{m}_s{seed}.gim"
                     meta.update(seed=seed)
-                write_matrix(path, phi, meta=meta)
+                write_matrix(path, phi[:m], meta=meta)
                 print(f"wrote {path}")
     return 0
 

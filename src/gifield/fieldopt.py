@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .metrics import mutual_coherence
 
 _RANK_TOL = 1e-10
 
@@ -134,14 +133,6 @@ def quantize_matrix(phi: np.ndarray, bits: int) -> np.ndarray:
         return phi
     levels = float(2**bits - 1)
     return np.floor(phi * (levels / peak) + 0.5) * (peak / levels)
-
-
-def coherence_bound_check(d: np.ndarray, k: int) -> tuple[bool, float]:
-    """Whether mu(D) < 1/(2k-1), the exact-recovery condition for k-sparse OMP."""
-    if k < 1:
-        raise ValueError("sparsity must be >= 1")
-    mu = mutual_coherence(d)
-    return mu < 1.0 / (2 * k - 1), mu
 
 
 def design_objective(state: FieldOptState, phi: np.ndarray) -> float:

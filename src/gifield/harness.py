@@ -1,15 +1,16 @@
 """Experiment orchestration: sweep sampling ratios, emit CSV tables and curves.
 
 A run is fully described by one INI-style config file: dataset paths, training
-knobs, the SR grid, methods, quantization, noise. For every (method, SR) cell
-the harness builds and lifts the sampling matrix, forms the equivalent matrix
-D = Phi Psi once, measures, reconstructs and scores all test images of each
-field variant together (one call of each per variant, the measurement under
-one noise model seeded for that variant), and appends one record: per-image
-scores pooled over field seeds, as arrays, and their aggregate. Outputs:
-``results.csv`` (aggregates), ``per_image.csv`` (one row per test image per
-cell), per-method curve files, and a zero-byte ``_DONE`` marker written
-last so interrupted runs are detectable.
+knobs, the SR grid, methods, quantization, noise. Each field variant is built
+once by one lift-and-scale rule (lifted by its own minimum, quantized against
+its own peak), and its D = Phi Psi once, at the grid's largest M; every
+(method, SR) cell takes row prefixes of both. A cell measures, reconstructs
+and scores all test images of each variant together (one call of each per
+variant, under one noise model seeded for that variant), and appends one
+record: per-image scores pooled over field seeds, as arrays, and their
+aggregate. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row
+per test image per cell), per-method curve files, and a zero-byte ``_DONE``
+marker written last so interrupted runs are detectable.
 
 Everything derived from seeds is byte-reproducible across runs with one BLAS
 build and thread count; the two wall-clock columns of results.csv are the
@@ -242,12 +243,15 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
     one value per sweep) and its last value (``objective_last``). Only the
     keys training reads are checked here, so a config without ``data.test``
-    or a grid still trains.
+    or a grid still trains. The directory of ``out_path`` is made before any
+    data is read: a file standing in its way is a ``ValidationError``.
     """
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
     if cfg.train_count < 1:
         raise ValidationError("config: data.train_count must be >= 1")
+    out_path = Path(out_path)
+    make_dir(out_path.parent, "dictionary.path", str(out_path))
     data = _subset_or_invalid(cfg.train_path, "train", cfg.train_count, cfg.train_seed)
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",
@@ -344,24 +348,23 @@ def resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[floa
     return grid
 
 
-def build_field_stack(
-    method: str, m: int, state: FieldOptState, cfg: ExperimentConfig
-) -> list[np.ndarray]:
-    """The lifted, and per ``fields.qbits`` quantized, M-row fields of one cell.
+def build_field_stack(method: str, state: FieldOptState, cfg: ExperimentConfig):
+    """Yield each lifted, and per ``fields.qbits`` quantized, variant of ``method`` once.
 
-    One matrix for ``optimized``; for ``gaussian`` one per seed
-    ``fields.seed``, ``fields.seed + 1``, ... (``fields.gaussian_seeds`` of them).
+    A variant is a ``(field, lift)`` pair whose field has ``state.rank`` rows: the
+    optimized field, or one Gaussian draw per seed ``fields.seed``, ``fields.seed + 1``,
+    ... Each is lifted by its own minimum and quantized against its own peak.
     """
-    if method == "optimized":
-        stack = [nn_lift(optimize_sampling(state, m), state.lift)]
-    else:
-        stack = []
-        for s in range(cfg.gaussian_seeds):
-            raw = gaussian_sampling(m, state.n_pixels, cfg.field_seed + s)
-            stack.append(nn_lift(raw, max(0.0, -float(raw.min()))))
-    if cfg.qbits:
-        stack = [quantize_matrix(phi, cfg.qbits) for phi in stack]
-    return stack
+    for s in range(1 if method == "optimized" else cfg.gaussian_seeds):
+        if method == "optimized":
+            phi = optimize_sampling(state, state.rank)
+        else:
+            phi = gaussian_sampling(state.rank, state.n_pixels, cfg.field_seed + s)
+        lift = max(0.0, -float(phi.min()))
+        phi = nn_lift(phi, lift)
+        if cfg.qbits:
+            phi = quantize_matrix(phi, cfg.qbits)
+        yield phi, lift
 
 
 def _noise_for(base: NoiseModel, variant: int) -> NoiseModel:
@@ -372,66 +375,73 @@ def _noise_for(base: NoiseModel, variant: int) -> NoiseModel:
     return dataclasses.replace(base, seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
-def _run_cell(
+def _run_method(
     method: str,
-    sr: float,
-    m: int,
+    grid: list[tuple[float, int]],
     state: FieldOptState,
     psi: Dictionary,
     x_test: np.ndarray,
     cfg: ExperimentConfig,
     scores: np.ndarray,
-) -> ExperimentRecord:
-    """Score one cell; its per-image mse, psnr and ssim go to the rows of ``scores``."""
+) -> list[ExperimentRecord]:
+    """Score every grid cell of one method; cell j's per-image mse, psnr and ssim go to ``scores[j]``."""
     t0 = cfg.recon_sparsity or psi.sparsity
+    n_variants = 1 if method == "optimized" else cfg.gaussian_seeds
 
-    # build every field variant for this cell (one optimized, or one per seed)
-    build_start = time.perf_counter()
-    variants = [(phi, phi @ psi.atoms) for phi in build_field_stack(method, m, state, cfg)]
-    build_sec = time.perf_counter() - build_start
-    mu = float(np.mean([mutual_coherence(eq) for _, eq in variants]))
-
-    # (variants, images) metric grids; each variant's images are measured,
-    # coded and scored together, one call of each per variant
-    psnr_grid = np.empty((len(variants), x_test.shape[1]))
-    ssim_grid = np.empty_like(psnr_grid)
-    mse_grid = np.empty_like(psnr_grid)
-    coding_sec = 0.0
-    for v_idx, (phi, equivalent) in enumerate(variants):
-        readings = measure(phi, x_test, _noise_for(cfg.noise, v_idx))
+    # (cell, variant, image) metric grids; a cell's images are measured, coded
+    # and scored together on row prefixes of the variant's field and D
+    mse_grid, psnr_grid, ssim_grid = np.empty((3, len(grid), n_variants, x_test.shape[1]))
+    mu = np.empty((len(grid), n_variants))
+    coding_sec = np.zeros(len(grid))
+    build_sec = 0.0
+    start = time.perf_counter()
+    for v_idx, (phi, _) in enumerate(build_field_stack(method, state, cfg)):
+        equivalent = phi[: max(m for _, m in grid)] @ psi.atoms
+        build_sec += time.perf_counter() - start
+        noise = _noise_for(cfg.noise, v_idx)
+        for c_idx, (_, m) in enumerate(grid):
+            mu[c_idx, v_idx] = mutual_coherence(equivalent[:m])
+            readings = measure(phi[:m], x_test, noise)
+            start = time.perf_counter()
+            images = psi.atoms @ sparse_code_columns(equivalent[:m], readings, t0)
+            coding_sec[c_idx] += time.perf_counter() - start
+            mse_grid[c_idx, v_idx] = mse(x_test, images, axis=0)
+            psnr_grid[c_idx, v_idx] = psnr(x_test, images, axis=0)
+            ssim_grid[c_idx, v_idx] = ssim(x_test, images, axis=0)
+        del phi, equivalent  # one variant's field and D alive at a time
         start = time.perf_counter()
-        images = psi.atoms @ sparse_code_columns(equivalent, readings, t0)
-        coding_sec += time.perf_counter() - start
-        mse_grid[v_idx] = mse(x_test, images, axis=0)
-        psnr_grid[v_idx] = psnr(x_test, images, axis=0)
-        ssim_grid[v_idx] = ssim(x_test, images, axis=0)
 
     # pool over field seeds: per-image means, with infinite (exact) PSNRs
     # excluded from the mean and tallied separately
     finite = np.isfinite(psnr_grid)
-    scores[1] = np.where(
-        finite.any(axis=0),
-        np.where(finite, psnr_grid, 0.0).sum(axis=0) / np.maximum(finite.sum(axis=0), 1),
+    scores[:, 1] = np.where(
+        finite.any(axis=1),
+        np.where(finite, psnr_grid, 0.0).sum(axis=1) / np.maximum(finite.sum(axis=1), 1),
         np.inf,
     )
-    record = ExperimentRecord(
-        method=method,
-        sr=sr,
-        m=m,
-        qbits=cfg.qbits,
-        mse=np.mean(mse_grid, axis=0, out=scores[0]),
-        psnr=scores[1],
-        ssim=np.mean(ssim_grid, axis=0, out=scores[2]),
-        n_exact=int(np.count_nonzero(~finite)),
-        mu=mu,
-        build_sec=build_sec,
-        recon_sec_mean=coding_sec / psnr_grid.size,
-    )
-    log.info(
-        "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f",
-        method, sr, m, record.report.psnr_mean, record.report.ssim_mean, mu,
-    )
-    return record
+    np.mean(mse_grid, axis=1, out=scores[:, 0])
+    np.mean(ssim_grid, axis=1, out=scores[:, 2])
+    records = []
+    for c_idx, (sr, m) in enumerate(grid):
+        record = ExperimentRecord(
+            method=method,
+            sr=sr,
+            m=m,
+            qbits=cfg.qbits,
+            mse=scores[c_idx, 0],
+            psnr=scores[c_idx, 1],
+            ssim=scores[c_idx, 2],
+            n_exact=int(np.count_nonzero(~finite[c_idx])),
+            mu=float(np.mean(mu[c_idx])),
+            build_sec=build_sec / len(grid),  # the cell's share of the method's one build
+            recon_sec_mean=float(coding_sec[c_idx]) / finite[c_idx].size,
+        )
+        log.info(
+            "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f",
+            method, sr, m, record.report.psnr_mean, record.report.ssim_mean, record.mu,
+        )
+        records.append(record)
+    return records
 
 
 def _fmt(value: float) -> str:
@@ -487,9 +497,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     # glibc's heap (a 100-cell, 4-image sweep then peaked at 85 MB, not 79)
     scores = np.empty((len(cfg.methods), len(grid), 3, x_test.shape[1]))
     records = [
-        _run_cell(method, sr, m, state, psi, x_test, cfg, scores[i, j])
+        record
         for i, method in enumerate(cfg.methods)
-        for j, (sr, m) in enumerate(grid)
+        for record in _run_method(method, grid, state, psi, x_test, cfg, scores[i])
     ]
 
     _write_csv(out / "results.csv", RESULTS_HEADER, [

@@ -125,8 +125,7 @@ def test_criterion_4_omp_matches_exhaustive_search():
             assert attempt < 30 * count, f"k={k}: coherence bound too hard to hit"
             d = rng.standard_normal((n, cols))
             d /= np.linalg.norm(d, axis=0)
-            under_bound, _ = gf.coherence_bound_check(d, k)
-            if not under_bound:
+            if not gf.mutual_coherence(d) < 1 / (2 * k - 1):
                 continue
             support = rng.choice(cols, size=k, replace=False)
             z = np.zeros(cols)

@@ -91,6 +91,29 @@ def test_run_without_dictionary_exits_2(tmp_path, data_dir, capsys):
     assert main(["build-fields", "--config", str(missing)]) == 2
 
 
+def test_build_fields_writes_row_prefixes(tmp_path, data_dir, desk_dictionary_file, capsys):
+    """Each variant's file at M = 40 is the first 40 rows of its file at M = 400."""
+    def build(name, m):
+        out = tmp_path / name
+        cfg = write_run_config(tmp_path / f"{name}.ini", data_dir, desk_dictionary_file, out,
+                               m=m, qbits=8, gaussian_seeds=2)
+        assert main(["build-fields", "--config", str(cfg)]) == 0
+        return out
+
+    both, alone = build("both", "40,400"), build("alone", "40")
+    capsys.readouterr()
+    names = ["field_optimized_m{m}.gim", "field_gaussian_m{m}_s0.gim", "field_gaussian_m{m}_s1.gim"]
+    for name in names:
+        small = gf.read_matrix(both / name.format(m=40))
+        large = gf.read_matrix(both / name.format(m=400))
+        assert small.shape == (40, 784) and large.shape == (400, 784)
+        np.testing.assert_array_equal(small, large[:40])
+        lifts = {gf.read_matrix_meta(both / name.format(m=m))["lift"] for m in (40, 400)}
+        assert len(lifts) == 1 and lifts.pop() > 0.0
+    first = "field_optimized_m40.gim"
+    assert (alone / first).read_bytes() == (both / first).read_bytes()
+
+
 def test_train_dict_needs_a_destination(tmp_path, data_dir, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = write_run_config(

@@ -210,19 +210,6 @@ def test_quantize_matrix_edges():
         gf.quantize_matrix(negative, 8)
 
 
-def test_coherence_bound_check():
-    ok, mu = gf.coherence_bound_check(np.eye(5), k=3)
-    assert ok and mu == 0.0
-    parallel = np.ones((4, 2))
-    ok, mu = gf.coherence_bound_check(parallel, k=1)
-    assert not ok and mu == 1.0
-    pair = np.array([[1.0, 2**-0.5], [0.0, 2**-0.5]])
-    ok, mu = gf.coherence_bound_check(pair, k=1)
-    assert ok and np.isclose(mu, 0.70711, atol=5e-6)
-    with pytest.raises(ValueError):
-        gf.coherence_bound_check(np.eye(4), k=0)
-
-
 def test_rank_deficient_dictionary():
     # atoms confined to a 2-D pixel subspace: rank caps the row budget
     s = 3**-0.5

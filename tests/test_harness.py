@@ -377,6 +377,22 @@ def test_train_dictionary_requires_train_path(tmp_path, data_dir, tiny_dict_file
         gf.train_dictionary(cfg, tmp_path / "d.gim")
 
 
+def test_train_dictionary_refuses_an_output_under_a_file_before_training(
+    tmp_path, data_dir, tiny_dict_file, monkeypatch
+):
+    blocker = tmp_path / "blocker"
+    blocker.touch()
+
+    def no_training(*args):
+        raise AssertionError("trained before checking where the dictionary goes")
+
+    monkeypatch.setattr(harness, "ksvd_train", no_training)
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file)
+    with pytest.raises(gf.ValidationError, match="dictionary.path"):
+        gf.train_dictionary(cfg, blocker / "d.gim")
+    assert blocker.read_bytes() == b""
+
+
 def test_byte_identical_reruns(tmp_path, data_dir, tiny_dict_file):
     """Identical configs give identical CSVs, wall-clock columns aside."""
     outputs = []

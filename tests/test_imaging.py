@@ -137,8 +137,7 @@ def test_reconstruct_one_sparse_exact():
     for seed in range(10):
         psi, phi = _setup(seed=seed, m=2 + seed % 5)
         equivalent = phi @ psi.atoms
-        ok, mu = gf.coherence_bound_check(equivalent, k=1)
-        if not ok:
+        if not gf.mutual_coherence(equivalent) < 1.0:
             continue  # mu >= 1 would void the recovery guarantee
         j = int(rng.integers(1, psi.n_atoms))
         x = 100.0 * psi.atoms[:, j]
@@ -181,8 +180,7 @@ def test_recovery_oracle_small_k():
             assert attempt < 500
             d = rng.standard_normal((n, cols))
             d /= np.linalg.norm(d, axis=0)
-            ok, mu = gf.coherence_bound_check(d, k)
-            if not ok:
+            if not gf.mutual_coherence(d) < 1 / (2 * k - 1):
                 continue
             support = rng.choice(cols, size=k, replace=False)
             z = np.zeros(cols)
