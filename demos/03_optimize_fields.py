@@ -1,15 +1,18 @@
-"""Design the light fields: closed-form optimization, extension, lifting.
+"""Design the light fields: closed-form optimization, successive sampling, lifting.
 
 The whole optimization is one eigendecomposition of Psi Psi^T. The best M-row
 sampling matrix (for the Frobenius coherence surrogate) is simply the top M
 eigenvector rows, so:
 
-  * more measurements = append more rows, never re-optimize (shown below by
-    extending 20 -> 60 rows and checking the prefix is bit-identical);
+  * more measurements = a longer prefix of the same rows, never re-optimize
+    (shown below: the 20-row field is bit for bit the first 20 rows of the
+    60-row one);
   * the design objective at the optimum equals the discarded eigenvalue
     tail sum_{j>M} lambda_j^4 (checked against 200 random candidates);
   * one constant lift makes every pattern non-negative, i.e. displayable,
     and only the first column of the equivalent matrix D = Phi Psi changes.
+    The lift is fixed per field, so successive display lifts the rank-row
+    field once and shows its row prefixes.
 
 Usage: python3 03_optimize_fields.py [--out DIR] [--m M]
 """
@@ -36,8 +39,10 @@ def main():
                         sparsity=int(meta["sparsity"]))
     state = gf.build_state(psi)
     lam = state.eigenvalues
+    full = gf.optimize_sampling(state, state.rank)
+    lift = max(0.0, -float(full.min()))
     print(f"Gram rank {state.rank}/{psi.n_pixels}, eigenvalues "
-          f"{lam[0]:.1f} .. {lam[state.rank - 1]:.2g}, lift constant {state.lift:.3f}")
+          f"{lam[0]:.1f} .. {lam[state.rank - 1]:.2g}, lift constant {lift:.3f}")
 
     m = args.m
     phi = gf.optimize_sampling(state, m)
@@ -53,25 +58,23 @@ def main():
     )
     print(f"best of 200 random orthonormal designs:        {best_random:.6g}")
 
-    small = gf.optimize_sampling(state, 20)
-    grown = gf.extend_sampling(state, small, m)
-    assert np.array_equal(grown[:20], small)
-    print("successive sampling: rows 1..20 unchanged after extending to", m)
+    assert np.array_equal(phi[:20], gf.optimize_sampling(state, 20))
+    print(f"successive sampling: the 20-row field is the first 20 rows of the {m}-row field")
 
-    lifted = gf.nn_lift(phi, state.lift)
+    lifted = gf.nn_lift(full)[:m]
     d_shift = np.abs(lifted @ psi.atoms - phi @ psi.atoms)
     print(f"after lifting, equivalent-matrix change: column 1 max {d_shift[:, 0].max():.3f}, "
           f"elsewhere max {d_shift[:, 1:].max():.2e}")
 
     gauss = gf.gaussian_sampling(m, psi.n_pixels, seed=0)
-    gauss = gf.nn_lift(gauss, -float(gauss.min()))
+    gauss = gf.nn_lift(gauss)
     mu_opt = gf.mutual_coherence((lifted @ psi.atoms)[:, 1:])
     mu_gauss = gf.mutual_coherence((gauss @ psi.atoms)[:, 1:])
     print(f"equivalent-matrix coherence (zero-mean atoms): optimized {mu_opt:.4f} "
           f"vs gaussian {mu_gauss:.4f}")
 
     gf.write_matrix(out / f"field_optimized_m{m}.gim", lifted,
-                    meta={"role": "sampling", "m": m, "lift": state.lift})
+                    meta={"role": "sampling", "m": m, "lift": lift})
     print(f"saved {out / f'field_optimized_m{m}.gim'}")
 
 

@@ -43,10 +43,9 @@ def main():
           f"(SR={args.m / n:.3f})\n")
 
     fields = {
-        "optimized": gf.nn_lift(gf.optimize_sampling(state, args.m), state.lift),
+        "optimized": gf.nn_lift(gf.optimize_sampling(state, state.rank))[:args.m],
+        "gaussian": gf.nn_lift(gf.gaussian_sampling(args.m, n, seed=1)),
     }
-    raw = gf.gaussian_sampling(args.m, n, seed=1)
-    fields["gaussian"] = gf.nn_lift(raw, -float(raw.min()))
 
     for name, phi in fields.items():
         y = gf.measure(phi, x)

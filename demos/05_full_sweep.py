@@ -2,10 +2,11 @@
 
 This is what the ``gifield run`` command does, driven here through the API.
 One config describes the whole experiment; the harness reuses the saved
-dictionary, builds both field families per grid point (Gaussian averaged
-over seeds), reconstructs every test image, and writes results.csv,
-per_image.csv, and per-method curve files. Everything except the two
-wall-clock columns is bit-reproducible.
+dictionary, builds each field variant once (the optimized field, and one
+Gaussian draw per seed) and gives every grid point that variant's row
+prefix (Gaussian scores averaged over seeds), reconstructs every test image,
+and writes results.csv, per_image.csv, and per-method curve files.
+Everything except the two wall-clock columns is bit-reproducible.
 
 Usage: python3 05_full_sweep.py [--out DIR] [--test N]
 """

@@ -36,7 +36,6 @@ from .fieldopt import (
     FieldOptState,
     build_state,
     design_objective,
-    extend_sampling,
     gaussian_sampling,
     nn_lift,
     optimize_sampling,
@@ -75,7 +74,6 @@ __all__ = [
     "aggregate",
     "build_state",
     "design_objective",
-    "extend_sampling",
     "gaussian_sampling",
     "ksvd_train",
     "load_config",

@@ -4,10 +4,12 @@ Given a constrained dictionary Psi, the Frobenius surrogate of the
 mutual-coherence objective is minimized in closed form by the
 eigendecomposition of Psi Psi^T: the optimal M-row sampling matrix is the
 first M rows of V^T with eigenvalues sorted descending. A sampling matrix is
-a plain M x N float array, one illumination pattern per row. Extending it to
-more rows is pure row augmentation (successive sampling), and a constant
-lift makes the patterns physically displayable (non-negative), which
-:func:`gifield.imaging.measure` requires.
+a plain M x N float array, one illumination pattern per row. More rows are a
+longer prefix of the same V^T (successive sampling), and a constant lift
+makes the patterns physically displayable (non-negative), which
+:func:`gifield.imaging.measure` requires. The lift is fixed per field, so to
+show patterns successively, lift the ``rank``-row field once and display its
+row prefixes.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FieldOptState:
-    """Eigenstructure of Psi Psi^T plus the shared lifting constant.
+    """Eigenstructure of Psi Psi^T.
 
     ``eigenvectors`` holds V column-wise in descending-eigenvalue order with
-    a fixed sign convention; ``lift`` is computed once over the first
-    ``rank`` columns so that lifted matrices keep the row-prefix property.
+    a fixed sign convention; ``rank`` counts the eigenvalues above the rank
+    tolerance, which caps the rows a field can have.
     """
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
     rank: int
-    lift: float
 
     def __post_init__(self):
         self.eigenvectors.setflags(write=False)
@@ -65,13 +66,7 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
     if values[0] <= 0.0:
         raise ValueError("dictionary Gram has rank 0")
     rank = int(np.count_nonzero(values > _RANK_TOL * values[0]))
-    lift = max(0.0, -float(vectors[:, :rank].min()))
-    return FieldOptState(
-        eigenvectors=vectors,
-        eigenvalues=values,
-        rank=rank,
-        lift=lift,
-    )
+    return FieldOptState(eigenvectors=vectors, eigenvalues=values, rank=rank)
 
 
 def optimize_sampling(state: FieldOptState, m: int) -> np.ndarray:
@@ -83,32 +78,13 @@ def optimize_sampling(state: FieldOptState, m: int) -> np.ndarray:
     return state.eigenvectors[:, :m].T.copy()
 
 
-def extend_sampling(state: FieldOptState, phi: np.ndarray, m_new: int) -> np.ndarray:
-    """Augment an optimized matrix with further rows of V^T.
+def nn_lift(phi: np.ndarray) -> np.ndarray:
+    """Add ``max(0, -min(phi))`` to every entry so the patterns are non-negative.
 
-    The first rows of the result are bit-identical to ``phi`` (successive
-    sampling: patterns already displayed stay valid). ``phi`` must equal the
-    first rows of V^T, as :func:`optimize_sampling` on the same state returns
-    them; extend before :func:`nn_lift`, then lift the result.
+    The lift depends on the whole field: to show patterns successively, lift
+    the largest field once and display its row prefixes.
     """
-    m = phi.shape[0]
-    if not np.array_equal(phi, state.eigenvectors[:, :m].T):
-        raise ValueError("matrix was not produced from this state")
-    if m_new < m:
-        raise ValueError(f"cannot extend {m} rows down to {m_new}")
-    if m_new == m:
-        return phi
-    if m_new > state.rank:
-        raise ValueError(f"{m_new} rows requested but the Gram rank is only {state.rank}")
-    return np.vstack([phi, state.eigenvectors[:, m:m_new].T])
-
-
-def nn_lift(phi: np.ndarray, c: float) -> np.ndarray:
-    """Add the constant ``c`` to every entry so patterns are non-negative."""
-    needed = max(0.0, -float(phi.min()))
-    if c < needed:
-        raise ValueError(f"lift {c} leaves negative entries (need >= {needed})")
-    return phi + c
+    return phi + max(0.0, -float(phi.min()))
 
 
 def gaussian_sampling(m: int, n: int, seed: int) -> np.ndarray:

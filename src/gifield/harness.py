@@ -361,7 +361,7 @@ def build_field_stack(method: str, state: FieldOptState, cfg: ExperimentConfig):
         else:
             phi = gaussian_sampling(state.rank, state.n_pixels, cfg.field_seed + s)
         lift = max(0.0, -float(phi.min()))
-        phi = nn_lift(phi, lift)
+        phi = nn_lift(phi)
         if cfg.qbits:
             phi = quantize_matrix(phi, cfg.qbits)
         yield phi, lift

@@ -45,8 +45,10 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> 
     shape, seeded by the model, scaled per image so that
     10*log10(signal power / noise power) equals ``snr_db``. So no two
     images share noise, and for the same L the draw for M rows is the first
-    M rows of the draw for more. Returns M readings for one image, M x L
-    for a stack, all finite.
+    M rows of the draw for more. The signal power counts the constant part
+    of each reading that the field's lift adds, so at one ``snr_db`` a field
+    with a larger lift gets more noise on its patterned part. Returns M
+    readings for one image, M x L for a stack, all finite.
     """
     if noise is not None and not isinstance(noise, NoiseModel):
         raise TypeError(f"noise must be None or one NoiseModel, not {type(noise).__name__}")

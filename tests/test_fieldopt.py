@@ -44,7 +44,21 @@ def test_build_state_known_eigenvalues():
     s = 2**-0.5
     np.testing.assert_allclose(state.eigenvectors[:, 0], [s, -s], atol=1e-12)
     np.testing.assert_allclose(state.eigenvectors[:, 1], [s, s], atol=1e-12)
-    assert state.lift == pytest.approx(s, abs=1e-12)
+    # the rank field's rows are (s, -s) and (s, s), so its lift is s
+    full = gf.optimize_sampling(state, state.rank)
+    lifted = gf.nn_lift(full)
+    np.testing.assert_allclose(lifted - full, np.full((2, 2), s), rtol=0, atol=1e-12)
+    assert lifted.min() == 0.0
+
+
+def test_lifted_rank_field_prefixes_are_lifted_optimal_fields():
+    # successive display: lift the rank-row field once, show its prefixes
+    state = gf.build_state(gf.random_dictionary(30, 50, seed=4))
+    lifted = gf.nn_lift(gf.optimize_sampling(state, state.rank))
+    c = -float(state.eigenvectors[:, :state.rank].min())
+    assert c > 0.0
+    for m in (1, 8, 20, state.rank):
+        np.testing.assert_array_equal(lifted[:m], gf.optimize_sampling(state, m) + c)
 
 
 def test_build_state_random_dictionary_invariants():
@@ -56,14 +70,12 @@ def test_build_state_random_dictionary_invariants():
     assert rel <= 1e-8
     assert np.all(np.diff(state.eigenvalues) <= 1e-12)  # descending
     assert state.eigenvalues.min() >= 0.0
-    assert 0.0 <= state.lift <= 1.0
 
 
 def test_optimize_sampling_slices_rows():
     # hand-built state with V = I: the optimum is literally the first rows
     state = gf.FieldOptState(
-        eigenvectors=np.eye(3), eigenvalues=np.array([3.0, 2.0, 1.0]),
-        rank=3, lift=0.0,
+        eigenvectors=np.eye(3), eigenvalues=np.array([3.0, 2.0, 1.0]), rank=3,
     )
     phi = gf.optimize_sampling(state, 2)
     np.testing.assert_array_equal(phi, np.eye(3)[:2])
@@ -108,44 +120,15 @@ def test_prefix_invariance():
         assert np.array_equal(big[:m1], small)
 
 
-def test_extend_sampling():
-    state = gf.build_state(gf.random_dictionary(30, 50, seed=4))
-    phi = gf.optimize_sampling(state, 8)
-    same = gf.extend_sampling(state, phi, 8)
-    np.testing.assert_array_equal(same, phi)
-    grown = gf.extend_sampling(state, phi, 20)
-    assert np.array_equal(grown[:8], phi)
-    np.testing.assert_array_equal(grown, gf.optimize_sampling(state, 20))
-    with pytest.raises(ValueError, match="rows requested but the Gram rank is only"):
-        gf.extend_sampling(state, phi, state.rank + 1)
-    with pytest.raises(ValueError):
-        gf.extend_sampling(state, phi, 4)
-
-
-def test_extend_sampling_provenance_checks():
-    state = gf.build_state(gf.random_dictionary(30, 50, seed=5))
-    other = gf.build_state(gf.random_dictionary(30, 50, seed=6))
-    phi = gf.optimize_sampling(other, 8)  # wrong state
-    with pytest.raises(ValueError, match="matrix was not produced from this state"):
-        gf.extend_sampling(state, phi, 12)
-    gauss = gf.gaussian_sampling(8, 30, seed=0)
-    with pytest.raises(ValueError, match="matrix was not produced from this state"):
-        gf.extend_sampling(state, gauss, 12)
-    lifted = gf.nn_lift(gf.optimize_sampling(state, 8), state.lift)
-    with pytest.raises(ValueError, match="matrix was not produced from this state"):
-        gf.extend_sampling(state, lifted, 12)
-
-
 def test_nn_lift_values():
-    rows = np.array([[0.2, 0.0], [0.5, 0.1]])
-    out = gf.nn_lift(rows, 0.0)  # already non-negative
-    np.testing.assert_array_equal(out, rows)
+    rows = np.array([[0.2, 0.05], [0.5, 0.1]])
+    np.testing.assert_array_equal(gf.nn_lift(rows), rows)  # already positive: no lift
 
     phi = np.array([[-0.3, 0.4], [0.1, 0.2]])
-    out = gf.nn_lift(phi, 0.3)
-    assert out.min() == 0.0
-    with pytest.raises(ValueError, match="leaves negative entries"):
-        gf.nn_lift(phi, 0.2)
+    np.testing.assert_array_equal(gf.nn_lift(phi), phi + 0.3)
+    for seed in range(5):
+        raw = gf.gaussian_sampling(7, 11, seed=seed)
+        assert gf.nn_lift(raw).min() == 0.0  # negative entries: lifted to exactly 0
 
 
 def test_lifted_equivalent_differs_only_in_first_column():
@@ -153,13 +136,13 @@ def test_lifted_equivalent_differs_only_in_first_column():
         psi = gf.random_dictionary(25, 40, seed=seed)
         state = gf.build_state(psi)
         phi = gf.optimize_sampling(state, 10)
-        lifted = gf.nn_lift(phi, state.lift)
+        lifted = gf.nn_lift(phi)
         diff = lifted @ psi.atoms - phi @ psi.atoms
         assert np.abs(diff[:, 1:]).max() <= 1e-10
         # the first-column shift is c * sqrt(N) exactly (column sums: the
         # constant atom sums to sqrt(N), every other atom to zero)
         np.testing.assert_allclose(
-            diff[:, 0], state.lift * np.sqrt(25), rtol=1e-10, atol=1e-12
+            diff[:, 0], -float(phi.min()) * np.sqrt(25), rtol=1e-10, atol=1e-12
         )
 
 
@@ -171,7 +154,7 @@ def test_gaussian_sampling_statistics():
     big = gf.gaussian_sampling(1000, 1000, seed=13)
     assert abs(big.mean()) < 0.01
     assert 0.99 < big.var() < 1.01
-    lifted = gf.nn_lift(big, -float(big.min()))
+    lifted = gf.nn_lift(big)
     assert lifted.min() >= 0.0
     with pytest.raises(ValueError):
         gf.gaussian_sampling(0, 5, seed=0)
@@ -227,12 +210,9 @@ def test_desk_dictionary_rank_and_successive_prefix(desk_state):
     # rank-deficient; it must still cover the whole SR grid (M up to 400)
     assert 400 <= desk_state.rank <= 784
     assert desk_state.eigenvalues[desk_state.rank - 1] > 0.0
-    a = gf.optimize_sampling(desk_state, 78)
-    b = gf.extend_sampling(desk_state, a, 156)
-    c = gf.extend_sampling(desk_state, b, 392)
+    a, b, c = (gf.optimize_sampling(desk_state, m) for m in (78, 156, 392))
     assert np.array_equal(b[:78], a)
     assert np.array_equal(c[:156], b)
-    np.testing.assert_array_equal(c, gf.optimize_sampling(desk_state, 392))
 
 
 def test_desk_coherence_comparison(desk_dictionary, desk_state):
@@ -240,11 +220,11 @@ def test_desk_coherence_comparison(desk_dictionary, desk_state):
     zero-mean atom columns (averaged over 10 seeds), at the labeled ratios."""
     psi, _ = desk_dictionary
     for m in (78, 157, 400):
-        lifted = gf.nn_lift(gf.optimize_sampling(desk_state, m), desk_state.lift)
+        lifted = gf.nn_lift(gf.optimize_sampling(desk_state, desk_state.rank))[:m]
         mu_opt = gf.mutual_coherence((lifted @ psi.atoms)[:, 1:])
         mu_gauss = []
         for s in range(10):
             raw = gf.gaussian_sampling(m, 784, seed=1000 + s)
-            lg = gf.nn_lift(raw, max(0.0, -float(raw.min())))
+            lg = gf.nn_lift(raw)
             mu_gauss.append(gf.mutual_coherence((lg @ psi.atoms)[:, 1:]))
         assert mu_opt <= np.mean(mu_gauss)

@@ -9,7 +9,7 @@ import gifield as gf
 def _setup(seed, n=36, k=60, m=18):
     psi = gf.random_dictionary(n, k, seed=seed)
     state = gf.build_state(psi)
-    phi = gf.nn_lift(gf.optimize_sampling(state, m), state.lift)
+    phi = gf.nn_lift(gf.optimize_sampling(state, state.rank))[:m]
     return psi, phi
 
 
