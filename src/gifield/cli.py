@@ -2,13 +2,13 @@
 
 Subcommands mirror the workflow: ``train-dict`` learns the dictionary and
 saves it to ``dictionary.path``, ``build-fields`` writes the sampling
-matrices for the configured grid to ``run.out``, ``run`` executes the full
-measure/reconstruct sweep into ``run.out``, and ``report`` summarizes a
-finished run directory, named by ``--out`` or by the ``run.out`` of
-``--config``. Every setting comes from the config file; no option overrides
-one. Exit codes: 0 success; 2 bad usage or bad input (a bad config, dataset
-or dictionary file), which the package reports with its own ``GifieldError``
-types; 1 any other failure.
+matrices for the grid and ``run`` the measure/reconstruct sweep to
+``run.out``, and ``report`` summarizes a finished run directory, named by
+``--out`` or by the ``run.out`` of ``--config``. The harness does each
+command's work; this module parses arguments and prints. Every setting comes
+from the config file; no option overrides one. Exit codes: 0 success; 2 bad
+usage or bad input (a bad config, dataset or dictionary file), which the
+package reports with its own ``GifieldError`` types; 1 any other failure.
 """
 
 from __future__ import annotations
@@ -19,19 +19,14 @@ import logging
 import sys
 from pathlib import Path
 
-from .data import write_matrix
 from .errors import FormatError, GifieldError, ValidationError
-from .fieldopt import build_state
 from .harness import (
     DONE_MARKER,
     RESULTS_HEADER,
-    build_field_stack,
     load_config,
-    load_dictionary,
-    make_dir,
-    resolve_grid,
     run_experiment,
     train_dictionary,
+    write_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -48,27 +43,8 @@ def _cmd_train_dict(args) -> int:
 
 
 def _cmd_build_fields(args) -> int:
-    cfg = load_config(args.config)
-    cfg.validate()
-    psi = load_dictionary(cfg)
-    state = build_state(psi)
-    out = Path(cfg.out_dir)
-    make_dir(out, "run.out", cfg.out_dir)
-    grid = resolve_grid(cfg, state)
-    for method in cfg.methods:
-        for s, (phi, lift) in enumerate(build_field_stack(method, state, cfg)):
-            for sr, m in grid:
-                meta = {"role": "sampling", "provenance": method, "m": m, "sr": sr,
-                        "lifted": True, "qbits": cfg.qbits, "lift": lift}
-                if method == "optimized":
-                    path = out / f"field_optimized_m{m}.gim"
-                    meta.update(dictionary_checksum=psi.checksum)
-                else:
-                    seed = cfg.field_seed + s
-                    path = out / f"field_gaussian_m{m}_s{seed}.gim"
-                    meta.update(seed=seed)
-                write_matrix(path, phi[:m], meta=meta)
-                print(f"wrote {path}")
+    for path in write_fields(load_config(args.config)):
+        print(f"wrote {path}")
     return 0
 
 

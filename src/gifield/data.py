@@ -96,7 +96,7 @@ def random_subset(ds: Dataset, count: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(ds), size=count, replace=False)
     return Dataset(
-        images=ds.images[idx].copy(),
+        images=ds.images[idx],
         height=ds.height,
         width=ds.width,
         source=f"{ds.source}#subset(count={count},seed={seed})",

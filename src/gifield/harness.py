@@ -1,9 +1,11 @@
 """Experiment orchestration: sweep sampling ratios, emit CSV tables and curves.
 
 A run is fully described by one INI-style config file: dataset paths, training
-knobs, the SR grid, methods, quantization, noise. Each field variant is built
-once by one lift-and-scale rule (lifted by its own minimum, quantized against
-its own peak), and its D = Phi Psi once, at the grid's largest M; every
+knobs, the SR grid, methods, quantization, noise. ``write_fields``
+(``build-fields``) and ``run_experiment`` share one set-up, and write nothing
+until every check has passed. Each field variant is built once by one
+lift-and-scale rule (lifted by its own minimum, quantized against its own
+peak), and its D = Phi Psi once, at the grid's largest M; every
 (method, SR) cell takes row prefixes of both. A cell measures, reconstructs
 and scores all test images of each variant together (one call of each per
 variant, under one noise model seeded for that variant), and appends one
@@ -243,16 +245,26 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
     one value per sweep) and its last value (``objective_last``). Only the
     keys training reads are checked here, so a config without ``data.test``
-    or a grid still trains. The directory of ``out_path`` is made before any
-    data is read: a file standing in its way is a ``ValidationError``.
+    or a grid still trains. The directory of ``out_path`` is made after every
+    check, before training: a file standing in its way is a ``ValidationError``.
     """
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
     if cfg.train_count < 1:
         raise ValidationError("config: data.train_count must be >= 1")
-    out_path = Path(out_path)
-    make_dir(out_path.parent, "dictionary.path", str(out_path))
+    atoms = cfg.training.atom_count
+    if cfg.train_count < atoms:
+        raise ValidationError(
+            f"config: data.train_count {cfg.train_count} < dictionary.atoms {atoms}"
+        )
     data = _subset_or_invalid(cfg.train_path, "train", cfg.train_count, cfg.train_seed)
+    if atoms < data.pixels_per_image:
+        raise ValidationError(
+            f"config: dictionary.atoms {atoms} < the {data.pixels_per_image} pixels"
+            f" of the images in {cfg.train_path}"
+        )
+    out_path = Path(out_path)
+    _make_dir(out_path.parent, "dictionary.path", str(out_path))
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",
         len(data), cfg.training.atom_count, cfg.training.sparsity, cfg.training.sweeps,
@@ -279,7 +291,7 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     return dictionary
 
 
-def make_dir(path: Path, key: str, value: str) -> None:
+def _make_dir(path: Path, key: str, value: str) -> None:
     """Create the directory ``path`` (and its parents) that config ``key`` = ``value`` needs.
 
     A file where the directory or one of its parents must go is a
@@ -331,7 +343,7 @@ def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
     return dictionary
 
 
-def resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[float, int]]:
+def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[float, int]]:
     """The grid as (sampling ratio, M) pairs; every M distinct and within the Gram rank."""
     n = state.n_pixels
     if cfg.m_grid:
@@ -348,23 +360,49 @@ def resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[floa
     return grid
 
 
-def build_field_stack(method: str, state: FieldOptState, cfg: ExperimentConfig):
+def _set_up(cfg: ExperimentConfig):
+    """Check ``cfg`` and its dictionary for a sweep; return ``(psi, state, grid)``."""
+    cfg.validate()
+    psi = load_dictionary(cfg)
+    state = build_state(psi)
+    return psi, state, _resolve_grid(cfg, state)
+
+
+def _field_variants(method: str, state: FieldOptState, cfg: ExperimentConfig):
     """Yield each lifted, and per ``fields.qbits`` quantized, variant of ``method`` once.
 
-    A variant is a ``(field, lift)`` pair whose field has ``state.rank`` rows: the
-    optimized field, or one Gaussian draw per seed ``fields.seed``, ``fields.seed + 1``,
-    ... Each is lifted by its own minimum and quantized against its own peak.
+    A variant is a ``(seed, field)`` pair whose field has ``state.rank`` rows: the
+    optimized field (seed None), or one Gaussian draw per seed ``fields.seed``,
+    ``fields.seed + 1``, ... Each is quantized against its own peak.
     """
-    for s in range(1 if method == "optimized" else cfg.gaussian_seeds):
-        if method == "optimized":
-            phi = optimize_sampling(state, state.rank)
-        else:
-            phi = gaussian_sampling(state.rank, state.n_pixels, cfg.field_seed + s)
-        lift = max(0.0, -float(phi.min()))
-        phi = nn_lift(phi)
+    seeds = range(cfg.field_seed, cfg.field_seed + cfg.gaussian_seeds)
+    for seed in [None] if method == "optimized" else seeds:
+        phi = nn_lift(optimize_sampling(state, state.rank) if seed is None
+                      else gaussian_sampling(state.rank, state.n_pixels, seed))
         if cfg.qbits:
             phi = quantize_matrix(phi, cfg.qbits)
-        yield phi, lift
+        yield seed, phi
+
+
+def write_fields(cfg: ExperimentConfig):
+    """Write the first M rows of each field variant, per grid M, to ``run.out``; yield each path.
+
+    Files are ``field_optimized_m{M}.gim`` and ``field_gaussian_m{M}_s{seed}.gim``;
+    their metadata ends in the dictionary checksum or the seed.
+    """
+    psi, state, grid = _set_up(cfg)
+    out = Path(cfg.out_dir)
+    _make_dir(out, "run.out", cfg.out_dir)
+    for method in cfg.methods:
+        for seed, phi in _field_variants(method, state, cfg):
+            origin = {"dictionary_checksum": psi.checksum} if seed is None else {"seed": seed}
+            suffix = "" if seed is None else f"_s{seed}"
+            for sr, m in grid:
+                path = out / f"field_{method}_m{m}{suffix}.gim"
+                meta = {"role": "sampling", "provenance": method, "m": m, "sr": sr,
+                        "qbits": cfg.qbits, **origin}
+                write_matrix(path, phi[:m], meta=meta)
+                yield path
 
 
 def _noise_for(base: NoiseModel, variant: int) -> NoiseModel:
@@ -395,7 +433,7 @@ def _run_method(
     coding_sec = np.zeros(len(grid))
     build_sec = 0.0
     start = time.perf_counter()
-    for v_idx, (phi, _) in enumerate(build_field_stack(method, state, cfg)):
+    for v_idx, (_, phi) in enumerate(_field_variants(method, state, cfg)):
         equivalent = phi[: max(m for _, m in grid)] @ psi.atoms
         build_sec += time.perf_counter() - start
         noise = _noise_for(cfg.noise, v_idx)
@@ -472,26 +510,22 @@ def emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Execute the full sweep described by ``cfg`` and write all outputs.
 
-    Returns the records in (method, grid) order. The ``_DONE`` marker is
+    Returns the records in (method, grid) order. Every check runs before
+    ``run.out`` is made or a stale ``_DONE`` marker cleared; the marker is
     written only after every file is flushed, so its absence flags a
     partial run.
     """
-    cfg.validate()
-    psi = load_dictionary(cfg)
-    out = Path(cfg.out_dir)
-    make_dir(out, "run.out", cfg.out_dir)
-    marker = out / DONE_MARKER
-    if marker.exists():
-        marker.unlink()
-
-    state = build_state(psi)
-    grid = resolve_grid(cfg, state)
+    psi, state, grid = _set_up(cfg)
     test = _subset_or_invalid(cfg.test_path, "test", cfg.test_count, cfg.test_seed)
     if test.pixels_per_image != psi.n_pixels:
         raise ValidationError(
             f"test images have {test.pixels_per_image} pixels, dictionary has {psi.n_pixels}"
         )
     x_test = test.as_columns()
+    out = Path(cfg.out_dir)
+    _make_dir(out, "run.out", cfg.out_dir)
+    marker = out / DONE_MARKER
+    marker.unlink(missing_ok=True)
 
     # one block for every record's scores: small arrays kept per cell fragment
     # glibc's heap (a 100-cell, 4-image sweep then peaked at 85 MB, not 79)

@@ -108,8 +108,6 @@ def test_build_fields_writes_row_prefixes(tmp_path, data_dir, desk_dictionary_fi
         large = gf.read_matrix(both / name.format(m=400))
         assert small.shape == (40, 784) and large.shape == (400, 784)
         np.testing.assert_array_equal(small, large[:40])
-        lifts = {gf.read_matrix_meta(both / name.format(m=m))["lift"] for m in (40, 400)}
-        assert len(lifts) == 1 and lifts.pop() > 0.0
     first = "field_optimized_m40.gim"
     assert (alone / first).read_bytes() == (both / first).read_bytes()
 
@@ -138,6 +136,58 @@ def test_train_dict_reads_only_training_keys(tmp_path, data_dir, capsys):
     assert "dictionary: 49x49" in capsys.readouterr().out
     assert gf.read_matrix_meta(out)["sparsity"] == 3
     gf.Dictionary(atoms=gf.read_matrix(out), sparsity=3).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"atoms": 10, "train_count": 60}, "dictionary.atoms 10 < the 49 pixels"),
+        ({"atoms": 64, "train_count": 50}, "data.train_count 50 < dictionary.atoms 64"),
+    ],
+    ids=["atoms-below-pixels", "signals-below-atoms"],
+)
+def test_train_dict_refuses_an_impossible_dictionary(
+    tmp_path, data_dir, monkeypatch, capsys, overrides, message
+):
+    def no_training(*args):
+        raise AssertionError("trained before checking the dictionary's shape")
+
+    monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
+    cfg = write_run_config(
+        tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim", tmp_path / "out",
+        train=data_dir / "tiny_train.idx", sparsity=3, sweeps=1, **overrides,
+    )
+    assert main(["train-dict", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]  # not even the dictionary's directory
+
+
+def test_refused_runs_write_nothing(tmp_path, data_dir, tiny_dict_file, capsys):
+    """Bad input is refused before any output: a finished run keeps its files
+    byte for byte, ``_DONE`` included, and a fresh ``run.out`` is never made."""
+    def config(name, out, **overrides):
+        opts = {"test": data_dir / "tiny_test.idx", "test_count": 4, "sr": "0.2", **overrides}
+        return write_run_config(tmp_path / f"{name}.ini", data_dir, tiny_dict_file, out, **opts)
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    done = tmp_path / "done"
+    assert main(["run", "--config", str(config("good", done))]) == 0
+    finished = files(done)
+    assert {"_DONE", "results.csv"} <= finished.keys()
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    for out in (done, fresh):
+        beyond_rank = config("beyond_rank", out, m="5,50")  # the Gram rank is 49
+        overdraw = config("overdraw", out, test_count=41)  # tiny_test.idx holds 40
+        for command, cfg, reason in (("run", beyond_rank, "M=50 exceeds"),
+                                     ("run", overdraw, "data.test_count 41 exceeds"),
+                                     ("build-fields", beyond_rank, "M=50 exceeds")):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert reason in capsys.readouterr().err
+            assert files(done) == finished
+            assert not fresh.exists()
 
 
 @pytest.mark.parametrize("command", ["train-dict", "build-fields", "run"])

@@ -1,7 +1,6 @@
 """Experiment harness: config parsing, sweep outputs, and reproducibility."""
 
 import csv
-import dataclasses
 import itertools
 import logging
 import re
@@ -387,7 +386,7 @@ def test_train_dictionary_refuses_an_output_under_a_file_before_training(
         raise AssertionError("trained before checking where the dictionary goes")
 
     monkeypatch.setattr(harness, "ksvd_train", no_training)
-    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file)
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, atoms=49)
     with pytest.raises(gf.ValidationError, match="dictionary.path"):
         gf.train_dictionary(cfg, blocker / "d.gim")
     assert blocker.read_bytes() == b""
@@ -433,14 +432,25 @@ def test_awgn_run_hurts_quality_and_stays_deterministic(tmp_path, data_dir, tiny
     )
 
 
-def test_stale_done_marker_removed(tmp_path, data_dir, tiny_dict_file):
+def test_stale_done_marker_removed(tmp_path, data_dir, tiny_dict_file, monkeypatch):
+    """Once a run starts writing, a stale ``_DONE`` never survives its failure."""
     cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, sr="0.4", test_count=4)
     out.mkdir(parents=True)
     (out / harness.DONE_MARKER).touch()
-    bad = dataclasses.replace(cfg, m_grid=(999,), sr_grid=())
-    with pytest.raises(gf.ValidationError):
-        gf.run_experiment(bad)
+    measure, calls = harness.measure, []
+
+    def measure_then_fail(*args):
+        calls.append(args)
+        if len(calls) > 1:  # the second of the three variants' measure calls
+            raise RuntimeError("interrupted")
+        return measure(*args)
+
+    monkeypatch.setattr(harness, "measure", measure_then_fail)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        gf.run_experiment(cfg)
+    assert len(calls) == 2
     assert not (out / harness.DONE_MARKER).exists()  # stale marker cleared first
+    monkeypatch.undo()
     gf.run_experiment(cfg)
     assert (out / harness.DONE_MARKER).exists()
 
