@@ -34,15 +34,14 @@ def main():
     if not (out / "dictionary.gim").is_file():
         raise SystemExit("run 02_train_dictionary.py first")
 
-    meta = gf.read_matrix_meta(out / "dictionary.gim")
-    psi = gf.Dictionary(atoms=gf.read_matrix(out / "dictionary.gim"),
-                        sparsity=int(meta["sparsity"]))
+    psi = gf.load_dictionary(out / "dictionary.gim")
     state = gf.build_state(psi)
     lam = state.eigenvalues
     full = gf.optimize_sampling(state, state.rank)
-    lift = max(0.0, -float(full.min()))
+    lifted_full = gf.nn_lift(full)
     print(f"Gram rank {state.rank}/{psi.n_pixels}, eigenvalues "
-          f"{lam[0]:.1f} .. {lam[state.rank - 1]:.2g}, lift constant {lift:.3f}")
+          f"{lam[0]:.1f} .. {lam[state.rank - 1]:.2g}, "
+          f"lift constant {lifted_full[0, 0] - full[0, 0]:.3f}")
 
     m = args.m
     phi = gf.optimize_sampling(state, m)
@@ -61,7 +60,7 @@ def main():
     assert np.array_equal(phi[:20], gf.optimize_sampling(state, 20))
     print(f"successive sampling: the 20-row field is the first 20 rows of the {m}-row field")
 
-    lifted = gf.nn_lift(full)[:m]
+    lifted = lifted_full[:m]
     d_shift = np.abs(lifted @ psi.atoms - phi @ psi.atoms)
     print(f"after lifting, equivalent-matrix change: column 1 max {d_shift[:, 0].max():.3f}, "
           f"elsewhere max {d_shift[:, 1:].max():.2e}")
@@ -74,7 +73,7 @@ def main():
           f"vs gaussian {mu_gauss:.4f}")
 
     gf.write_matrix(out / f"field_optimized_m{m}.gim", lifted,
-                    meta={"role": "sampling", "m": m, "lift": lift})
+                    meta={"role": "sampling", "m": m})
     print(f"saved {out / f'field_optimized_m{m}.gim'}")
 
 

@@ -33,9 +33,7 @@ def main():
     if not (out / "dictionary.gim").is_file() or not (out / "test.idx").is_file():
         raise SystemExit("run 01_make_dataset.py and 02_train_dictionary.py first")
 
-    meta = gf.read_matrix_meta(out / "dictionary.gim")
-    psi = gf.Dictionary(atoms=gf.read_matrix(out / "dictionary.gim"),
-                        sparsity=int(meta["sparsity"]))
+    psi = gf.load_dictionary(out / "dictionary.gim")
     state = gf.build_state(psi)
     x = gf.load_idx_images(out / "test.idx").images[args.image]
     n = x.size

@@ -19,11 +19,9 @@ from .data import (
 )
 from .dictionary import (
     Dictionary,
-    SparseCode,
     TrainingConfig,
     ksvd_train,
     omp,
-    random_dictionary,
     sparse_code_columns,
 )
 from .errors import (
@@ -45,6 +43,7 @@ from .harness import (
     ExperimentConfig,
     ExperimentRecord,
     load_config,
+    load_dictionary,
     run_experiment,
     train_dictionary,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "GifieldError",
     "NoiseModel",
     "QualityReport",
-    "SparseCode",
     "TrainingConfig",
     "ValidationError",
     "aggregate",
@@ -77,6 +75,7 @@ __all__ = [
     "gaussian_sampling",
     "ksvd_train",
     "load_config",
+    "load_dictionary",
     "load_idx_images",
     "measure",
     "mse",
@@ -86,7 +85,6 @@ __all__ = [
     "optimize_sampling",
     "psnr",
     "quantize_matrix",
-    "random_dictionary",
     "random_subset",
     "read_matrix",
     "read_matrix_meta",

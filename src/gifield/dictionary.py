@@ -22,21 +22,6 @@ _OMP_BLOCK = 256
 
 
 @dataclass(frozen=True)
-class SparseCode:
-    """Sparse coefficient vector plus its support (in selection order)."""
-
-    coefficients: np.ndarray
-    support: tuple[int, ...]
-
-    def __post_init__(self):
-        self.coefficients.setflags(write=False)
-
-    @property
-    def n_nonzero(self) -> int:
-        return len(self.support)
-
-
-@dataclass(frozen=True)
 class Dictionary:
     """Learned sparsifying basis (atoms as columns) with its training budget."""
 
@@ -95,40 +80,26 @@ class TrainingConfig:
             raise ValueError("sweeps must be >= 1")
 
 
-def omp(d: np.ndarray, y: np.ndarray, t0: int) -> SparseCode:
-    """Orthogonal matching pursuit on one signal.
+def omp(d: np.ndarray, y: np.ndarray, t0: int) -> np.ndarray:
+    """OMP-code one signal ``y``: :func:`sparse_code_columns` on one column.
+
+    Returns the code, one coefficient per column of ``d``, nonzero only on
+    the selected columns.
+    """
+    return sparse_code_columns(d, np.asarray(y, dtype=np.float64).reshape(-1, 1), t0)[:, 0]
+
+
+def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray:
+    """Orthogonal matching pursuit on every column of ``x`` against the columns of ``atoms``.
 
     Greedily picks the column most correlated with the residual
     (normalized by column norm), refits least squares on the selected
     support, and stops once ``t0`` atoms are used or the residual norm
-    drops to 1e-6 * ||y||. This is the one-column case of
-    :func:`sparse_code_columns`.
-
-    Args:
-        d: matrix whose columns are the candidate atoms.
-        y: signal to approximate.
-        t0: maximum number of selected columns.
-
-    Returns:
-        SparseCode over the columns of ``d``.
+    drops to 1e-6 * ||y||. Returns the K x L coefficient matrix.
 
     Raises:
-        ValueError: ``d`` or ``y`` holds a NaN or an infinity, or ``d`` a zero
-            column.
-    """
-    support, coeffs = _lockstep_omp(d, np.asarray(y, dtype=np.float64).reshape(-1, 1), t0)
-    selected = support[0][support[0] >= 0]
-    z = np.zeros(np.shape(d)[1])
-    z[selected] = coeffs[0, : selected.size]
-    return SparseCode(coefficients=z, support=tuple(int(j) for j in selected))
-
-
-def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray:
-    """OMP-code every column of ``x`` against the columns of ``atoms``.
-
-    Selection, least-squares fits and the stopping rule are those of
-    :func:`omp`, applied to all columns at once, and so are its errors.
-    Returns the K x L coefficient matrix.
+        ValueError: ``atoms`` or ``x`` holds a NaN or an infinity, or
+            ``atoms`` a zero column.
     """
     support, coeffs = _lockstep_omp(atoms, x, t0)
     cols, slots = np.nonzero(support >= 0)
@@ -429,15 +400,3 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
         del z, residual, owner, signal  # free them before the next sweep's coding pass
 
     return Dictionary(atoms=atoms, sparsity=cfg.sparsity), objectives
-
-
-def random_dictionary(n: int, k: int, seed: int) -> Dictionary:
-    """Random dictionary satisfying the structural constraints (for studies)."""
-    if k < n:
-        raise ValueError("need at least as many atoms as pixels")
-    rng = np.random.default_rng(seed)
-    atoms = np.empty((n, k))
-    atoms[:, 0] = n**-0.5
-    for j in range(1, k):
-        atoms[:, j] = _random_zero_mean_unit(rng, n)
-    return Dictionary(atoms=atoms, sparsity=max(1, n // 8))

@@ -316,23 +316,17 @@ def _subset_or_invalid(path: str, split: str, count: int, seed: int):
     return random_subset(dataset, count, seed)
 
 
-def load_dictionary(cfg: ExperimentConfig) -> Dictionary:
-    """The trained dictionary that ``dictionary.path`` names.
+def load_dictionary(path) -> Dictionary:
+    """The trained dictionary saved at ``path``, with the training budget it was saved with.
 
-    Its training budget comes from the file's ``sparsity`` metadata, which
-    must be an integer >= 1; a file without it takes ``dictionary.sparsity``.
-    Atoms that break the dictionary constraints make the file a
-    ``CorruptionError``.
+    No file at ``path`` is a ``ValidationError``. A ``sparsity`` metadata
+    entry that is missing or not an integer >= 1, or atoms that break the
+    dictionary constraints, make the file a ``CorruptionError``.
     """
-    if not cfg.dictionary_path:
-        raise ValidationError(
-            "no trained dictionary configured (dictionary.path); run train-dict first"
-        )
-    path = Path(cfg.dictionary_path)
+    path = Path(path)
     if not path.is_file():
         raise ValidationError(f"trained dictionary not found: {path}")
-    meta = read_matrix_meta(path) or {}
-    sparsity = meta.get("sparsity", cfg.training.sparsity)
+    sparsity = (read_matrix_meta(path) or {}).get("sparsity")
     if type(sparsity) is not int or sparsity < 1:
         raise CorruptionError(f"{path}: sparsity metadata {sparsity!r} is not an integer >= 1")
     dictionary = Dictionary(atoms=read_matrix(path), sparsity=sparsity)
@@ -363,20 +357,30 @@ def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[flo
 def _set_up(cfg: ExperimentConfig):
     """Check ``cfg`` and its dictionary for a sweep; return ``(psi, state, grid)``."""
     cfg.validate()
-    psi = load_dictionary(cfg)
+    if not cfg.dictionary_path:
+        raise ValidationError(
+            "no trained dictionary configured (dictionary.path); run train-dict first"
+        )
+    psi = load_dictionary(cfg.dictionary_path)
     state = build_state(psi)
     return psi, state, _resolve_grid(cfg, state)
+
+
+def _field_seeds(method: str, cfg: ExperimentConfig):
+    """The seeds of ``method``'s field variants, one per variant: None for the
+    optimized field, ``fields.seed``, ``fields.seed + 1``, ... for the Gaussian draws."""
+    if method == "optimized":
+        return (None,)
+    return range(cfg.field_seed, cfg.field_seed + cfg.gaussian_seeds)
 
 
 def _field_variants(method: str, state: FieldOptState, cfg: ExperimentConfig):
     """Yield each lifted, and per ``fields.qbits`` quantized, variant of ``method`` once.
 
-    A variant is a ``(seed, field)`` pair whose field has ``state.rank`` rows: the
-    optimized field (seed None), or one Gaussian draw per seed ``fields.seed``,
-    ``fields.seed + 1``, ... Each is quantized against its own peak.
+    A variant is a ``(seed, field)`` pair, in :func:`_field_seeds` order, whose
+    field has ``state.rank`` rows. Each is quantized against its own peak.
     """
-    seeds = range(cfg.field_seed, cfg.field_seed + cfg.gaussian_seeds)
-    for seed in [None] if method == "optimized" else seeds:
+    for seed in _field_seeds(method, cfg):
         phi = nn_lift(optimize_sampling(state, state.rank) if seed is None
                       else gaussian_sampling(state.rank, state.n_pixels, seed))
         if cfg.qbits:
@@ -424,7 +428,7 @@ def _run_method(
 ) -> list[ExperimentRecord]:
     """Score every grid cell of one method; cell j's per-image mse, psnr and ssim go to ``scores[j]``."""
     t0 = cfg.recon_sparsity or psi.sparsity
-    n_variants = 1 if method == "optimized" else cfg.gaussian_seeds
+    n_variants = len(_field_seeds(method, cfg))
 
     # (cell, variant, image) metric grids; a cell's images are measured, coded
     # and scored together on row prefixes of the variant's field and D

@@ -97,4 +97,4 @@ def reconstruct(
         raise ValueError(f"readings of shape {np.shape(y)} for {phi.shape[0]} patterns")
     if not np.isfinite(y).all():
         raise ValueError("measurement contains non-finite readings")
-    return psi.atoms @ omp(phi @ psi.atoms, y, psi.sparsity if t0 is None else t0).coefficients
+    return psi.atoms @ omp(phi @ psi.atoms, y, psi.sparsity if t0 is None else t0)

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .data import IDX_IMAGE_MAGIC
+from .data import IDX_IMAGE_MAGIC, atomic_write
 
 SIDE = 28
 
@@ -87,12 +87,19 @@ def make_digit_images(count: int, seed: int) -> np.ndarray:
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    """Write an (count, rows, cols) stack as an IDX unsigned-byte image file."""
+    """Write an (count, rows, cols) stack as an IDX unsigned-byte image file.
+
+    Every pixel must be an integer in [0, 255]; anything else is a
+    ``ValueError`` before a byte is written. The file is replaced
+    atomically (see :func:`gifield.data.atomic_write`).
+    """
     images = np.asarray(images)
     if images.ndim != 3:
         raise ValueError("expected a (count, rows, cols) image stack")
+    if not np.all((images >= 0) & (images <= 255) & (images == np.round(images))):
+        raise ValueError("IDX pixels must be integers in [0, 255]")
     count, rows, cols = images.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
         fh.write(images.astype(np.uint8).tobytes())
 

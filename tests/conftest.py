@@ -13,11 +13,23 @@ import numpy as np
 import pytest
 
 import gifield as gf
-from gifield import synthdata
+from gifield import dictionary, synthdata
 
 DESK_TRAIN = 2000
 DESK_TEST = 200
 DESK_GRID = "0.05,0.10,0.20,0.30,0.51"
+
+
+def random_dictionary(n, k, seed):
+    """Random n x k dictionary that meets the structural constraints, with budget n // 8 (at least 1)."""
+    if k < n:
+        raise ValueError("need at least as many atoms as pixels")
+    rng = np.random.default_rng(seed)
+    atoms = np.empty((n, k))
+    atoms[:, 0] = n**-0.5
+    for j in range(1, k):
+        atoms[:, j] = dictionary._random_zero_mean_unit(rng, n)
+    return gf.Dictionary(atoms=atoms, sparsity=max(1, n // 8))
 
 
 @pytest.fixture(scope="session")

@@ -134,8 +134,7 @@ def test_train_dict_reads_only_training_keys(tmp_path, data_dir, capsys):
     )
     assert main(["train-dict", "--config", str(cfg)]) == 0
     assert "dictionary: 49x49" in capsys.readouterr().out
-    assert gf.read_matrix_meta(out)["sparsity"] == 3
-    gf.Dictionary(atoms=gf.read_matrix(out), sparsity=3).validate()
+    assert gf.load_dictionary(out).sparsity == 3
 
 
 @pytest.mark.parametrize(

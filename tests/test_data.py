@@ -15,6 +15,8 @@ import gifield as gf
 from gifield.data import IDX_IMAGE_MAGIC, atomic_write
 from gifield import synthdata
 
+from conftest import random_dictionary
+
 
 def _write_idx(path, images):
     images = np.asarray(images, dtype=np.uint8)
@@ -33,6 +35,31 @@ def test_idx_parse_counts_and_order(tmp_path):
     assert ds.pixels_per_image == 45
     np.testing.assert_array_equal(ds.images, imgs.reshape(7, 45).astype(float))
     assert ds.images.min() >= 0 and ds.images.max() <= 255
+
+
+def test_write_idx_images_refuses_pixels_a_byte_cannot_hold(tmp_path, monkeypatch):
+    """Integer pixels in [0, 255] keep their bytes; any other pixel is refused
+    before a byte is written, and the file is replaced atomically."""
+    imgs = np.random.default_rng(6).integers(0, 256, size=(3, 4, 5))
+    path = tmp_path / "imgs.idx"
+    synthdata.write_idx_images(path, imgs.astype(float))
+    before = path.read_bytes()
+    assert before == _write_idx(tmp_path / "ref.idx", imgs.astype(np.uint8)).read_bytes()
+    for pixel in (256.0, -1.0, 0.7, np.nan):
+        bad = imgs.astype(float)
+        bad[1, 2, 3] = pixel
+        for target in (path, tmp_path / "new.idx"):
+            with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+                synthdata.write_idx_images(target, bad)
+
+    def refuse(*args):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        synthdata.write_idx_images(path, np.zeros((1, 4, 5)))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["imgs.idx", "ref.idx"]
 
 
 def test_idx_zero_image(tmp_path):
@@ -156,7 +183,7 @@ def _set_exponent_bits(raw: bytearray, offset: int) -> None:
 
 @pytest.mark.parametrize("value", [1.0, 0.37], ids=["inf", "nan"])
 def test_non_finite_payload_is_corruption(tmp_path, value):
-    atoms = gf.random_dictionary(16, 20, seed=3).atoms.copy()
+    atoms = random_dictionary(16, 20, seed=3).atoms.copy()
     atoms[5, 7] = value
     path = tmp_path / "dict.gim"
     gf.write_matrix(path, atoms, meta={"role": "dictionary"})
@@ -244,12 +271,12 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
 
 
 def test_dictionary_file_checksum_stable(tmp_path):
-    psi = gf.random_dictionary(49, 64, seed=0)
+    psi = random_dictionary(49, 64, seed=0)
     path = tmp_path / "dict.gim"
-    gf.write_matrix(path, psi.atoms, meta={"role": "dictionary"})
-    again = gf.Dictionary(atoms=gf.read_matrix(path), sparsity=psi.sparsity)
+    gf.write_matrix(path, psi.atoms, meta={"role": "dictionary", "sparsity": psi.sparsity})
+    again = gf.load_dictionary(path)
     assert again.checksum == psi.checksum
-    again.validate()
+    assert again.sparsity == psi.sparsity
 
 
 def test_as_columns_layout(tmp_path):

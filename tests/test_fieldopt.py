@@ -7,6 +7,8 @@ import pytest
 
 import gifield as gf
 
+from conftest import random_dictionary
+
 
 def _orthonormal_rows(m, n, rng):
     q, _ = np.linalg.qr(rng.standard_normal((n, m)))
@@ -53,7 +55,7 @@ def test_build_state_known_eigenvalues():
 
 def test_lifted_rank_field_prefixes_are_lifted_optimal_fields():
     # successive display: lift the rank-row field once, show its prefixes
-    state = gf.build_state(gf.random_dictionary(30, 50, seed=4))
+    state = gf.build_state(random_dictionary(30, 50, seed=4))
     lifted = gf.nn_lift(gf.optimize_sampling(state, state.rank))
     c = -float(state.eigenvectors[:, :state.rank].min())
     assert c > 0.0
@@ -62,7 +64,7 @@ def test_lifted_rank_field_prefixes_are_lifted_optimal_fields():
 
 
 def test_build_state_random_dictionary_invariants():
-    psi = gf.random_dictionary(40, 70, seed=0)
+    psi = random_dictionary(40, 70, seed=0)
     state = gf.build_state(psi)
     gram = psi.atoms @ psi.atoms.T
     recon = (state.eigenvectors * state.eigenvalues) @ state.eigenvectors.T
@@ -86,7 +88,7 @@ def test_optimize_sampling_slices_rows():
 
 
 def test_optimized_rows_orthonormal():
-    state = gf.build_state(gf.random_dictionary(48, 80, seed=1))
+    state = gf.build_state(random_dictionary(48, 80, seed=1))
     phi = gf.optimize_sampling(state, 24)
     np.testing.assert_allclose(phi @ phi.T, np.eye(24), atol=1e-9)
 
@@ -95,7 +97,7 @@ def test_design_objective_certificate():
     """At the closed-form optimum the objective equals the discarded
     eigenvalue energy and no random orthonormal candidate beats it."""
     rng = np.random.default_rng(2)
-    state = gf.build_state(gf.random_dictionary(32, 48, seed=2))
+    state = gf.build_state(random_dictionary(32, 48, seed=2))
     m = 16
     phi = gf.optimize_sampling(state, m)
     value = gf.design_objective(state, phi)
@@ -111,7 +113,7 @@ def test_design_objective_certificate():
 
 
 def test_prefix_invariance():
-    state = gf.build_state(gf.random_dictionary(36, 60, seed=3))
+    state = gf.build_state(random_dictionary(36, 60, seed=3))
     rng = np.random.default_rng(3)
     for _ in range(10):
         m1, m2 = sorted(rng.choice(np.arange(1, state.rank + 1), size=2, replace=False))
@@ -133,7 +135,7 @@ def test_nn_lift_values():
 
 def test_lifted_equivalent_differs_only_in_first_column():
     for seed in range(5):
-        psi = gf.random_dictionary(25, 40, seed=seed)
+        psi = random_dictionary(25, 40, seed=seed)
         state = gf.build_state(psi)
         phi = gf.optimize_sampling(state, 10)
         lifted = gf.nn_lift(phi)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gifield as gf
 from gifield import harness, synthdata
 
-from conftest import write_run_config
+from conftest import random_dictionary, write_run_config
 
 # tiny sweep shared by most tests here: 6 cells on the 7x7 corpus
 TINY_GRID = "0.2,0.4,0.8"
@@ -210,16 +210,36 @@ def test_readme_key_table_matches_the_config_table(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sparsity", [0, -2, 2.7, "x", None, [3], True],
-    ids=["zero", "negative", "fraction", "text", "null", "list", "bool"],
+    "meta",
+    [*({"sparsity": value} for value in (0, -2, 2.7, "x", None, [3], True)),
+     None, {"role": "dictionary"}],
+    ids=["zero", "negative", "fraction", "text", "null", "list", "bool", "no_block", "no_key"],
 )
-def test_load_dictionary_rejects_bad_sparsity_metadata(tmp_path, sparsity):
+def test_load_dictionary_rejects_bad_sparsity_metadata(tmp_path, meta):
+    """The training budget comes from the file alone: without one it is corrupt."""
     path = tmp_path / "d.gim"
-    gf.write_matrix(path, gf.random_dictionary(16, 32, 0).atoms, meta={"sparsity": sparsity})
-    ini = tmp_path / "run.ini"
-    ini.write_text(f"[data]\ntest = t.idx\n[dictionary]\npath = {path}\n", encoding="utf-8")
+    gf.write_matrix(path, random_dictionary(16, 32, 0).atoms, meta=meta)
     with pytest.raises(gf.CorruptionError, match=re.escape(str(path))):
-        harness.load_dictionary(gf.load_config(ini))
+        gf.load_dictionary(path)
+
+
+@pytest.mark.parametrize("t0", [None, 1])
+def test_run_t0_sets_the_coding_budget(tmp_path, data_dir, tiny_dict_file, monkeypatch, t0):
+    """Every cell codes with run.t0 when it is set, else with the dictionary
+    file's own budget (4 here), not dictionary.sparsity (2)."""
+    coder, budgets = harness.sparse_code_columns, []
+
+    def recording(atoms, x, t0):
+        budgets.append(t0)
+        return coder(atoms, x, t0)
+
+    monkeypatch.setattr(harness, "sparse_code_columns", recording)
+    overrides = {} if t0 is None else {"t0": t0}
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, sparsity=2, **overrides)
+    records = gf.run_experiment(cfg)
+    # one call per cell and field variant: 3 grid points x (1 optimized + 2 Gaussian)
+    assert len(records) == 6
+    assert budgets == [4 if t0 is None else t0] * 9
 
 
 def test_train_dictionary_persists_objectives(tmp_path, data_dir):
@@ -341,7 +361,7 @@ def test_full_rank_constant_image_is_recovered(tmp_path, data_dir, tiny_dict_fil
     """At M = rank, an image the dictionary represents exactly comes back >= 40 dB."""
     flat = np.full((1, 7, 7), 128.0)
     synthdata.write_idx_images(tmp_path / "flat.idx", flat)
-    psi = gf.Dictionary(atoms=gf.read_matrix(tiny_dict_file), sparsity=4)
+    psi = gf.load_dictionary(tiny_dict_file)
     rank = gf.build_state(psi).rank
     cfg, _ = _tiny_cfg(
         tmp_path, data_dir, tiny_dict_file,
