@@ -441,8 +441,8 @@ def _run_method(
         equivalent = phi[: max(m for _, m in grid)] @ psi.atoms
         build_sec += time.perf_counter() - start
         noise = _noise_for(cfg.noise, v_idx)
+        mu[:, v_idx] = mutual_coherence(equivalent, [m for _, m in grid])
         for c_idx, (_, m) in enumerate(grid):
-            mu[c_idx, v_idx] = mutual_coherence(equivalent[:m])
             readings = measure(phi[:m], x_test, noise)
             start = time.perf_counter()
             images = psi.atoms @ sparse_code_columns(equivalent[:m], readings, t0)

@@ -8,6 +8,7 @@ match windowed SSIM implementations such as scikit-image's.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,40 +73,75 @@ def ssim(x, y, *, axis=None):
     return float(num / den) if axis is None else num / den
 
 
-def mutual_coherence(d: np.ndarray) -> float:
+def mutual_coherence(d: np.ndarray, prefixes=None):
     """Largest normalized inner product between distinct columns of ``d``.
 
-    Exact over all column pairs; always in [0, 1]. The columns are
-    normalized once, and only the upper block triangle of their Gram is
-    formed, ``_GRAM_BLOCK`` columns at a time into one reused buffer. The
-    winning pair's cosine is then taken afresh from its two columns, so
-    that a repeated (or negated) column gives exactly 1.
+    Exact over all column pairs; always in [0, 1]. Without ``prefixes`` the
+    coherence of the whole matrix comes back as a float. With a sequence of
+    row counts, an array comes back: the coherence of ``d[:m]`` for each
+    ``m``, in the order given, as :func:`mutual_coherence` of ``d[:m]`` would
+    give it.
+
+    Only the upper block triangle of the Gram is formed, ``_GRAM_BLOCK``
+    columns at a time. Each block's raw Gram grows by the rows between one
+    sorted prefix and the next, and is scaled by that prefix's inverse column
+    norms to pick its best pair, so two block buffers serve every prefix.
+    The winning pair's cosine is then taken afresh from its two normalized
+    columns, so that a repeated (or negated) column gives exactly 1.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] < 2:
         raise ValueError("need a matrix with at least 2 columns")
-    norms = np.linalg.norm(d, axis=0)
-    if np.any(norms == 0.0):
+    if not np.isfinite(d).all():
+        raise ValueError("coherence needs a matrix of finite entries")
+    rows, k = d.shape
+    wanted = [rows] if prefixes is None else [operator.index(m) for m in prefixes]
+    if not wanted:
+        raise ValueError("need at least one row prefix")
+    if not all(1 <= m <= rows for m in wanted):
+        raise ValueError(f"row prefixes must lie in 1..{rows}, not {wanted}")
+    steps = sorted(set(wanted))
+    squares = d * d
+    np.cumsum(squares, axis=0, out=squares)
+    sums = squares[[m - 1 for m in steps]]  # squared column norms of each prefix
+    del squares
+    if np.any(sums == 0.0):
         raise ValueError("zero column in coherence computation")
-    d = d / norms
-    k = d.shape[1]
-    buf = np.empty(k * min(k, _GRAM_BLOCK))
-    best, pair = -1.0, (0, 1)
+    inverse = 1.0 / np.sqrt(sums)
+    best = np.full(len(steps), -1.0)
+    pairs = [(0, 1)] * len(steps)
+    gram_buf, scan_buf = np.empty((2, k * min(k, _GRAM_BLOCK)))
     for first in range(0, k, _GRAM_BLOCK):
         stop = min(first + _GRAM_BLOCK, k)
         width = stop - first
         # rows 0..stop of this column block hold every pair (i, j) with i <= j
-        g = buf[: stop * width].reshape(stop, width)
-        np.matmul(d[:, :stop].T, d[:, first:stop], out=g)
-        np.abs(g, out=g)
+        gram = gram_buf[: stop * width].reshape(stop, width)
+        g = scan_buf[: stop * width].reshape(stop, width)
+        gram.fill(0.0)
         own = np.arange(width)
-        g[first + own, own] = -1.0  # a column paired with itself never wins
-        at = int(np.argmax(g))
-        if g.flat[at] > best:
-            best = float(g.flat[at])
-            pair = (at // width, first + at % width)
-    a, b = d[:, pair[0]], d[:, pair[1]]
-    return min(abs(float(a @ b)) / math.sqrt(float(a @ a) * float(b @ b)), 1.0)
+        grown = 0
+        for s, m in enumerate(steps):
+            np.matmul(d[grown:m, :stop].T, d[grown:m, first:stop], out=g)
+            gram += g
+            grown = m
+            np.multiply(gram, inverse[s, :stop, None], out=g)
+            g *= inverse[s, first:stop]
+            np.abs(g, out=g)
+            g[first + own, own] = -1.0  # a column paired with itself never wins
+            at = int(np.argmax(g))
+            if g.flat[at] > best[s]:
+                best[s] = g.flat[at]
+                pairs[s] = (at // width, first + at % width)
+    coherence = {}
+    for s, m in enumerate(steps):
+        # row-major, so that the norms and dot products round as they do for
+        # the columns of ``d[:m] / np.linalg.norm(d[:m], axis=0)``
+        cols = np.ascontiguousarray(d[:m, list(pairs[s])])
+        a, b = (cols / np.linalg.norm(cols, axis=0)).T
+        coherence[m] = min(abs(float(a @ b)) / math.sqrt(float(a @ a) * float(b @ b)), 1.0)
+    if prefixes is None:
+        return coherence[rows]
+    return np.array([coherence[m] for m in wanted])
 
 
 @dataclass(frozen=True)

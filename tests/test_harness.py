@@ -242,6 +242,37 @@ def test_run_t0_sets_the_coding_budget(tmp_path, data_dir, tiny_dict_file, monke
     assert budgets == [4 if t0 is None else t0] * 9
 
 
+def test_one_coherence_call_per_field_variant(tmp_path, data_dir, tiny_dict_file, monkeypatch):
+    """All of a variant's cells share one coherence call over its row
+    prefixes, and each cell gets its own M's value back from an m grid
+    given in descending order."""
+    coherence, calls = harness.mutual_coherence, []
+
+    def counting(d, prefixes=None):
+        calls.append(list(prefixes))
+        return coherence(d, prefixes)
+
+    monkeypatch.setattr(harness, "mutual_coherence", counting)
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, m="39,20,10")
+    records = gf.run_experiment(cfg)
+    # 1 optimized + 2 Gaussian variants, each with the whole grid in its order
+    assert calls == [[39, 20, 10]] * 3
+
+    psi = gf.load_dictionary(tiny_dict_file)
+    field_cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name="fields", m="39,20,10")
+    per_cell = {}
+    for path in harness.write_fields(field_cfg):
+        meta = gf.read_matrix_meta(path)
+        mu = coherence(gf.read_matrix(path) @ psi.atoms)
+        per_cell.setdefault((meta["provenance"], meta["m"]), []).append(mu)
+    assert [(r.method, r.m) for r in records] == list(per_cell)
+    for r in records:
+        expected = float(np.mean(per_cell[r.method, r.m]))
+        assert r.mu == pytest.approx(expected, rel=1e-12, abs=0)
+    # the three cells of a method differ, so a value put on the wrong cell shows
+    assert len({r.mu for r in records[:3]}) == 3
+
+
 def test_train_dictionary_persists_objectives(tmp_path, data_dir):
     path = write_run_config(
         tmp_path / "train.ini", data_dir, None, tmp_path,

@@ -106,6 +106,33 @@ def test_mutual_coherence_errors():
         gf.mutual_coherence(np.ones((5, 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("prefixes", [None, [2, 5]])
+def test_mutual_coherence_refuses_non_finite_entries(bad, prefixes):
+    """A NaN would lose every argmax and an infinity every norm, and each
+    would still give a plausible number; both are refused before any work."""
+    d = np.random.default_rng(6).standard_normal((5, 6))
+    d[3, 2] = bad
+    args = () if prefixes is None else (prefixes,)
+    with pytest.raises(ValueError, match="finite"):
+        gf.mutual_coherence(d, *args)
+
+
+def test_mutual_coherence_prefix_errors():
+    d = np.random.default_rng(7).standard_normal((5, 4))
+    for prefixes in ([0], [6], [3, 6], [-1, 2], []):
+        with pytest.raises(ValueError, match="prefix"):
+            gf.mutual_coherence(d, prefixes)
+    # a column that is zero in the first two rows only: its short prefix is
+    # refused, as a call on d[:2] alone is, while longer ones are not
+    d[:2, 1] = 0.0
+    assert gf.mutual_coherence(d, [5, 3]).shape == (2,)
+    with pytest.raises(ValueError, match="zero column in coherence computation"):
+        gf.mutual_coherence(d, [5, 2, 3])
+    with pytest.raises(ValueError, match="zero column in coherence computation"):
+        gf.mutual_coherence(d[:2])
+
+
 def _dense_coherence(d):
     """Every cosine from the full Gram, in extended precision."""
     g = d.astype(np.longdouble).T @ d.astype(np.longdouble)
@@ -128,7 +155,8 @@ def _dense_coherence(d):
 @example(k=2, m=1, repeat="none", into_last=False, seed=2)
 def test_mutual_coherence_matches_the_dense_gram(k, m, repeat, into_last, seed):
     """The blocked upper-triangle Gram against every cosine of the full one,
-    across block edges; a repeated column gives exactly 1."""
+    across block edges, for the whole matrix and for row prefixes in any
+    order; a repeated column gives exactly 1."""
     rng = np.random.default_rng(seed)
     d = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0, size=k)
     if repeat != "none":
@@ -141,6 +169,16 @@ def test_mutual_coherence_matches_the_dense_gram(k, m, repeat, into_last, seed):
     if repeat != "none":
         assert mu == 1.0
     assert abs(mu - min(_dense_coherence(d), 1.0)) <= 1e-15
+
+    # unsorted, possibly repeated, always holding 1 and the full row count
+    prefixes = rng.permutation([1, m, *rng.integers(1, m + 1, size=4)])
+    mus = gf.mutual_coherence(d, prefixes)
+    assert mus.shape == prefixes.shape
+    assert np.array_equal(mus, [gf.mutual_coherence(d[:p]) for p in prefixes])
+    for p, mu_p in zip(prefixes, mus):
+        assert abs(mu_p - min(_dense_coherence(d[:p]), 1.0)) <= 1e-12
+    if repeat != "none":
+        assert np.all(mus == 1.0)
 
 
 @pytest.mark.parametrize("k", [2, 127, 128, 129, 257])
