@@ -14,6 +14,8 @@ eigenvector rows, so:
     The lift is fixed per field, so successive display lifts the rank-row
     field once and shows its row prefixes.
 
+The demo only prints; ``gifield build-fields`` writes the field files.
+
 Usage: python3 03_optimize_fields.py [--out DIR] [--m M]
 """
 
@@ -71,10 +73,6 @@ def main():
     mu_gauss = gf.mutual_coherence((gauss @ psi.atoms)[:, 1:])
     print(f"equivalent-matrix coherence (zero-mean atoms): optimized {mu_opt:.4f} "
           f"vs gaussian {mu_gauss:.4f}")
-
-    gf.write_matrix(out / f"field_optimized_m{m}.gim", lifted,
-                    meta={"role": "sampling", "m": m})
-    print(f"saved {out / f'field_optimized_m{m}.gim'}")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands mirror the workflow: ``train-dict`` learns the dictionary and
-saves it to ``dictionary.path``, ``build-fields`` writes the sampling
-matrices for the grid and ``run`` the measure/reconstruct sweep to
-``run.out``, and ``report`` summarizes a finished run directory, named by
-``--out`` or by the ``run.out`` of ``--config``. The harness does each
-command's work; this module parses arguments and prints. Every setting comes
-from the config file; no option overrides one. Exit codes: 0 success; 2 bad
-usage or bad input (a bad config, dataset or dictionary file), which the
-package reports with its own ``GifieldError`` types; 1 any other failure.
+Subcommands mirror the workflow: ``train-dict`` learns the dictionary and saves
+it to ``dictionary.path``, ``build-fields`` writes each light field variant to
+``run.out`` once, whatever the grid, ``run`` the measure/reconstruct sweep, and
+``report`` summarizes a finished run directory, named by ``--out`` or by the
+``run.out`` of ``--config``. The harness does each command's work; this module
+parses arguments and prints. Every setting comes from the config file; no
+option overrides one. Exit codes: 0 success; 2 bad usage or bad input (a bad
+config, dataset or dictionary file), which the package reports with its own
+``GifieldError`` types; 1 any other failure.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text in (
         ("train-dict", _cmd_train_dict, "learn the dictionary and save it"),
-        ("build-fields", _cmd_build_fields, "write the sampling matrices for the grid"),
+        ("build-fields", _cmd_build_fields, "write each light field variant once"),
         ("run", _cmd_run, "full measure/reconstruct sweep with CSV outputs"),
         ("report", _cmd_report, "summarize a finished run directory"),
     ):

@@ -3,16 +3,16 @@
 A run is fully described by one INI-style config file: dataset paths, training
 knobs, the SR grid, methods, quantization, noise. ``write_fields``
 (``build-fields``) and ``run_experiment`` share one set-up, and write nothing
-until every check has passed. Each field variant is built once by one
-lift-and-scale rule (lifted by its own minimum, quantized against its own
-peak), and its D = Phi Psi once, at the grid's largest M; every
-(method, SR) cell takes row prefixes of both. A cell measures, reconstructs
-and scores all test images of each variant together (one call of each per
-variant, under one noise model seeded for that variant), and appends one
-record: per-image scores pooled over field seeds, as arrays, and their
-aggregate. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row
-per test image per cell), per-method curve files, and a zero-byte ``_DONE``
-marker written last so interrupted runs are detectable.
+until every check has passed. Each field variant is built once, with the Gram
+rank of rows, by one lift-and-scale rule (lifted by its own minimum, quantized
+against its own peak); ``write_fields`` writes it whole, and a sweep forms its
+D = Phi Psi once, at the grid's largest M, and gives every (method, SR) cell
+row prefixes of both. A cell measures, reconstructs and scores all test images
+of each variant together (one call of each per variant, under one noise model
+seeded for that variant), and appends one record: per-image scores pooled over
+field seeds, as arrays, and their aggregate. Outputs: ``results.csv``
+(aggregates), ``per_image.csv`` (one row per test image per cell), per-method
+curves and a zero-byte ``_DONE`` marker written last to flag unfinished runs.
 
 Everything derived from seeds is byte-reproducible across runs with one BLAS
 build and thread count; the two wall-clock columns of results.csv are the
@@ -338,7 +338,7 @@ def load_dictionary(path) -> Dictionary:
 
 
 def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[float, int]]:
-    """The grid as (sampling ratio, M) pairs; every M distinct and within the Gram rank."""
+    """The grid as (sampling ratio, M) pairs: distinct M, within the Gram rank, >= 2 under AWGN."""
     n = state.n_pixels
     if cfg.m_grid:
         grid = [(m / n, m) for m in cfg.m_grid]
@@ -346,11 +346,11 @@ def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[flo
         grid = [(sr, max(1, int(round(sr * n)))) for sr in cfg.sr_grid]
     for i, (_, m) in enumerate(grid):
         if m > state.rank:
-            raise ValidationError(
-                f"config: M={m} exceeds the dictionary Gram rank {state.rank}"
-            )
+            raise ValidationError(f"config: M={m} exceeds the dictionary Gram rank {state.rank}")
         if any(m == other for _, other in grid[:i]):
             raise ValidationError(f"config: the grid gives M={m} more than once")
+        if m == 1 and cfg.noise.kind == "awgn":
+            raise ValidationError("config: AWGN needs M >= 2, and the grid gives M=1")
     return grid
 
 
@@ -389,24 +389,21 @@ def _field_variants(method: str, state: FieldOptState, cfg: ExperimentConfig):
 
 
 def write_fields(cfg: ExperimentConfig):
-    """Write the first M rows of each field variant, per grid M, to ``run.out``; yield each path.
+    """Write each variant's whole field to ``run.out``, once; yield each path.
 
-    Files are ``field_optimized_m{M}.gim`` and ``field_gaussian_m{M}_s{seed}.gim``;
-    their metadata ends in the dictionary checksum or the seed.
+    ``field_optimized.gim`` or ``field_gaussian_s{seed}.gim`` holds the rank-row
+    field ``run`` measures with; its metadata ends in the checksum or the seed.
     """
-    psi, state, grid = _set_up(cfg)
+    psi, state, _ = _set_up(cfg)
     out = Path(cfg.out_dir)
     _make_dir(out, "run.out", cfg.out_dir)
     for method in cfg.methods:
         for seed, phi in _field_variants(method, state, cfg):
             origin = {"dictionary_checksum": psi.checksum} if seed is None else {"seed": seed}
-            suffix = "" if seed is None else f"_s{seed}"
-            for sr, m in grid:
-                path = out / f"field_{method}_m{m}{suffix}.gim"
-                meta = {"role": "sampling", "provenance": method, "m": m, "sr": sr,
-                        "qbits": cfg.qbits, **origin}
-                write_matrix(path, phi[:m], meta=meta)
-                yield path
+            path = out / (f"field_{method}.gim" if seed is None else f"field_{method}_s{seed}.gim")
+            write_matrix(path, phi, meta={"role": "sampling", "provenance": method,
+                                          "qbits": cfg.qbits, **origin})
+            yield path
 
 
 def _noise_for(base: NoiseModel, variant: int) -> NoiseModel:

@@ -42,13 +42,11 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> 
     M x L readings from one product, column j for image j. ``noise`` is
     no model or one model for the whole call. With ``kind="awgn"`` every
     reading gets its own standard normal from one draw in the readings'
-    shape, seeded by the model, scaled per image so that
-    10*log10(signal power / noise power) equals ``snr_db``. So no two
-    images share noise, and for the same L the draw for M rows is the first
-    M rows of the draw for more. The signal power counts the constant part
-    of each reading that the field's lift adds, so at one ``snr_db`` a field
-    with a larger lift gets more noise on its patterned part. Returns M
-    readings for one image, M x L for a stack, all finite.
+    shape, seeded by the model: no two images share noise, and for the same
+    L the draw for M rows is the first M rows of the draw for more. Each
+    image's noise is scaled to ``snr_db`` against the variance of its
+    readings across its 2 or more patterns, so a field's lift adds none.
+    Returns M readings for one image, M x L for a stack, all finite.
     """
     if noise is not None and not isinstance(noise, NoiseModel):
         raise TypeError(f"noise must be None or one NoiseModel, not {type(noise).__name__}")
@@ -68,8 +66,9 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> 
         raise ValueError("image holds a non-finite pixel")
     y = phi @ x
     if noise is not None and noise.kind == "awgn":
-        signal_power = np.mean(y * y, axis=0)  # one per image
-        sigma = np.sqrt(signal_power * 10.0 ** (-noise.snr_db / 10.0))
+        if len(y) < 2:
+            raise ValueError("AWGN needs at least 2 patterns to scale its noise to")
+        sigma = np.sqrt(np.var(y, axis=0) * 10.0 ** (-noise.snr_db / 10.0))
         y += sigma * np.random.default_rng(noise.seed).standard_normal(y.shape)
     if not np.isfinite(y).all():
         raise ValueError("measurement contains non-finite readings")

@@ -82,18 +82,20 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     ``m``, in the order given, as :func:`mutual_coherence` of ``d[:m]`` would
     give it.
 
-    Only the upper block triangle of the Gram is formed, ``_GRAM_BLOCK``
-    columns at a time. Each block's raw Gram grows by the rows between one
-    sorted prefix and the next, and is scaled by that prefix's inverse column
-    norms to pick its best pair, so two block buffers serve every prefix.
-    The winning pair's cosine is then taken afresh from its two normalized
-    columns, so that a repeated (or negated) column gives exactly 1.
+    Columns are first scaled by exact powers of two, so huge or tiny ones
+    give their unit-scale value. Only the Gram's upper block triangle is
+    formed, ``_GRAM_BLOCK`` columns at a time, each block in two buffers: it
+    grows by the rows between sorted prefixes and is scaled by each prefix's
+    inverse column norms to pick its best pair. The winner's cosine is taken
+    afresh from its normalized columns: a repeated or negated one gives 1.0.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] < 2:
         raise ValueError("need a matrix with at least 2 columns")
     if not np.isfinite(d).all():
         raise ValueError("coherence needs a matrix of finite entries")
+    _, exponents = np.frexp(np.maximum(d.max(axis=0), -d.min(axis=0)))
+    d = np.ldexp(d, -exponents)
     rows, k = d.shape
     wanted = [rows] if prefixes is None else [operator.index(m) for m in prefixes]
     if not wanted:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gifield as gf
-from gifield import cli
+from gifield import cli, harness
 from gifield.cli import main
 
 from conftest import write_run_config
@@ -44,15 +44,22 @@ def test_pipeline_end_to_end(workdir, capsys):
 
     assert main(["build-fields", "--config", str(cfg)]) == 0
     capsys.readouterr()
-    for m in (10, 29):  # round(0.2 * 49), round(0.6 * 49)
-        phi = gf.read_matrix(out / f"field_optimized_m{m}.gim")
-        assert phi.shape == (m, 49) and phi.min() >= 0.0
-        meta = gf.read_matrix_meta(out / f"field_optimized_m{m}.gim")
-        assert meta["role"] == "sampling" and meta["provenance"] == "optimized"
-        for s in (0, 1):
-            g = out / f"field_gaussian_m{m}_s{s}.gim"
-            assert gf.read_matrix(g).min() >= 0.0
-            assert gf.read_matrix_meta(g)["provenance"] == "gaussian"
+    psi = gf.load_dictionary(out / "dictionary.gim")
+    rank = gf.build_state(psi).rank
+    assert rank >= 29  # round(0.6 * 49), the grid's largest M
+    phi = gf.read_matrix(out / "field_optimized.gim")
+    assert phi.shape == (rank, 49) and phi.min() >= 0.0
+    assert gf.read_matrix_meta(out / "field_optimized.gim") == {
+        "role": "sampling", "provenance": "optimized", "qbits": 0,
+        "dictionary_checksum": psi.checksum,
+    }
+    for s in (0, 1):
+        g = out / f"field_gaussian_s{s}.gim"
+        gauss = gf.read_matrix(g)
+        assert gauss.shape == (rank, 49) and gauss.min() >= 0.0
+        assert gf.read_matrix_meta(g) == {
+            "role": "sampling", "provenance": "gaussian", "qbits": 0, "seed": s,
+        }
 
     assert main(["run", "--config", str(cfg)]) == 0
     capsys.readouterr()
@@ -92,24 +99,29 @@ def test_run_without_dictionary_exits_2(tmp_path, data_dir, capsys):
 
 
 def test_build_fields_writes_row_prefixes(tmp_path, data_dir, desk_dictionary_file, capsys):
-    """Each variant's file at M = 40 is the first 40 rows of its file at M = 400."""
-    def build(name, m):
-        out = tmp_path / name
-        cfg = write_run_config(tmp_path / f"{name}.ini", data_dir, desk_dictionary_file, out,
-                               m=m, qbits=8, gaussian_seeds=2)
-        assert main(["build-fields", "--config", str(cfg)]) == 0
-        return out
+    """Each variant is written once, with the Gram rank of rows, as the sweep
+    builds it; a build on another grid rewrites the same files, bytes and all."""
+    out = tmp_path / "out"
 
-    both, alone = build("both", "40,400"), build("alone", "40")
+    def build(m):
+        path = write_run_config(tmp_path / f"{m}.ini", data_dir, desk_dictionary_file, out,
+                                m=m, qbits=8, gaussian_seeds=2)
+        assert main(["build-fields", "--config", str(path)]) == 0
+        return gf.load_config(path), {p.name: p.read_bytes() for p in out.iterdir()}
+
+    cfg, both = build("40,400")
+    _, alone = build("40")
     capsys.readouterr()
-    names = ["field_optimized_m{m}.gim", "field_gaussian_m{m}_s0.gim", "field_gaussian_m{m}_s1.gim"]
-    for name in names:
-        small = gf.read_matrix(both / name.format(m=40))
-        large = gf.read_matrix(both / name.format(m=400))
-        assert small.shape == (40, 784) and large.shape == (400, 784)
-        np.testing.assert_array_equal(small, large[:40])
-    first = "field_optimized_m40.gim"
-    assert (alone / first).read_bytes() == (both / first).read_bytes()
+    names = ["field_optimized.gim", "field_gaussian_s0.gim", "field_gaussian_s1.gim"]
+    assert sorted(both) == sorted(names)
+    assert alone == both
+    state = gf.build_state(gf.load_dictionary(desk_dictionary_file))
+    variants = [phi for method in cfg.methods
+                for _, phi in harness._field_variants(method, state, cfg)]
+    for name, phi in zip(names, variants, strict=True):
+        assert phi.shape == (state.rank, 784)
+        np.testing.assert_array_equal(gf.read_matrix(out / name), phi)
+        assert gf.read_matrix_meta(out / name)["qbits"] == 8
 
 
 def test_train_dict_needs_a_destination(tmp_path, data_dir, monkeypatch, capsys):

@@ -260,14 +260,12 @@ def test_one_coherence_call_per_field_variant(tmp_path, data_dir, tiny_dict_file
 
     psi = gf.load_dictionary(tiny_dict_file)
     field_cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name="fields", m="39,20,10")
-    per_cell = {}
+    fields = {}
     for path in harness.write_fields(field_cfg):
-        meta = gf.read_matrix_meta(path)
-        mu = coherence(gf.read_matrix(path) @ psi.atoms)
-        per_cell.setdefault((meta["provenance"], meta["m"]), []).append(mu)
-    assert [(r.method, r.m) for r in records] == list(per_cell)
+        fields.setdefault(gf.read_matrix_meta(path)["provenance"], []).append(gf.read_matrix(path))
+    assert [(r.method, r.m) for r in records] == [(k, m) for k in fields for m in (39, 20, 10)]
     for r in records:
-        expected = float(np.mean(per_cell[r.method, r.m]))
+        expected = float(np.mean([coherence(phi[: r.m] @ psi.atoms) for phi in fields[r.method]]))
         assert r.mu == pytest.approx(expected, rel=1e-12, abs=0)
     # the three cells of a method differ, so a value put on the wrong cell shows
     assert len({r.mu for r in records[:3]}) == 3
@@ -328,6 +326,18 @@ def test_duplicate_m_rejected(tmp_path, data_dir, tiny_dict_file, grid):
     with pytest.raises(gf.ValidationError, match="M=10"):
         gf.run_experiment(cfg)
     assert not (out / "results.csv").exists()
+
+
+def test_awgn_grid_with_one_pattern_rejected(tmp_path, data_dir, tiny_dict_file):
+    """One reading has no spread to scale noise to: refused before any output."""
+    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, m="10,1", noise=("awgn", 30.0))
+    with pytest.raises(gf.ValidationError, match="M=1"):
+        gf.run_experiment(cfg)
+    with pytest.raises(gf.ValidationError, match="M=1"):
+        list(harness.write_fields(cfg))
+    assert not out.exists()
+    noiseless, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name="clean", m="10,1")
+    assert [r.m for r in gf.run_experiment(noiseless)] == [10, 1, 10, 1]
 
 
 def test_noise_seeds_never_collide():
@@ -463,6 +473,26 @@ def test_byte_identical_reruns(tmp_path, data_dir, tiny_dict_file):
         (b / "results.csv").read_text(encoding="utf-8").splitlines(),
     ):
         assert line_a.split(",")[:10] == line_b.split(",")[:10]
+
+
+def test_a_grid_and_its_reverse_give_the_same_rows(tmp_path, data_dir, tiny_dict_file):
+    """Each variant's cells come back in the grid's own order, so the rows of
+    ``results.csv`` (wall-clock columns aside) and ``per_image.csv`` match."""
+    def rows(path, drop=()):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return sorted(tuple(v for k, v in row.items() if k not in drop)
+                          for row in csv.DictReader(fh))
+
+    outs = []
+    for name, grid in (("up", "8,16,40"), ("down", "40,16,8")):
+        cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name=name, m=grid,
+                             test_count=6)
+        gf.run_experiment(cfg)
+        outs.append(out)
+    up, down = outs
+    for name, drop in (("results.csv", ("build_sec", "recon_sec_mean")), ("per_image.csv", ())):
+        assert rows(up / name, drop) == rows(down / name, drop)
+    assert len(rows(up / "results.csv")) == 6
 
 
 def test_awgn_run_hurts_quality_and_stays_deterministic(tmp_path, data_dir, tiny_dict_file):

@@ -71,12 +71,28 @@ def test_measure_awgn_snr_scale():
     ratios = []
     for seed in range(100):
         noisy = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=seed))
-        ratios.append(np.linalg.norm(noisy - clean) / np.linalg.norm(clean))
-    # 40 dB SNR puts the relative perturbation near 1e-2
+        ratios.append(np.linalg.norm(noisy - clean) / np.linalg.norm(clean - clean.mean()))
+    # 40 dB SNR against the readings' spread puts the relative perturbation near 1e-2
     assert 0.5e-2 < np.mean(ratios) < 2e-2
     again = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=5))
     once = gf.measure(phi, x, gf.NoiseModel(kind="awgn", snr_db=40.0, seed=5))
     np.testing.assert_array_equal(again, once)
+
+
+def test_measure_awgn_ignores_a_constant_added_to_the_field():
+    """Noise is scaled to the spread of an image's readings across the
+    patterns, so a field's lift, or any constant added to it, adds none."""
+    psi, phi = _setup(seed=11)
+    x = np.random.default_rng(11).uniform(0, 255, size=(36, 5))
+    model = gf.NoiseModel(kind="awgn", snr_db=40.0, seed=2)
+    noise = gf.measure(phi, x, model) - gf.measure(phi, x)
+    raised = phi + 3.0
+    noise_raised = gf.measure(raised, x, model) - gf.measure(raised, x)
+    np.testing.assert_allclose(noise_raised, noise, rtol=1e-6, atol=1e-9)
+    # one pattern has no spread to scale noise to
+    with pytest.raises(ValueError, match="2 patterns"):
+        gf.measure(phi[:1], x, model)
+    np.testing.assert_array_equal(gf.measure(phi[:1], x), phi[:1] @ x)
 
 
 def test_measure_stack_matches_single_images():
@@ -105,11 +121,12 @@ def test_measure_stack_awgn_one_model():
     clean = gf.measure(phi, x)
     noisy = gf.measure(phi, x, model)
     noise = noisy - clean
+    spread = clean - clean.mean(axis=0)
     for i in range(6):
-        snr = 10 * np.log10(np.sum(clean[:, i] ** 2) / np.sum(noise[:, i] ** 2))
+        snr = 10 * np.log10(np.sum(spread[:, i] ** 2) / np.sum(noise[:, i] ** 2))
         assert 20.0 < snr < 40.0
     # the unit draws behind the noise differ from column to column
-    unit = noise / np.sqrt(np.mean(clean**2, axis=0) * 10.0 ** (-30.0 / 10.0))
+    unit = noise / np.sqrt(np.var(clean, axis=0) * 10.0 ** (-30.0 / 10.0))
     for i in range(6):
         for j in range(i):
             assert not np.allclose(unit[:, i], unit[:, j])
@@ -121,7 +138,7 @@ def test_measure_stack_awgn_one_model():
     # for the same L, the draw for M rows is the first M rows of a larger draw
     _, tall = _setup(seed=10, m=30)
     unit_tall = gf.measure(tall, x, model) - gf.measure(tall, x)
-    unit_tall /= np.sqrt(np.mean(gf.measure(tall, x) ** 2, axis=0) * 10.0 ** (-30.0 / 10.0))
+    unit_tall /= np.sqrt(np.var(gf.measure(tall, x), axis=0) * 10.0 ** (-30.0 / 10.0))
     np.testing.assert_allclose(unit_tall[:18], unit, rtol=1e-9, atol=1e-9)
     with pytest.raises(TypeError):
         gf.measure(phi, x, [model] * 6)

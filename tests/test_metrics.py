@@ -97,6 +97,21 @@ def test_mutual_coherence_invariances():
     assert np.isclose(gf.mutual_coherence(perm), mu, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "scale",
+    [2.0**530, 2.0**-565, np.array([2.0**530, 1.0, 2.0**-565, 1.0, 2.0**-300, 1.0])],
+    ids=["squares-overflow", "squares-underflow", "per-column"],
+)
+def test_mutual_coherence_at_the_ends_of_the_float_range(scale):
+    """Columns whose squares overflow or underflow give, bitwise, the value
+    the matrix has at unit scale; a power of two moves no bit of it."""
+    d = np.random.default_rng(8).standard_normal((5, 6))
+    assert gf.mutual_coherence(d * scale) == gf.mutual_coherence(d)
+    np.testing.assert_array_equal(
+        gf.mutual_coherence(d * scale, [5, 2]), gf.mutual_coherence(d, [5, 2])
+    )
+
+
 def test_mutual_coherence_errors():
     with pytest.raises(ValueError, match="zero column in coherence computation"):
         d = np.ones((5, 3))
