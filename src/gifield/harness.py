@@ -7,12 +7,14 @@ until every check has passed. Each field variant is built once, with the Gram
 rank of rows, by one lift-and-scale rule (lifted by its own minimum, quantized
 against its own peak); ``write_fields`` writes it whole, and a sweep forms its
 D = Phi Psi once, at the grid's largest M, and gives every (method, SR) cell
-row prefixes of both. A cell measures, reconstructs and scores all test images
-of each variant together (one call of each per variant, under one noise model
-seeded for that variant), and appends one record: per-image scores pooled over
-field seeds, as arrays, and their aggregate. Outputs: ``results.csv``
-(aggregates), ``per_image.csv`` (one row per test image per cell), per-method
-curves and a zero-byte ``_DONE`` marker written last to flag unfinished runs.
+row prefixes of both. A sweep makes one pass per field variant: each cell
+measures, reconstructs and scores all test images together, under one noise
+model seeded from the variant's method and field seed, and adds the scores to
+the cell's running sums. After a method's last variant each cell is one
+record: per-image means over field seeds, as arrays, and their aggregate.
+Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per test
+image per cell), per-method curves and a zero-byte ``_DONE`` marker written
+last to flag unfinished runs.
 
 Everything derived from seeds is byte-reproducible across runs with one BLAS
 build and thread count; the two wall-clock columns of results.csv are the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -366,26 +369,23 @@ def _set_up(cfg: ExperimentConfig):
     return psi, state, _resolve_grid(cfg, state)
 
 
-def _field_seeds(method: str, cfg: ExperimentConfig):
-    """The seeds of ``method``'s field variants, one per variant: None for the
-    optimized field, ``fields.seed``, ``fields.seed + 1``, ... for the Gaussian draws."""
-    if method == "optimized":
-        return (None,)
-    return range(cfg.field_seed, cfg.field_seed + cfg.gaussian_seeds)
+def _field_variants(cfg: ExperimentConfig, state: FieldOptState):
+    """Yield each lifted, and per ``fields.qbits`` quantized, field variant once.
 
-
-def _field_variants(method: str, state: FieldOptState, cfg: ExperimentConfig):
-    """Yield each lifted, and per ``fields.qbits`` quantized, variant of ``method`` once.
-
-    A variant is a ``(seed, field)`` pair, in :func:`_field_seeds` order, whose
-    field has ``state.rank`` rows. Each is quantized against its own peak.
+    A variant is a ``(method, seed, field)`` triple, in ``fields.methods``
+    order: seed None for the optimized field, ``fields.seed``,
+    ``fields.seed + 1``, ... for the Gaussian draws. Each field has
+    ``state.rank`` rows and is quantized against its own peak.
     """
-    for seed in _field_seeds(method, cfg):
-        phi = nn_lift(optimize_sampling(state, state.rank) if seed is None
-                      else gaussian_sampling(state.rank, state.n_pixels, seed))
-        if cfg.qbits:
-            phi = quantize_matrix(phi, cfg.qbits)
-        yield seed, phi
+    for method in cfg.methods:
+        seeds = ((None,) if method == "optimized"
+                 else range(cfg.field_seed, cfg.field_seed + cfg.gaussian_seeds))
+        for seed in seeds:
+            phi = nn_lift(optimize_sampling(state, state.rank) if seed is None
+                          else gaussian_sampling(state.rank, state.n_pixels, seed))
+            if cfg.qbits:
+                phi = quantize_matrix(phi, cfg.qbits)
+            yield method, seed, phi
 
 
 def write_fields(cfg: ExperimentConfig):
@@ -397,69 +397,71 @@ def write_fields(cfg: ExperimentConfig):
     psi, state, _ = _set_up(cfg)
     out = Path(cfg.out_dir)
     _make_dir(out, "run.out", cfg.out_dir)
-    for method in cfg.methods:
-        for seed, phi in _field_variants(method, state, cfg):
-            origin = {"dictionary_checksum": psi.checksum} if seed is None else {"seed": seed}
-            path = out / (f"field_{method}.gim" if seed is None else f"field_{method}_s{seed}.gim")
-            write_matrix(path, phi, meta={"role": "sampling", "provenance": method,
-                                          "qbits": cfg.qbits, **origin})
-            yield path
+    for method, seed, phi in _field_variants(cfg, state):
+        origin = {"dictionary_checksum": psi.checksum} if seed is None else {"seed": seed}
+        path = out / (f"field_{method}.gim" if seed is None else f"field_{method}_s{seed}.gim")
+        write_matrix(path, phi, meta={"role": "sampling", "provenance": method,
+                                      "qbits": cfg.qbits, **origin})
+        yield path
 
 
-def _noise_for(base: NoiseModel, variant: int) -> NoiseModel:
-    """The noise model of one field variant's readings, seeded apart from every other one."""
+def _noise_for(base: NoiseModel, method: str, seed: int | None) -> NoiseModel:
+    """The noise model of one field variant's readings, keyed by its method and field
+    seed (0 for the optimized field): no two variants of a run share a stream, and a
+    Gaussian draw's noise depends neither on ``fields.seed`` nor on the other methods."""
     if base.kind == "none":
         return base
-    seq = np.random.SeedSequence(base.seed, spawn_key=(variant,))
+    key = (METHODS.index(method), 0 if seed is None else seed)
+    seq = np.random.SeedSequence(base.seed, spawn_key=key)
     return dataclasses.replace(base, seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
 def _run_method(
     method: str,
+    variants,
     grid: list[tuple[float, int]],
-    state: FieldOptState,
     psi: Dictionary,
     x_test: np.ndarray,
     cfg: ExperimentConfig,
-    scores: np.ndarray,
 ) -> list[ExperimentRecord]:
-    """Score every grid cell of one method; cell j's per-image mse, psnr and ssim go to ``scores[j]``."""
+    """Score every grid cell of ``method``, one pass per ``(method, seed, field)`` variant."""
     t0 = cfg.recon_sparsity or psi.sparsity
-    n_variants = len(_field_seeds(method, cfg))
+    ms = [m for _, m in grid]
 
-    # (cell, variant, image) metric grids; a cell's images are measured, coded
-    # and scored together on row prefixes of the variant's field and D
-    mse_grid, psnr_grid, ssim_grid = np.empty((3, len(grid), n_variants, x_test.shape[1]))
-    mu = np.empty((len(grid), n_variants))
+    # per cell: running sums over field seeds of each image's mse, finite psnr
+    # and ssim, and its count of finite PSNRs, all scored together on row
+    # prefixes of the variant's field and D; the records view this one block
+    sums = np.zeros((len(grid), 4, x_test.shape[1]))
+    mu = np.zeros(len(grid))
     coding_sec = np.zeros(len(grid))
     build_sec = 0.0
+    n_variants = 0
     start = time.perf_counter()
-    for v_idx, (_, phi) in enumerate(_field_variants(method, state, cfg)):
-        equivalent = phi[: max(m for _, m in grid)] @ psi.atoms
+    for _, seed, phi in variants:
+        equivalent = phi[: max(ms)] @ psi.atoms
         build_sec += time.perf_counter() - start
-        noise = _noise_for(cfg.noise, v_idx)
-        mu[:, v_idx] = mutual_coherence(equivalent, [m for _, m in grid])
-        for c_idx, (_, m) in enumerate(grid):
+        noise = _noise_for(cfg.noise, method, seed)
+        mu += mutual_coherence(equivalent, ms)
+        for c_idx, m in enumerate(ms):
             readings = measure(phi[:m], x_test, noise)
             start = time.perf_counter()
             images = psi.atoms @ sparse_code_columns(equivalent[:m], readings, t0)
             coding_sec[c_idx] += time.perf_counter() - start
-            mse_grid[c_idx, v_idx] = mse(x_test, images, axis=0)
-            psnr_grid[c_idx, v_idx] = psnr(x_test, images, axis=0)
-            ssim_grid[c_idx, v_idx] = ssim(x_test, images, axis=0)
+            db = psnr(x_test, images, axis=0)
+            finite = np.isfinite(db)
+            sums[c_idx, 0] += mse(x_test, images, axis=0)
+            sums[c_idx, 1] += np.where(finite, db, 0.0)
+            sums[c_idx, 2] += ssim(x_test, images, axis=0)
+            sums[c_idx, 3] += finite
+        n_variants += 1
         del phi, equivalent  # one variant's field and D alive at a time
         start = time.perf_counter()
 
-    # pool over field seeds: per-image means, with infinite (exact) PSNRs
-    # excluded from the mean and tallied separately
-    finite = np.isfinite(psnr_grid)
-    scores[:, 1] = np.where(
-        finite.any(axis=1),
-        np.where(finite, psnr_grid, 0.0).sum(axis=1) / np.maximum(finite.sum(axis=1), 1),
-        np.inf,
-    )
-    np.mean(mse_grid, axis=1, out=scores[:, 0])
-    np.mean(ssim_grid, axis=1, out=scores[:, 2])
+    # means over field seeds; infinite (exact) PSNRs are tallied apart, not averaged
+    n_finite = sums[:, 3]
+    sums[:, 1] = np.where(n_finite > 0, sums[:, 1] / np.maximum(n_finite, 1), np.inf)
+    sums[:, 0::2] /= n_variants
+    mu /= n_variants
     records = []
     for c_idx, (sr, m) in enumerate(grid):
         record = ExperimentRecord(
@@ -467,13 +469,13 @@ def _run_method(
             sr=sr,
             m=m,
             qbits=cfg.qbits,
-            mse=scores[c_idx, 0],
-            psnr=scores[c_idx, 1],
-            ssim=scores[c_idx, 2],
-            n_exact=int(np.count_nonzero(~finite[c_idx])),
-            mu=float(np.mean(mu[c_idx])),
+            mse=sums[c_idx, 0],
+            psnr=sums[c_idx, 1],
+            ssim=sums[c_idx, 2],
+            n_exact=n_variants * x_test.shape[1] - int(n_finite[c_idx].sum()),
+            mu=float(mu[c_idx]),
             build_sec=build_sec / len(grid),  # the cell's share of the method's one build
-            recon_sec_mean=float(coding_sec[c_idx]) / finite[c_idx].size,
+            recon_sec_mean=float(coding_sec[c_idx]) / (n_variants * x_test.shape[1]),
         )
         log.info(
             "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f",
@@ -528,13 +530,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     marker = out / DONE_MARKER
     marker.unlink(missing_ok=True)
 
-    # one block for every record's scores: small arrays kept per cell fragment
-    # glibc's heap (a 100-cell, 4-image sweep then peaked at 85 MB, not 79)
-    scores = np.empty((len(cfg.methods), len(grid), 3, x_test.shape[1]))
     records = [
         record
-        for i, method in enumerate(cfg.methods)
-        for record in _run_method(method, grid, state, psi, x_test, cfg, scores[i])
+        for method, variants in itertools.groupby(_field_variants(cfg, state), lambda v: v[0])
+        for record in _run_method(method, variants, grid, psi, x_test, cfg)
     ]
 
     _write_csv(out / "results.csv", RESULTS_HEADER, [

@@ -22,12 +22,14 @@ class NoiseModel:
     """Detector noise descriptor; default is noiseless."""
 
     kind: str = "none"  # "none" | "awgn"
-    snr_db: float | None = None
+    snr_db: float | None = None  # awgn only
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("none", "awgn"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.kind != "awgn" and self.snr_db is not None:
+            raise ValueError(f"an SNR of {self.snr_db} dB needs kind 'awgn', not {self.kind!r}")
         if self.kind == "awgn" and (self.snr_db is None or not math.isfinite(self.snr_db)):
             raise ValueError(f"awgn noise needs a finite target SNR in dB, not {self.snr_db}")
 

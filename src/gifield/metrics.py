@@ -83,11 +83,13 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     give it.
 
     Columns are first scaled by exact powers of two, so huge or tiny ones
-    give their unit-scale value. Only the Gram's upper block triangle is
-    formed, ``_GRAM_BLOCK`` columns at a time, each block in two buffers: it
-    grows by the rows between sorted prefixes and is scaled by each prefix's
-    inverse column norms to pick its best pair. The winner's cosine is taken
-    afresh from its normalized columns: a repeated or negated one gives 1.0.
+    give their unit-scale value; a prefix whose squares still underflow is
+    taken by a call on ``d[:m]``, scaled by its own maxima. Only the Gram's
+    upper block triangle is formed, ``_GRAM_BLOCK`` columns at a time, each
+    block in two buffers: it grows by the rows between sorted prefixes and is
+    scaled by each prefix's inverse column norms to pick its best pair. The
+    winner's cosine is taken afresh from its normalized columns: a repeated
+    or negated one gives 1.0.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[1] < 2:
@@ -95,7 +97,7 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     if not np.isfinite(d).all():
         raise ValueError("coherence needs a matrix of finite entries")
     _, exponents = np.frexp(np.maximum(d.max(axis=0), -d.min(axis=0)))
-    d = np.ldexp(d, -exponents)
+    given, d = d, np.ldexp(d, -exponents)
     rows, k = d.shape
     wanted = [rows] if prefixes is None else [operator.index(m) for m in prefixes]
     if not wanted:
@@ -107,8 +109,17 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     np.cumsum(squares, axis=0, out=squares)
     sums = squares[[m - 1 for m in steps]]  # squared column norms of each prefix
     del squares
-    if np.any(sums == 0.0):
-        raise ValueError("zero column in coherence computation")
+    coherence = {}
+    low = (sums < np.finfo(np.float64).tiny).any(axis=1)
+    if low.any():
+        # a prefix whose squares underflow at the whole column's scale takes its
+        # own call, which scales by the prefix's maxima; a zero column has none
+        nonzero = np.logical_or.accumulate(given != 0.0, axis=0)
+        if not nonzero[[m - 1 for m in steps]].all():
+            raise ValueError("zero column in coherence computation")
+        coherence = {m: mutual_coherence(given[:m]) for m, redo in zip(steps, low) if redo}
+        steps = [m for m in steps if m not in coherence]
+        sums = sums[~low]
     inverse = 1.0 / np.sqrt(sums)
     best = np.full(len(steps), -1.0)
     pairs = [(0, 1)] * len(steps)
@@ -134,7 +145,6 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
             if g.flat[at] > best[s]:
                 best[s] = g.flat[at]
                 pairs[s] = (at // width, first + at % width)
-    coherence = {}
     for s, m in enumerate(steps):
         # row-major, so that the norms and dot products round as they do for
         # the columns of ``d[:m] / np.linalg.norm(d[:m], axis=0)``

@@ -116,8 +116,7 @@ def test_build_fields_writes_row_prefixes(tmp_path, data_dir, desk_dictionary_fi
     assert sorted(both) == sorted(names)
     assert alone == both
     state = gf.build_state(gf.load_dictionary(desk_dictionary_file))
-    variants = [phi for method in cfg.methods
-                for _, phi in harness._field_variants(method, state, cfg)]
+    variants = [phi for _, _, phi in harness._field_variants(cfg, state)]
     for name, phi in zip(names, variants, strict=True):
         assert phi.shape == (state.rank, 784)
         np.testing.assert_array_equal(gf.read_matrix(out / name), phi)

@@ -105,6 +105,16 @@ def test_load_config_rejects_a_non_finite_snr(tmp_path, snr):
         gf.load_config(path)
 
 
+def test_load_config_rejects_an_snr_without_awgn(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text(
+        "[data]\ntest = t.idx\n[noise]\nkind = none\nsnr_db = 10\n[run]\nout = o\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(gf.ValidationError, match="needs kind 'awgn'"):
+        gf.load_config(path)
+
+
 @pytest.mark.parametrize(
     "text, named",
     [
@@ -340,17 +350,60 @@ def test_awgn_grid_with_one_pattern_rejected(tmp_path, data_dir, tiny_dict_file)
     assert [r.m for r in gf.run_experiment(noiseless)] == [10, 1, 10, 1]
 
 
-def test_noise_seeds_never_collide():
+def _recorded_measure(monkeypatch):
+    """Wrap ``harness.measure``; return the list its (field, noise) arguments go to."""
+    measure, calls = harness.measure, []
+
+    def recording(phi, x, noise=None):
+        calls.append((phi, noise))
+        return measure(phi, x, noise)
+
+    monkeypatch.setattr(harness, "measure", recording)
+    return calls
+
+
+def test_noise_seeds_never_collide(tmp_path, data_dir, tiny_dict_file, monkeypatch):
+    """A variant's noise is keyed by its method and field seed, nothing else."""
     base = gf.NoiseModel(kind="awgn", snr_db=20.0, seed=5)
-    models = [harness._noise_for(base, v) for v in range(8000)]
-    assert len({m.seed for m in models}) == 8000
-    assert base.seed not in {m.seed for m in models}
-    assert all(m.kind == "awgn" and m.snr_db == 20.0 for m in models)
+    variants = [("optimized", None)] + [("gaussian", s) for s in range(8000)]
+    seeds = {harness._noise_for(base, *v).seed for v in variants}
+    assert len(seeds) == len(variants)
+    assert base.seed not in seeds
     # another base seed gives another family of variant seeds
-    other = {harness._noise_for(gf.NoiseModel("awgn", 20.0, seed=6), v).seed for v in range(8000)}
-    assert not other & {m.seed for m in models}
-    assert harness._noise_for(base, 3) == harness._noise_for(base, 3)
-    assert harness._noise_for(gf.NoiseModel(), 1) == gf.NoiseModel()
+    other = gf.NoiseModel("awgn", 20.0, seed=6)
+    assert not {harness._noise_for(other, *v).seed for v in variants} & seeds
+    model = harness._noise_for(base, "gaussian", 3)
+    assert model == harness._noise_for(base, "gaussian", 3)
+    assert model.kind == "awgn" and model.snr_db == 20.0
+    assert harness._noise_for(gf.NoiseModel(), "gaussian", 1) == gf.NoiseModel()
+    # Gaussian draw 3 measures with one noise model whether fields.seed is 0 or 3
+    calls = _recorded_measure(monkeypatch)
+    for first, count in ((0, 4), (3, 1)):
+        cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name=f"first{first}",
+                           sr="0.4", methods="gaussian", gaussian_seeds=count,
+                           field_seed=first, noise=("awgn", 30.0))
+        gf.run_experiment(cfg)
+    assert len(calls) == 5
+    (phi, noise), (alone_phi, alone_noise) = calls[3], calls[4]
+    np.testing.assert_array_equal(phi, alone_phi)
+    assert noise == alone_noise
+    assert len({noise.seed for _, noise in calls[:4]}) == 4
+
+
+def test_every_field_variant_measures_with_its_own_noise_seed(
+    tmp_path, data_dir, tiny_dict_file, monkeypatch
+):
+    """In an AWGN run, all cells of a variant share one noise seed, and no
+    two variants (the optimized field among them) share one."""
+    calls = _recorded_measure(monkeypatch)
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, noise=("awgn", 30.0))
+    gf.run_experiment(cfg)
+    # variant-major: optimized, then Gaussian draws 0 and 1, each over 3 cells
+    seeds = [noise.seed for _, noise in calls]
+    per_variant = [set(seeds[i: i + 3]) for i in range(0, 9, 3)]
+    assert len(seeds) == 9 and all(len(one) == 1 for one in per_variant)
+    assert len(set.union(*per_variant)) == 3
+    assert cfg.noise.seed not in seeds
 
 
 def test_tiny_run_outputs(tiny_run):

@@ -52,6 +52,8 @@ def test_measure_validation():
         gf.NoiseModel(kind="poisson")
     with pytest.raises(ValueError):
         gf.NoiseModel(kind="awgn")  # missing SNR
+    with pytest.raises(ValueError, match="needs kind 'awgn'"):
+        gf.NoiseModel(kind="none", snr_db=10.0)  # an SNR that no noise would honour
 
 
 def test_measure_checks_the_entries_not_their_history():

@@ -112,6 +112,21 @@ def test_mutual_coherence_at_the_ends_of_the_float_range(scale):
     )
 
 
+def test_mutual_coherence_of_a_prefix_that_underflows():
+    """A prefix whose squares underflow at its column's whole-length scale
+    gives what the call on the prefix alone gives; a column that is truly
+    zero in a prefix is still refused."""
+    d = np.array([[1e-200, 1.0, 0.3], [1.0, 0.5, 0.2], [0.2, 0.1, 0.9]])
+    assert gf.mutual_coherence(d[:1]) == 1.0
+    np.testing.assert_array_equal(gf.mutual_coherence(d, [1, 3]), [1.0, gf.mutual_coherence(d)])
+    np.testing.assert_array_equal(
+        gf.mutual_coherence(d, [3, 2, 1]), [gf.mutual_coherence(d[:m]) for m in (3, 2, 1)]
+    )
+    d[0, 0] = 0.0
+    with pytest.raises(ValueError, match="zero column in coherence computation"):
+        gf.mutual_coherence(d, [1, 3])
+
+
 def test_mutual_coherence_errors():
     with pytest.raises(ValueError, match="zero column in coherence computation"):
         d = np.ones((5, 3))
