@@ -67,7 +67,8 @@ def load_idx_images(path) -> Dataset:
 
     Raises:
         FormatError: the magic tag is not the IDX image magic.
-        CorruptionError: the pixel payload is shorter than the header declares.
+        CorruptionError: the header declares images without pixels, or the
+            pixel payload is shorter than the header declares.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
@@ -77,6 +78,8 @@ def load_idx_images(path) -> Dataset:
         raise FormatError(
             f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} (IDX images)"
         )
+    if not rows or not cols:
+        raise CorruptionError(f"{path}: header declares images of {rows} x {cols} pixels")
     need = count * rows * cols
     payload = raw[16:]
     if len(payload) < need:

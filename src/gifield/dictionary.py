@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,14 @@ _OMP_BLOCK = 256
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Learned sparsifying basis (atoms as columns) with its training budget."""
+    """Learned sparsifying basis (atoms as columns) with its training budget; checked when made."""
 
     atoms: np.ndarray
     sparsity: int
 
     def __post_init__(self):
         self.atoms.setflags(write=False)
+        self.validate()
 
     @property
     def n_pixels(self) -> int:
@@ -47,7 +49,12 @@ class Dictionary:
         return h.hexdigest()[:16]
 
     def validate(self) -> None:
-        """Check the structural constraints; raises ValueError on violation."""
+        """Check the budget and the structural constraints; raises ValueError on violation."""
+        sparsity = self.sparsity
+        if not isinstance(sparsity, numbers.Integral) or isinstance(sparsity, bool) or sparsity < 1:
+            raise ValueError(f"sparsity {sparsity!r} is not an integer >= 1")
+        if self.atoms.ndim != 2 or self.atoms.size == 0:
+            raise ValueError(f"atoms of shape {self.atoms.shape} hold no constant first atom")
         if not np.all(np.isfinite(self.atoms)):
             raise ValueError("atoms hold a non-finite entry")
         n = self.n_pixels

@@ -52,7 +52,6 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
     signs are fixed (largest-magnitude entry positive), and ties are broken
     by the pre-sort index so the result is deterministic.
     """
-    dictionary.validate()
     psi = dictionary.atoms
     gram = psi @ psi.T
     gram = (gram + gram.T) / 2.0

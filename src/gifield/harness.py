@@ -69,7 +69,7 @@ METHODS = ("optimized", "gaussian")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one sweep needs, straight from a config file."""
+    """Everything one sweep needs, straight from a config file; checked when made."""
 
     train_path: str
     test_path: str
@@ -89,34 +89,30 @@ class ExperimentConfig:
     recon_sparsity: int | None  # None: the dictionary's training budget
     dictionary_path: str | None  # the trained dictionary a sweep reads
 
-    def validate(self) -> None:
-        if not self.test_path:
-            raise ValidationError("config: data.test path is required")
+    def __post_init__(self):
         if self.train_count < 1 or self.test_count < 1:
-            raise ValidationError("config: image counts must be >= 1")
+            raise ValueError("data.train_count and data.test_count must be >= 1")
         if bool(self.sr_grid) == bool(self.m_grid):
-            raise ValidationError("config: give exactly one of fields.sr and fields.m")
+            raise ValueError("give exactly one of fields.sr and fields.m")
         for sr in self.sr_grid:
             if not 0.0 < sr <= 1.0:
-                raise ValidationError(f"config: sampling ratio {sr} outside (0, 1]")
+                raise ValueError(f"fields.sr: sampling ratio {sr} outside (0, 1]")
         for m in self.m_grid:
             if m < 1:
-                raise ValidationError(f"config: row count {m} must be >= 1")
+                raise ValueError(f"fields.m: row count {m} must be >= 1")
         if not self.methods:
-            raise ValidationError("config: at least one method")
+            raise ValueError("fields.methods must name at least one method")
         for i, name in enumerate(self.methods):
             if name not in METHODS:
-                raise ValidationError(f"config: unknown method {name!r}")
+                raise ValueError(f"fields.methods: unknown method {name!r}")
             if name in self.methods[:i]:
-                raise ValidationError(f"config: fields.methods names {name!r} more than once")
+                raise ValueError(f"fields.methods names {name!r} more than once")
         if self.qbits != 0 and not 1 <= self.qbits <= 16:
-            raise ValidationError("config: qbits must be 0 (off) or in [1, 16]")
+            raise ValueError("fields.qbits must be 0 (off) or in [1, 16]")
         if self.gaussian_seeds < 1:
-            raise ValidationError("config: gaussian_seeds must be >= 1")
+            raise ValueError("fields.gaussian_seeds must be >= 1")
         if self.recon_sparsity is not None and self.recon_sparsity < 1:
-            raise ValidationError("config: run.t0 must be >= 1")
-        if not self.out_dir:
-            raise ValidationError("config: run.out directory is required")
+            raise ValueError("run.t0 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -228,33 +224,29 @@ def load_config(path) -> ExperimentConfig:
             raise ValidationError(f"config value error: {section}.{key}: {exc}") from exc
         owner, _, name = field.rpartition(".")
         (values[owner] if owner else values)[name] = default if value is None else value
+    if not values["sr_grid"] and not values["m_grid"]:  # the desk-scale SR sweep
+        values["sr_grid"] = (0.05, 0.10, 0.20, 0.30, 0.51)
     try:
-        cfg = ExperimentConfig(**{
+        return ExperimentConfig(**{
             **values,
             "training": TrainingConfig(**values["training"]),
             "noise": NoiseModel(**values["noise"]),
         })
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"config value error: {exc}") from exc
-    # default grid: the desk-scale SR sweep
-    if not cfg.sr_grid and not cfg.m_grid:
-        cfg = dataclasses.replace(cfg, sr_grid=(0.05, 0.10, 0.20, 0.30, 0.51))
-    return cfg
 
 
 def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     """Train per config and persist the atoms with their training metadata.
 
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
-    one value per sweep) and its last value (``objective_last``). Only the
-    keys training reads are checked here, so a config without ``data.test``
-    or a grid still trains. The directory of ``out_path`` is made after every
-    check, before training: a file standing in its way is a ``ValidationError``.
+    one value per sweep) and its last value (``objective_last``). Every value
+    was checked when ``cfg`` was made; here go the checks that need
+    ``data.train`` and its images. The directory of ``out_path`` is made after
+    every check, before training: a file standing in its way is a ``ValidationError``.
     """
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
-    if cfg.train_count < 1:
-        raise ValidationError("config: data.train_count must be >= 1")
     atoms = cfg.training.atom_count
     if cfg.train_count < atoms:
         raise ValidationError(
@@ -323,21 +315,17 @@ def load_dictionary(path) -> Dictionary:
     """The trained dictionary saved at ``path``, with the training budget it was saved with.
 
     No file at ``path`` is a ``ValidationError``. A ``sparsity`` metadata
-    entry that is missing or not an integer >= 1, or atoms that break the
-    dictionary constraints, make the file a ``CorruptionError``.
+    entry that is missing or not an integer >= 1, or atoms that are no
+    :class:`Dictionary`, make the file a ``CorruptionError``.
     """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"trained dictionary not found: {path}")
-    sparsity = (read_matrix_meta(path) or {}).get("sparsity")
-    if type(sparsity) is not int or sparsity < 1:
-        raise CorruptionError(f"{path}: sparsity metadata {sparsity!r} is not an integer >= 1")
-    dictionary = Dictionary(atoms=read_matrix(path), sparsity=sparsity)
+    atoms, meta = read_matrix(path), read_matrix_meta(path) or {}
     try:
-        dictionary.validate()
+        return Dictionary(atoms=atoms, sparsity=meta.get("sparsity"))
     except ValueError as exc:
         raise CorruptionError(f"{path}: {exc}") from exc
-    return dictionary
 
 
 def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[float, int]]:
@@ -359,12 +347,17 @@ def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[flo
 
 def _set_up(cfg: ExperimentConfig):
     """Check ``cfg`` and its dictionary for a sweep; return ``(psi, state, grid)``."""
-    cfg.validate()
+    if not cfg.out_dir:
+        raise ValidationError("config: run.out directory is required")
     if not cfg.dictionary_path:
         raise ValidationError(
             "no trained dictionary configured (dictionary.path); run train-dict first"
         )
     psi = load_dictionary(cfg.dictionary_path)
+    if psi.n_atoms < 2:
+        raise ValidationError(
+            f"dictionary {cfg.dictionary_path} holds only the constant atom; a sweep needs more"
+        )
     state = build_state(psi)
     return psi, state, _resolve_grid(cfg, state)
 
@@ -504,10 +497,6 @@ def emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
         for metric in ("psnr", "ssim"):
             _write_csv(out_dir / f"curve_{method}_{metric}.csv", f"sr,{metric}_mean",
                        [(r.sr, getattr(r.report, f"{metric}_mean")) for r in cells])
-        gains = np.diff([c.report.psnr_mean for c in cells])
-        if method == "optimized" and len(cells) > 1 and np.any(gains < 0):
-            log.warning("optimized PSNR is not monotone over the SR grid: %s",
-                        [round(c.report.psnr_mean, 2) for c in cells])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -518,6 +507,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     written only after every file is flushed, so its absence flags a
     partial run.
     """
+    if not cfg.test_path:
+        raise ValidationError("config: data.test path is required")
     psi, state, grid = _set_up(cfg)
     test = _subset_or_invalid(cfg.test_path, "test", cfg.test_count, cfg.test_seed)
     if test.pixels_per_image != psi.n_pixels:

@@ -1,5 +1,6 @@
 """The gifield command line: train-dict / build-fields / run / report."""
 
+import struct
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import gifield as gf
 from gifield import cli, harness
 from gifield.cli import main
+from gifield.data import IDX_IMAGE_MAGIC
 
 from conftest import write_run_config
 
@@ -170,6 +172,73 @@ def test_train_dict_refuses_an_impossible_dictionary(
     assert main(["train-dict", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [cfg]  # not even the dictionary's directory
+
+
+@pytest.mark.parametrize("command", ["train-dict", "build-fields", "run", "report"])
+@pytest.mark.parametrize(
+    "patch, key",
+    [({"qbits": 17}, "fields.qbits"), ({"sr": "1.5"}, "fields.sr"),
+     ({"methods": "fourier"}, "fields.methods")],
+    ids=["qbits", "sr", "methods"],
+)
+def test_every_command_refuses_a_malformed_value(
+    tmp_path, data_dir, monkeypatch, capsys, command, patch, key
+):
+    """A bad value of any key is refused when the config loads, whatever the
+    command reads: exit 2, before training and before any directory exists."""
+    def no_training(*args):
+        raise AssertionError("trained on a malformed config")
+
+    monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
+    cfg = write_run_config(
+        tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim", tmp_path / "out",
+        train=data_dir / "tiny_train.idx", train_count=60, atoms=49, sparsity=3, sweeps=1,
+        **patch,
+    )
+    assert main([command, "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_only_run_needs_test_images(tmp_path, tiny_dict_file, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "r.ini"
+    cfg.write_text(
+        f"[dictionary]\npath = {tiny_dict_file}\n[fields]\nm = 10\ngaussian_seeds = 1\n"
+        f"[run]\nout = {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "data.test" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["build-fields", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["field_gaussian_s0.gim", "field_optimized.gim"]
+
+
+@pytest.mark.parametrize("command", ["build-fields", "run"])
+@pytest.mark.parametrize("n_atoms", [0, 1])
+def test_a_sweep_refuses_a_dictionary_of_fewer_than_two_atoms(
+    tmp_path, data_dir, capsys, command, n_atoms
+):
+    """No atoms is no dictionary; the constant atom alone is one no sweep can
+    score. Both are refused, naming the file, before ``run.out`` exists."""
+    path = tmp_path / "d.gim"
+    gf.write_matrix(path, np.full((49, n_atoms), 49**-0.5), meta={"sparsity": 1})
+    cfg = write_run_config(tmp_path / "r.ini", data_dir, path, tmp_path / "out",
+                           test=data_dir / "tiny_test.idx", test_count=4, m="1")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_dict_refuses_images_without_pixels(tmp_path, data_dir, capsys):
+    images = tmp_path / "empty.idx"
+    images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 3000, 0, 0))
+    cfg = write_run_config(tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim",
+                           tmp_path / "out", train=images)
+    assert main(["train-dict", "--config", str(cfg)]) == 2
+    assert f"{images}: header declares images of 0 x 0 pixels" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [images, cfg]
 
 
 def test_refused_runs_write_nothing(tmp_path, data_dir, tiny_dict_file, capsys):

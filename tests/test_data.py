@@ -2,6 +2,7 @@
 
 import functools
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -67,6 +68,14 @@ def test_idx_zero_image(tmp_path):
     ds = gf.load_idx_images(path)
     assert len(ds) == 1
     assert not ds.images.any()
+
+
+@pytest.mark.parametrize("shape", [(3000, 0, 0), (2, 0, 5), (2, 5, 0)])
+def test_idx_images_without_pixels_are_corrupt(tmp_path, shape):
+    path = tmp_path / "empty.idx"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *shape))
+    with pytest.raises(gf.CorruptionError, match=re.escape(str(path))):
+        gf.load_idx_images(path)
 
 
 def test_idx_wrong_magic(tmp_path):

@@ -237,6 +237,18 @@ def test_training_config_validation():
         gf.TrainingConfig(atom_count=4, sparsity=1, sweeps=0)
 
 
+@pytest.mark.parametrize(
+    "atoms, sparsity",
+    [(np.empty((4, 0)), 1), (np.full((4, 1), 0.5), 0), (np.full((4, 1), 0.5), 2.7),
+     (np.full((4, 1), 0.5), True)],
+    ids=["no-atoms", "zero", "fraction", "bool"],
+)
+def test_dictionary_checks_itself_when_made(atoms, sparsity):
+    with pytest.raises(ValueError):
+        gf.Dictionary(atoms=atoms, sparsity=sparsity)
+    assert gf.Dictionary(atoms=np.full((4, 1), 0.5), sparsity=np.int64(2)).n_atoms == 1
+
+
 def test_ksvd_constant_training_data():
     n = 16
     x = np.full((n, 40), 5.0)  # every column is a multiple of atom 1

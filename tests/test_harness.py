@@ -1,8 +1,8 @@
 """Experiment harness: config parsing, sweep outputs, and reproducibility."""
 
 import csv
+import dataclasses
 import itertools
-import logging
 import re
 import tempfile
 from pathlib import Path
@@ -155,10 +155,23 @@ def test_load_config_rejects_a_negative_seed(tmp_path, section, key):
 
 
 def test_repeated_method_rejected_before_any_output(tmp_path, data_dir, tiny_dict_file):
-    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, methods="optimized,optimized")
-    with pytest.raises(gf.ValidationError, match="'optimized' more than once"):
-        gf.run_experiment(cfg)
-    assert not out.exists()
+    with pytest.raises(gf.ValidationError, match="fields.methods names 'optimized' more than once"):
+        _tiny_cfg(tmp_path, data_dir, tiny_dict_file, methods="optimized,optimized")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.ini"]
+
+
+def test_a_config_built_by_hand_checks_itself(tmp_path):
+    """The rules hold for any ExperimentConfig, not only one load_config makes;
+    they raise a plain ValueError naming the key, which load_config types."""
+    path = tmp_path / "c.ini"
+    path.write_text("[fields]\nm = 10\n", encoding="utf-8")
+    cfg = gf.load_config(path)
+    for change, key in (({"methods": ("fourier",)}, "fields.methods"),
+                        ({"qbits": 17}, "fields.qbits"),
+                        ({"sr_grid": (0.5,)}, "fields.sr and fields.m")):
+        with pytest.raises(ValueError, match=re.escape(key)) as caught:
+            dataclasses.replace(cfg, **change)
+        assert type(caught.value) is ValueError
 
 
 _CONFIG_TEXT = st.text(max_size=10)
@@ -185,7 +198,7 @@ def test_any_config_text_loads_or_raises_validation_error(entries, tail):
         path = Path(tmp) / "run.ini"
         path.write_bytes(text.encode("utf-8") + tail)
         try:
-            gf.load_config(path).validate()
+            gf.load_config(path)
         except gf.ValidationError:
             pass
 
@@ -304,8 +317,8 @@ def test_both_grids_rejected(tmp_path):
         "[data]\ntest = t.idx\n[fields]\nsr = 0.1\nm = 20\n[run]\nout = o\n",
         encoding="utf-8",
     )
-    with pytest.raises(gf.ValidationError):
-        gf.load_config(path).validate()
+    with pytest.raises(gf.ValidationError, match="fields.sr and fields.m"):
+        gf.load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -321,9 +334,12 @@ def test_both_grids_rejected(tmp_path):
     ],
 )
 def test_validate_rejects(tmp_path, data_dir, patch):
+    """load_config refuses a bad value, naming its key."""
+    (name,) = patch
+    key = "data.test_count" if name == "test_count" else f"fields.{name}"
     path = write_run_config(tmp_path / "v.ini", data_dir, "dict.gim", tmp_path, **patch)
-    with pytest.raises(gf.ValidationError):
-        gf.load_config(path).validate()
+    with pytest.raises(gf.ValidationError, match=re.escape(key)):
+        gf.load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -613,16 +629,14 @@ def test_experiment_record_invariants():
         record.psnr[0] = 40.0
 
 
-def test_emit_curves_sorts_and_warns(tmp_path, caplog):
+def test_emit_curves_sorts(tmp_path):
     records = [
-        _record("optimized", 0.5, (28.0,)),  # out of order and non-monotone
+        _record("optimized", 0.5, (28.0,)),  # out of order
         _record("optimized", 0.1, (30.0,)),
     ]
-    with caplog.at_level(logging.WARNING, logger="gifield.harness"):
-        harness.emit_curves(records, tmp_path)
+    harness.emit_curves(records, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "curve_optimized_psnr.csv", "curve_optimized_ssim.csv",
     ]
     lines = (tmp_path / "curve_optimized_psnr.csv").read_text(encoding="utf-8").splitlines()
     assert lines == ["sr,psnr_mean", "0.1,30.0", "0.5,28.0"]
-    assert any("not monotone" in msg for msg in caplog.messages)

@@ -1,0 +1,21 @@
+"""Rules on the package source as a whole."""
+
+import ast
+from pathlib import Path
+
+import gifield as gf
+
+
+def test_no_module_imports_another_modules_private_names():
+    """Modules share public names only: no ``from .x import _y`` and no
+    ``from gifield.x import _y`` anywhere in the package."""
+    root = Path(gf.__file__).resolve().parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gifield"
+            ):
+                bad += [f"{path.relative_to(root)}:{node.lineno}: {alias.name}"
+                        for alias in node.names if alias.name.startswith("_")]
+    assert bad == []
