@@ -34,11 +34,8 @@ log = logging.getLogger(__name__)
 
 def _cmd_train_dict(args) -> int:
     cfg = load_config(args.config)
-    if not cfg.dictionary_path:
-        raise ValidationError("train-dict needs dictionary.path to write to")
-    out_path = Path(cfg.dictionary_path)
-    dictionary = train_dictionary(cfg, out_path)
-    print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {out_path}")
+    dictionary = train_dictionary(cfg, cfg.dictionary_path)
+    print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {cfg.dictionary_path}")
     return 0
 
 

@@ -62,8 +62,6 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
     flip = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])] < 0
     vectors[:, flip] *= -1.0
 
-    if values[0] <= 0.0:
-        raise ValueError("dictionary Gram has rank 0")
     rank = int(np.count_nonzero(values > _RANK_TOL * values[0]))
     return FieldOptState(eigenvectors=vectors, eigenvalues=values, rank=rank)
 

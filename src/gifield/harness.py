@@ -189,6 +189,7 @@ _CONFIG_TABLE = {
     ("run", "out"): ("out_dir", _optional(str), ""),
     ("run", "t0"): ("recon_sparsity", _optional(int), None),
 }
+_KEY_OF = {field: f"{section}.{key}" for (section, key), (field, _, _) in _CONFIG_TABLE.items()}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -226,12 +227,15 @@ def load_config(path) -> ExperimentConfig:
         (values[owner] if owner else values)[name] = default if value is None else value
     if not values["sr_grid"] and not values["m_grid"]:  # the desk-scale SR sweep
         values["sr_grid"] = (0.05, 0.10, 0.20, 0.30, 0.51)
+    for owner, make in (("training", TrainingConfig), ("noise", NoiseModel)):
+        try:
+            values[owner] = make(**values[owner])
+        except ValueError as exc:  # each type names the refused field first
+            name, _, rest = str(exc).partition(" ")
+            key = _KEY_OF.get(f"{owner}.{name}", name)
+            raise ValidationError(f"config value error: {key} {rest}") from exc
     try:
-        return ExperimentConfig(**{
-            **values,
-            "training": TrainingConfig(**values["training"]),
-            "noise": NoiseModel(**values["noise"]),
-        })
+        return ExperimentConfig(**values)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"config value error: {exc}") from exc
 
@@ -241,10 +245,12 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
 
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
     one value per sweep) and its last value (``objective_last``). Every value
-    was checked when ``cfg`` was made; here go the checks that need
-    ``data.train`` and its images. The directory of ``out_path`` is made after
-    every check, before training: a file standing in its way is a ``ValidationError``.
+    was checked when ``cfg`` was made; here go the checks, first that ``out_path``
+    names a file, then those on ``data.train`` and its images. The directory of
+    ``out_path`` is made last, before training: a file in its way is a ``ValidationError``.
     """
+    if not (out_path := Path(out_path or "")).name:
+        raise ValidationError("config: dictionary.path must name the file to train into")
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
     atoms = cfg.training.atom_count
@@ -258,7 +264,6 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
             f"config: dictionary.atoms {atoms} < the {data.pixels_per_image} pixels"
             f" of the images in {cfg.train_path}"
         )
-    out_path = Path(out_path)
     _make_dir(out_path.parent, "dictionary.path", str(out_path))
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",

@@ -27,11 +27,11 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in ("none", "awgn"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ValueError(f"kind {self.kind!r} is not 'none' or 'awgn'")
         if self.kind != "awgn" and self.snr_db is not None:
-            raise ValueError(f"an SNR of {self.snr_db} dB needs kind 'awgn', not {self.kind!r}")
+            raise ValueError(f"snr_db {self.snr_db} needs kind 'awgn', not {self.kind!r}")
         if self.kind == "awgn" and (self.snr_db is None or not math.isfinite(self.snr_db)):
-            raise ValueError(f"awgn noise needs a finite target SNR in dB, not {self.snr_db}")
+            raise ValueError(f"snr_db {self.snr_db}: awgn noise needs a finite target SNR in dB")
 
 
 def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:

@@ -178,8 +178,9 @@ def test_train_dict_refuses_an_impossible_dictionary(
 @pytest.mark.parametrize(
     "patch, key",
     [({"qbits": 17}, "fields.qbits"), ({"sr": "1.5"}, "fields.sr"),
-     ({"methods": "fourier"}, "fields.methods")],
-    ids=["qbits", "sr", "methods"],
+     ({"methods": "fourier"}, "fields.methods"), ({"atoms": 0}, "dictionary.atoms"),
+     ({"sweeps": 0}, "dictionary.sweeps"), ({"noise": ("pink", "")}, "noise.kind")],
+    ids=["qbits", "sr", "methods", "atoms", "sweeps", "noise-kind"],
 )
 def test_every_command_refuses_a_malformed_value(
     tmp_path, data_dir, monkeypatch, capsys, command, patch, key
@@ -190,10 +191,10 @@ def test_every_command_refuses_a_malformed_value(
         raise AssertionError("trained on a malformed config")
 
     monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
+    opts = {"train_count": 60, "atoms": 49, "sparsity": 3, "sweeps": 1, **patch}
     cfg = write_run_config(
         tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim", tmp_path / "out",
-        train=data_dir / "tiny_train.idx", train_count=60, atoms=49, sparsity=3, sweeps=1,
-        **patch,
+        train=data_dir / "tiny_train.idx", **opts,
     )
     assert main([command, "--config", str(cfg)]) == 2
     assert key in capsys.readouterr().err
@@ -244,9 +245,9 @@ def test_train_dict_refuses_images_without_pixels(tmp_path, data_dir, capsys):
 def test_refused_runs_write_nothing(tmp_path, data_dir, tiny_dict_file, capsys):
     """Bad input is refused before any output: a finished run keeps its files
     byte for byte, ``_DONE`` included, and a fresh ``run.out`` is never made."""
-    def config(name, out, **overrides):
+    def config(name, out, dictionary=tiny_dict_file, **overrides):
         opts = {"test": data_dir / "tiny_test.idx", "test_count": 4, "sr": "0.2", **overrides}
-        return write_run_config(tmp_path / f"{name}.ini", data_dir, tiny_dict_file, out, **opts)
+        return write_run_config(tmp_path / f"{name}.ini", data_dir, dictionary, out, **opts)
 
     def files(out):
         return {path.name: path.read_bytes() for path in out.iterdir()}
@@ -256,12 +257,17 @@ def test_refused_runs_write_nothing(tmp_path, data_dir, tiny_dict_file, capsys):
     finished = files(done)
     assert {"_DONE", "results.csv"} <= finished.keys()
     capsys.readouterr()
+    # the training budget comes from the dictionary file alone, never a default
+    no_budget = tmp_path / "no_budget.gim"
+    gf.write_matrix(no_budget, gf.read_matrix(tiny_dict_file))  # no metadata block
     fresh = tmp_path / "fresh"
     for out in (done, fresh):
         beyond_rank = config("beyond_rank", out, m="5,50")  # the Gram rank is 49
         overdraw = config("overdraw", out, test_count=41)  # tiny_test.idx holds 40
+        unbudgeted = config("no_budget", out, dictionary=no_budget)
         for command, cfg, reason in (("run", beyond_rank, "M=50 exceeds"),
                                      ("run", overdraw, "data.test_count 41 exceeds"),
+                                     ("run", unbudgeted, f"{no_budget}: sparsity"),
                                      ("build-fields", beyond_rank, "M=50 exceeds")):
             assert main([command, "--config", str(cfg)]) == 2
             assert reason in capsys.readouterr().err

@@ -522,26 +522,19 @@ def test_train_dictionary_refuses_an_output_under_a_file_before_training(
     assert blocker.read_bytes() == b""
 
 
-def test_byte_identical_reruns(tmp_path, data_dir, tiny_dict_file):
-    """Identical configs give identical CSVs, wall-clock columns aside."""
-    outputs = []
-    for name in ("first", "second"):
-        cfg, out = _tiny_cfg(
-            tmp_path, data_dir, tiny_dict_file, out_name=name,
-            sr="0.2,0.5", test_count=8,
-        )
-        gf.run_experiment(cfg)
-        outputs.append(out)
-    a, b = outputs
-    assert (a / "per_image.csv").read_bytes() == (b / "per_image.csv").read_bytes()
-    for curve in sorted(p.name for p in a.glob("curve_*.csv")):
-        assert (a / curve).read_bytes() == (b / curve).read_bytes()
-    # results.csv: everything but build_sec / recon_sec_mean must match
-    for line_a, line_b in zip(
-        (a / "results.csv").read_text(encoding="utf-8").splitlines(),
-        (b / "results.csv").read_text(encoding="utf-8").splitlines(),
-    ):
-        assert line_a.split(",")[:10] == line_b.split(",")[:10]
+@pytest.mark.parametrize("out_path", ["", None], ids=["empty", "none"])
+def test_train_dictionary_refuses_no_destination_before_reading(
+    tmp_path, data_dir, tiny_dict_file, monkeypatch, out_path
+):
+    def no_reading(*args):
+        raise AssertionError("read the training images before checking the destination")
+
+    monkeypatch.setattr(harness, "load_idx_images", no_reading)
+    monkeypatch.chdir(tmp_path)
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file)
+    with pytest.raises(gf.ValidationError, match="dictionary.path"):
+        gf.train_dictionary(cfg, out_path)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "out.ini"]
 
 
 def test_a_grid_and_its_reverse_give_the_same_rows(tmp_path, data_dir, tiny_dict_file):
