@@ -14,20 +14,11 @@ config, dataset or dictionary file), which the package reports with its own
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
-from pathlib import Path
 
-from .errors import FormatError, GifieldError, ValidationError
-from .harness import (
-    DONE_MARKER,
-    RESULTS_HEADER,
-    load_config,
-    run_experiment,
-    train_dictionary,
-    write_fields,
-)
+from .errors import GifieldError, ValidationError
+from .harness import load_config, read_results, run_experiment, train_dictionary, write_fields
 
 log = logging.getLogger(__name__)
 
@@ -60,12 +51,8 @@ def _cmd_report(args) -> int:
         out_dir, source = load_config(args.config).out_dir, "config: run.out"
     if not out_dir:
         raise ValidationError(f"{source} directory is required")
-    out = Path(out_dir)
-    results = out / "results.csv"
-    if not results.is_file():
-        raise ValidationError(f"no results.csv under {out}")
-    rows = _read_results(results)
-    if not (out / DONE_MARKER).is_file():
+    rows, finished = read_results(out_dir)
+    if not finished:
         print("warning: run did not finish (_DONE marker missing)", file=sys.stderr)
 
     print(f"{'method':<10} {'sr':>6} {'M':>5} {'qbits':>5} {'psnr':>8} "
@@ -82,37 +69,6 @@ def _cmd_report(args) -> int:
             gain = methods["optimized"] - methods["gaussian"]
             print(f"SR {sr:.3f}: optimized {gain:+.2f} dB vs gaussian")
     return 0
-
-
-def _read_results(path: Path) -> list[dict]:
-    """The rows of a ``results.csv``, numbers parsed; a malformed file is a ``FormatError``."""
-    columns = RESULTS_HEADER.split(",")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            lines = [(reader.line_num, row) for row in reader if row]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: not a readable CSV file: {exc}") from exc
-    if header != columns:
-        missing = [name for name in columns if name not in header]
-        raise FormatError(f"{path}: no {missing[0]!r} column" if missing
-                          else f"{path}: header is not {RESULTS_HEADER!r}")
-    if not lines:
-        raise ValidationError(f"{path} has no records")
-    rows = []
-    for line, values in lines:
-        if len(values) != len(columns):
-            raise FormatError(f"{path} line {line}: {len(values)} fields, expected {len(columns)}")
-        rows.append(row := dict(zip(columns, values)))
-        for name in columns[1:]:
-            try:
-                row[name] = float(row[name])
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path} line {line}, column {name}: {row[name]!r} is not a number"
-                ) from exc
-    return rows
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,11 @@
-"""Dataset ingestion (IDX images), subset selection, and portable matrix file I/O.
+"""The package's binary file formats: IDX images and the matrix container.
 
 Images are kept on their native [0, 255] intensity scale; every image is a
 float64 row of a (count, height*width) array. The matrix file format is a
 small custom binary container (magic ``GIMATRX1``) chosen for bit-exact
-round-trips independent of any serialization library.
+round-trips independent of any serialization library; every matrix file
+carries a JSON metadata block. This module alone reads and writes both
+layouts, and draws seeded subsets of a dataset.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def load_idx_images(path) -> Dataset:
     Raises:
         FormatError: the magic tag is not the IDX image magic.
         CorruptionError: the header declares images without pixels, or the
-            pixel payload is shorter than the header declares.
+            pixel payload is not exactly as long as the header declares.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
@@ -82,14 +84,32 @@ def load_idx_images(path) -> Dataset:
         raise CorruptionError(f"{path}: header declares images of {rows} x {cols} pixels")
     need = count * rows * cols
     payload = raw[16:]
-    if len(payload) < need:
+    if len(payload) != need:
         raise CorruptionError(
             f"{path}: payload holds {len(payload)} bytes, header needs {need}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8, count=need)
+    pixels = np.frombuffer(payload, dtype=np.uint8)
     images = pixels.reshape(count, rows * cols).astype(np.float64)
     source = f"{path}#sha256={_sha256_hex(raw)}"
     return Dataset(images=images, height=rows, width=cols, source=source)
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write an (count, rows, cols) stack as an IDX unsigned-byte image file.
+
+    Every pixel must be an integer in [0, 255]; anything else is a
+    ``ValueError`` before a byte is written. The file is replaced
+    atomically (see :func:`atomic_write`).
+    """
+    images = np.asarray(images)
+    if images.ndim != 3:
+        raise ValueError("expected a (count, rows, cols) image stack")
+    if not np.all((images >= 0) & (images <= 255) & (images == np.round(images))):
+        raise ValueError("IDX pixels must be integers in [0, 255]")
+    count, rows, cols = images.shape
+    with atomic_write(path) as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
+        fh.write(images.astype(np.uint8).tobytes())
 
 
 def random_subset(ds: Dataset, count: int, seed: int) -> Dataset:
@@ -126,30 +146,32 @@ def atomic_write(path):
         raise
 
 
-def write_matrix(path, m: np.ndarray, meta: dict | None = None) -> None:
-    """Write a 2-D float64 matrix with optional JSON metadata.
+def write_matrix(path, m: np.ndarray, meta: dict) -> None:
+    """Write a 2-D float64 matrix and its JSON metadata.
 
     Layout: 8-byte magic ``GIMATRX1``, u64-le rows, u64-le cols, rows*cols
-    little-endian float64 (row-major), then an optional u32-le length-prefixed
-    UTF-8 JSON block. Entries must be finite; the round-trip is bit-exact.
-    The file is replaced atomically (see :func:`atomic_write`).
+    little-endian float64 (row-major), then a u32-le length-prefixed UTF-8
+    JSON object holding ``meta``. Entries must be finite and ``meta`` a dict;
+    anything else is a ``ValueError`` before a byte is written. The round-trip
+    is bit-exact. The file is replaced atomically (see :func:`atomic_write`).
     """
+    if not isinstance(meta, dict):
+        raise ValueError(f"matrix metadata must be a dict, not {type(meta).__name__}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    encoded = None if meta is None else json.dumps(meta, sort_keys=True).encode("utf-8")
+    encoded = json.dumps(meta, sort_keys=True).encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
         fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-        if encoded is not None:
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
 
 
-def _parse_matrix_file(path) -> tuple[np.ndarray, dict | None]:
+def _parse_matrix_file(path) -> tuple[np.ndarray, dict]:
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:8] != MATRIX_MAGIC:
         raise FormatError(f"{path}: missing {MATRIX_MAGIC!r} magic")
@@ -164,19 +186,17 @@ def _parse_matrix_file(path) -> tuple[np.ndarray, dict | None]:
     if not np.all(np.isfinite(m)):
         raise CorruptionError(f"{path}: payload holds a non-finite entry")
     tail = body[need:]
-    meta = None
-    if tail:
-        if len(tail) < 4:
-            raise CorruptionError(f"{path}: dangling bytes after payload")
-        (mlen,) = struct.unpack("<I", tail[:4])
-        if len(tail) != 4 + mlen:
-            raise CorruptionError(f"{path}: metadata block length mismatch")
-        try:
-            meta = json.loads(tail[4:].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptionError(f"{path}: unreadable metadata block ({exc})") from exc
-        if not isinstance(meta, dict):
-            raise CorruptionError(f"{path}: metadata block is not a JSON object")
+    if len(tail) < 4:
+        raise CorruptionError(f"{path}: no metadata block after the payload")
+    (mlen,) = struct.unpack("<I", tail[:4])
+    if len(tail) != 4 + mlen:
+        raise CorruptionError(f"{path}: metadata block length mismatch")
+    try:
+        meta = json.loads(tail[4:].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorruptionError(f"{path}: unreadable metadata block ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise CorruptionError(f"{path}: metadata block is not a JSON object")
     return m, meta
 
 
@@ -184,11 +204,11 @@ def read_matrix(path) -> np.ndarray:
     """Read back a matrix written by :func:`write_matrix` (bit-exact).
 
     Raises ``CorruptionError`` if the payload holds a NaN or an infinity,
-    which :func:`write_matrix` never writes.
+    which :func:`write_matrix` never writes, or if no metadata block follows it.
     """
     return _parse_matrix_file(path)[0]
 
 
-def read_matrix_meta(path) -> dict | None:
-    """Read only the metadata block of a matrix file (None if absent)."""
+def read_matrix_meta(path) -> dict:
+    """Read the metadata block of a matrix file, which every such file holds."""
     return _parse_matrix_file(path)[1]

@@ -85,6 +85,8 @@ class TrainingConfig:
             raise ValueError("sparsity must be >= 1")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
 
 def omp(d: np.ndarray, y: np.ndarray, t0: int) -> np.ndarray:

@@ -53,9 +53,7 @@ def build_state(dictionary: Dictionary) -> FieldOptState:
     by the pre-sort index so the result is deterministic.
     """
     psi = dictionary.atoms
-    gram = psi @ psi.T
-    gram = (gram + gram.T) / 2.0
-    values, vectors = np.linalg.eigh(gram)
+    values, vectors = np.linalg.eigh(psi @ psi.T)
     order = np.argsort(-values, kind="stable")
     values = np.maximum(values[order], 0.0)
     vectors = vectors[:, order]

@@ -14,7 +14,7 @@ the cell's running sums. After a method's last variant each cell is one
 record: per-image means over field seeds, as arrays, and their aggregate.
 Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per test
 image per cell), per-method curves and a zero-byte ``_DONE`` marker written
-last to flag unfinished runs.
+last to flag unfinished runs. ``read_results`` reads ``results.csv`` back.
 
 Everything derived from seeds is byte-reproducible across runs with one BLAS
 build and thread count; the two wall-clock columns of results.csv are the
@@ -24,6 +24,7 @@ only fields that vary.
 from __future__ import annotations
 
 import configparser
+import csv
 import dataclasses
 import itertools
 import logging
@@ -42,7 +43,7 @@ from .data import (
     write_matrix,
 )
 from .dictionary import Dictionary, TrainingConfig, ksvd_train, sparse_code_columns
-from .errors import CorruptionError, ValidationError
+from .errors import CorruptionError, FormatError, ValidationError
 from .fieldopt import (
     FieldOptState,
     build_state,
@@ -92,6 +93,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.train_count < 1 or self.test_count < 1:
             raise ValueError("data.train_count and data.test_count must be >= 1")
+        for name in ("train_seed", "test_seed", "field_seed"):
+            if (seed := getattr(self, name)) < 0:
+                raise ValueError(f"{_KEY_OF[name]}: seed {seed} must be >= 0")
         if bool(self.sr_grid) == bool(self.m_grid):
             raise ValueError("give exactly one of fields.sr and fields.m")
         for sr in self.sr_grid:
@@ -149,13 +153,6 @@ def _optional(convert):
     return lambda raw: convert(raw) if raw else None
 
 
-def _seed(raw: str) -> int:
-    """Parse a seed: an integer >= 0, as numpy's generators need."""
-    if (value := int(raw)) < 0:
-        raise ValueError(f"seed {value} must be >= 0")
-    return value
-
-
 def _items(convert):
     """Parse a comma-separated list; an empty list parses to None."""
     return lambda raw: tuple(convert(tok.strip()) for tok in raw.split(",") if tok.strip()) or None
@@ -169,23 +166,23 @@ _CONFIG_TABLE = {
     ("data", "train"): ("train_path", _optional(str), ""),
     ("data", "test"): ("test_path", _optional(str), ""),
     ("data", "train_count"): ("train_count", int, 2000),
-    ("data", "train_seed"): ("train_seed", _seed, 0),
+    ("data", "train_seed"): ("train_seed", int, 0),
     ("data", "test_count"): ("test_count", int, 200),
-    ("data", "test_seed"): ("test_seed", _seed, 1),
+    ("data", "test_seed"): ("test_seed", int, 1),
     ("dictionary", "path"): ("dictionary_path", _optional(str), None),
     ("dictionary", "atoms"): ("training.atom_count", int, 1024),
     ("dictionary", "sparsity"): ("training.sparsity", int, 8),
     ("dictionary", "sweeps"): ("training.sweeps", int, 30),
-    ("dictionary", "seed"): ("training.seed", _seed, 0),
+    ("dictionary", "seed"): ("training.seed", int, 0),
     ("fields", "sr"): ("sr_grid", _items(float), ()),
     ("fields", "m"): ("m_grid", _items(int), ()),
     ("fields", "methods"): ("methods", _items(str), METHODS),
     ("fields", "qbits"): ("qbits", int, 0),
     ("fields", "gaussian_seeds"): ("gaussian_seeds", int, 3),
-    ("fields", "seed"): ("field_seed", _seed, 0),
+    ("fields", "seed"): ("field_seed", int, 0),
     ("noise", "kind"): ("noise.kind", _optional(str), "none"),
     ("noise", "snr_db"): ("noise.snr_db", _optional(float), None),
-    ("noise", "seed"): ("noise.seed", _seed, 0),
+    ("noise", "seed"): ("noise.seed", int, 0),
     ("run", "out"): ("out_dir", _optional(str), ""),
     ("run", "t0"): ("recon_sparsity", _optional(int), None),
 }
@@ -231,9 +228,9 @@ def load_config(path) -> ExperimentConfig:
         try:
             values[owner] = make(**values[owner])
         except ValueError as exc:  # each type names the refused field first
-            name, _, rest = str(exc).partition(" ")
+            name = str(exc).split(" ", 1)[0]
             key = _KEY_OF.get(f"{owner}.{name}", name)
-            raise ValidationError(f"config value error: {key} {rest}") from exc
+            raise ValidationError(f"config value error: {key}: {exc}") from exc
     try:
         return ExperimentConfig(**values)
     except (ValueError, TypeError) as exc:
@@ -326,7 +323,7 @@ def load_dictionary(path) -> Dictionary:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"trained dictionary not found: {path}")
-    atoms, meta = read_matrix(path), read_matrix_meta(path) or {}
+    atoms, meta = read_matrix(path), read_matrix_meta(path)
     try:
         return Dictionary(atoms=atoms, sparsity=meta.get("sparsity"))
     except ValueError as exc:
@@ -493,6 +490,46 @@ def _write_csv(path: Path, header: str, rows) -> None:
                        for row in rows)]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def read_results(out_dir) -> tuple[list[dict], bool]:
+    """The rows of ``out_dir``'s ``results.csv``, numbers parsed, and whether the run finished.
+
+    No ``results.csv`` under ``out_dir``, or one with no records, is a
+    ``ValidationError``; a malformed one is a ``FormatError``. ``finished``
+    says whether the ``_DONE`` marker is there.
+    """
+    out = Path(out_dir)
+    path = out / "results.csv"
+    if not path.is_file():
+        raise ValidationError(f"no results.csv under {out}")
+    columns = RESULTS_HEADER.split(",")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            lines = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a readable CSV file: {exc}") from exc
+    if header != columns:
+        missing = [name for name in columns if name not in header]
+        raise FormatError(f"{path}: no {missing[0]!r} column" if missing
+                          else f"{path}: header is not {RESULTS_HEADER!r}")
+    if not lines:
+        raise ValidationError(f"{path} has no records")
+    rows = []
+    for line, values in lines:
+        if len(values) != len(columns):
+            raise FormatError(f"{path} line {line}: {len(values)} fields, expected {len(columns)}")
+        rows.append(row := dict(zip(columns, values)))
+        for name in columns[1:]:
+            try:
+                row[name] = float(row[name])
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path} line {line}, column {name}: {row[name]!r} is not a number"
+                ) from exc
+    return rows, (out / DONE_MARKER).is_file()
 
 
 def emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:

@@ -32,6 +32,8 @@ class NoiseModel:
             raise ValueError(f"snr_db {self.snr_db} needs kind 'awgn', not {self.kind!r}")
         if self.kind == "awgn" and (self.snr_db is None or not math.isfinite(self.snr_db)):
             raise ValueError(f"snr_db {self.snr_db}: awgn noise needs a finite target SNR in dB")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
 
 def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:

@@ -2,17 +2,15 @@
 
 Generates 28x28 grayscale digits from jittered stroke templates so demos and
 tests can run self-contained, without shipping a dataset. Images follow the
-classic IDX layout (the MNIST container format) and the [0, 255] intensity
-convention used everywhere else in the package.
+[0, 255] intensity convention used everywhere else in the package, and
+:func:`generate_idx` writes them through :func:`gifield.data.write_idx_images`.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .data import IDX_IMAGE_MAGIC, atomic_write
+from . import data
 
 SIDE = 28
 
@@ -86,25 +84,7 @@ def make_digit_images(count: int, seed: int) -> np.ndarray:
     return np.stack([_render(i % 10, rng) for i in range(count)])
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write an (count, rows, cols) stack as an IDX unsigned-byte image file.
-
-    Every pixel must be an integer in [0, 255]; anything else is a
-    ``ValueError`` before a byte is written. The file is replaced
-    atomically (see :func:`gifield.data.atomic_write`).
-    """
-    images = np.asarray(images)
-    if images.ndim != 3:
-        raise ValueError("expected a (count, rows, cols) image stack")
-    if not np.all((images >= 0) & (images <= 255) & (images == np.round(images))):
-        raise ValueError("IDX pixels must be integers in [0, 255]")
-    count, rows, cols = images.shape
-    with atomic_write(path) as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-
-
 def generate_idx(path, count: int, seed: int):
     """Render ``count`` synthetic digits and write them to ``path``; returns ``path``."""
-    write_idx_images(path, make_digit_images(count, seed))
+    data.write_idx_images(path, make_digit_images(count, seed))
     return path

@@ -6,6 +6,7 @@ costs are collected in ``timings`` for the acceptance budget checks.
 """
 
 import logging
+import struct
 import time
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import gifield as gf
-from gifield import dictionary, synthdata
+from gifield import data, dictionary, synthdata
 
 DESK_TRAIN = 2000
 DESK_TEST = 200
@@ -32,6 +33,14 @@ def random_dictionary(n, k, seed):
     return gf.Dictionary(atoms=atoms, sparsity=max(1, n // 8))
 
 
+def write_payload_only(path, m):
+    """A matrix file that ends at its payload, with no metadata block: a layout
+    ``write_matrix`` never writes and the readers refuse."""
+    m = np.asarray(m, dtype="<f8")
+    Path(path).write_bytes(data.MATRIX_MAGIC + struct.pack("<QQ", *m.shape) + m.tobytes())
+    return Path(path)
+
+
 @pytest.fixture(scope="session")
 def timings():
     return {}
@@ -46,7 +55,7 @@ def data_dir(tmp_path_factory):
     for name, count, seed in (("tiny_train.idx", 260, 7), ("tiny_test.idx", 40, 8)):
         imgs = synthdata.make_digit_images(count, seed=seed)
         pooled = imgs.reshape(count, 7, 4, 7, 4).mean(axis=(2, 4))
-        synthdata.write_idx_images(root / name, np.floor(pooled + 0.5))
+        data.write_idx_images(root / name, np.floor(pooled + 0.5))
     return root
 
 

@@ -17,7 +17,7 @@ from gifield import cli, harness
 from gifield.cli import main
 from gifield.data import IDX_IMAGE_MAGIC
 
-from conftest import write_run_config
+from conftest import write_payload_only, write_run_config
 
 
 @pytest.fixture(scope="module")
@@ -257,9 +257,8 @@ def test_refused_runs_write_nothing(tmp_path, data_dir, tiny_dict_file, capsys):
     finished = files(done)
     assert {"_DONE", "results.csv"} <= finished.keys()
     capsys.readouterr()
-    # the training budget comes from the dictionary file alone, never a default
-    no_budget = tmp_path / "no_budget.gim"
-    gf.write_matrix(no_budget, gf.read_matrix(tiny_dict_file))  # no metadata block
+    # the training budget comes from the dictionary file's metadata block alone
+    no_budget = write_payload_only(tmp_path / "no_budget.gim", gf.read_matrix(tiny_dict_file))
     fresh = tmp_path / "fresh"
     for out in (done, fresh):
         beyond_rank = config("beyond_rank", out, m="5,50")  # the Gram rank is 49
@@ -267,7 +266,7 @@ def test_refused_runs_write_nothing(tmp_path, data_dir, tiny_dict_file, capsys):
         unbudgeted = config("no_budget", out, dictionary=no_budget)
         for command, cfg, reason in (("run", beyond_rank, "M=50 exceeds"),
                                      ("run", overdraw, "data.test_count 41 exceeds"),
-                                     ("run", unbudgeted, f"{no_budget}: sparsity"),
+                                     ("run", unbudgeted, f"{no_budget}: no metadata block"),
                                      ("build-fields", beyond_rank, "M=50 exceeds")):
             assert main([command, "--config", str(cfg)]) == 2
             assert reason in capsys.readouterr().err

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gifield as gf
-from gifield.data import IDX_IMAGE_MAGIC, atomic_write
+from gifield.data import IDX_IMAGE_MAGIC, atomic_write, write_idx_images
 from gifield import synthdata
 
-from conftest import random_dictionary
+from conftest import random_dictionary, write_payload_only
 
 
 def _write_idx(path, images):
@@ -43,7 +43,7 @@ def test_write_idx_images_refuses_pixels_a_byte_cannot_hold(tmp_path, monkeypatc
     before a byte is written, and the file is replaced atomically."""
     imgs = np.random.default_rng(6).integers(0, 256, size=(3, 4, 5))
     path = tmp_path / "imgs.idx"
-    synthdata.write_idx_images(path, imgs.astype(float))
+    write_idx_images(path, imgs.astype(float))
     before = path.read_bytes()
     assert before == _write_idx(tmp_path / "ref.idx", imgs.astype(np.uint8)).read_bytes()
     for pixel in (256.0, -1.0, 0.7, np.nan):
@@ -51,14 +51,14 @@ def test_write_idx_images_refuses_pixels_a_byte_cannot_hold(tmp_path, monkeypatc
         bad[1, 2, 3] = pixel
         for target in (path, tmp_path / "new.idx"):
             with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
-                synthdata.write_idx_images(target, bad)
+                write_idx_images(target, bad)
 
     def refuse(*args):
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError):
-        synthdata.write_idx_images(path, np.zeros((1, 4, 5)))
+        write_idx_images(path, np.zeros((1, 4, 5)))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["imgs.idx", "ref.idx"]
 
@@ -86,12 +86,17 @@ def test_idx_wrong_magic(tmp_path):
 
 
 def test_idx_truncated_payload(tmp_path):
+    """A payload shorter or longer than its header declares is corrupt."""
     good = _write_idx(tmp_path / "good.idx", np.ones((3, 4, 4), dtype=np.uint8))
     data = good.read_bytes()
     bad = tmp_path / "bad.idx"
     bad.write_bytes(data[:-5])
     with pytest.raises(gf.CorruptionError):
         gf.load_idx_images(bad)
+    long = tmp_path / "long.idx"
+    long.write_bytes(data + bytes(7))
+    with pytest.raises(gf.CorruptionError, match=re.escape(f"{long}: payload holds 55 bytes")):
+        gf.load_idx_images(long)
     short = tmp_path / "short.idx"
     short.write_bytes(data[:10])  # header itself cut off
     with pytest.raises(gf.CorruptionError):
@@ -123,7 +128,7 @@ def test_matrix_roundtrip_bit_exact(tmp_path):
     for shape in [(2, 3), (1, 1), (17, 5), (64, 128)]:
         m = rng.standard_normal(shape) * rng.uniform(1e-8, 1e8)
         path = tmp_path / "m.gim"
-        gf.write_matrix(path, m)
+        gf.write_matrix(path, m, meta={})
         back = gf.read_matrix(path)
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, m)
@@ -136,18 +141,28 @@ def test_matrix_metadata_roundtrip(tmp_path):
     gf.write_matrix(path, m, meta=meta)
     assert gf.read_matrix_meta(path) == meta
     np.testing.assert_array_equal(gf.read_matrix(path), m)
-    gf.write_matrix(path, m)  # no metadata block
-    assert gf.read_matrix_meta(path) is None
+    # every file carries a block: metadata that is no dict is refused before a byte is written
+    before = path.read_bytes()
+    for bad in (None, [("role", "sampling")], "sampling"):
+        for target in (path, tmp_path / "new.gim"):
+            with pytest.raises(ValueError, match="metadata must be a dict"):
+                gf.write_matrix(target, m, meta=bad)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    no_block = write_payload_only(tmp_path / "no_block.gim", m)
+    for reader in (gf.read_matrix, gf.read_matrix_meta):
+        with pytest.raises(gf.CorruptionError, match=re.escape(f"{no_block}: no metadata block")):
+            reader(no_block)
 
 
 def test_matrix_rejects_bad_payloads(tmp_path):
     m = np.ones((3, 4))
     path = tmp_path / "m.gim"
-    gf.write_matrix(path, m)
+    gf.write_matrix(path, m, meta={})
     raw = path.read_bytes()
 
     truncated = tmp_path / "t.gim"
-    truncated.write_bytes(raw[:-8])
+    truncated.write_bytes(raw[:24 + m.size * 8 - 8])  # the payload's last entry cut off
     with pytest.raises(gf.CorruptionError):
         gf.read_matrix(truncated)
 
@@ -162,7 +177,7 @@ def test_matrix_rejects_bad_payloads(tmp_path):
         gf.read_matrix(wrong_magic)
 
     with pytest.raises(ValueError):
-        gf.write_matrix(tmp_path / "nan.gim", np.array([[np.nan, 1.0]]))
+        gf.write_matrix(tmp_path / "nan.gim", np.array([[np.nan, 1.0]]), meta={})
 
 
 @pytest.mark.parametrize(
@@ -252,7 +267,7 @@ def test_damaged_files_raise_package_errors(reader, truncate, position, bit):
     elif reader == "read_matrix":
         assert np.all(np.isfinite(result))
     else:
-        assert result is None or isinstance(result, dict)
+        assert isinstance(result, dict)
 
 
 def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
@@ -274,7 +289,7 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError):
-        gf.write_matrix(path, np.ones((5, 5)))
+        gf.write_matrix(path, np.ones((5, 5)), meta={"role": "dictionary"})
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
 

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gifield as gf
-from gifield import harness, synthdata
+from gifield import data, harness
 
-from conftest import random_dictionary, write_run_config
+from conftest import random_dictionary, write_payload_only, write_run_config
 
 # tiny sweep shared by most tests here: 6 cells on the 7x7 corpus
 TINY_GRID = "0.2,0.4,0.8"
@@ -168,10 +168,33 @@ def test_a_config_built_by_hand_checks_itself(tmp_path):
     cfg = gf.load_config(path)
     for change, key in (({"methods": ("fourier",)}, "fields.methods"),
                         ({"qbits": 17}, "fields.qbits"),
-                        ({"sr_grid": (0.5,)}, "fields.sr and fields.m")):
+                        ({"sr_grid": (0.5,)}, "fields.sr and fields.m"),
+                        ({"train_seed": -1}, "data.train_seed: seed -1"),
+                        ({"test_seed": -4}, "data.test_seed: seed -4"),
+                        ({"field_seed": -7}, "fields.seed: seed -7")):
         with pytest.raises(ValueError, match=re.escape(key)) as caught:
             dataclasses.replace(cfg, **change)
         assert type(caught.value) is ValueError
+    # the sub-configs name their own field
+    for make, seed in ((lambda: dataclasses.replace(cfg.training, seed=-3), -3),
+                       (lambda: gf.NoiseModel(kind="awgn", snr_db=30, seed=-2), -2)):
+        with pytest.raises(ValueError, match=f"^seed {seed} must be >= 0$") as caught:
+            make()
+        assert type(caught.value) is ValueError
+
+
+def test_a_negative_seed_built_by_hand_keeps_the_finished_run(tmp_path, data_dir, tiny_dict_file):
+    """A config built by hand with a negative seed is refused when made, so an
+    earlier run in ``run.out`` keeps every byte, ``_DONE`` included."""
+    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, sr="0.4", test_count=4)
+    gf.run_experiment(cfg)
+    finished = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert harness.DONE_MARKER in finished
+    for change in (lambda: {"noise": gf.NoiseModel(kind="awgn", snr_db=30, seed=-2)},
+                   lambda: {"field_seed": -7}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            gf.run_experiment(dataclasses.replace(cfg, **change()))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == finished
 
 
 _CONFIG_TEXT = st.text(max_size=10)
@@ -241,7 +264,11 @@ def test_readme_key_table_matches_the_config_table(tmp_path):
 def test_load_dictionary_rejects_bad_sparsity_metadata(tmp_path, meta):
     """The training budget comes from the file alone: without one it is corrupt."""
     path = tmp_path / "d.gim"
-    gf.write_matrix(path, random_dictionary(16, 32, 0).atoms, meta=meta)
+    atoms = random_dictionary(16, 32, 0).atoms
+    if meta is None:
+        write_payload_only(path, atoms)
+    else:
+        gf.write_matrix(path, atoms, meta=meta)
     with pytest.raises(gf.CorruptionError, match=re.escape(str(path))):
         gf.load_dictionary(path)
 
@@ -470,7 +497,7 @@ def test_quality_improves_with_sr(tiny_run):
 def test_full_rank_constant_image_is_recovered(tmp_path, data_dir, tiny_dict_file):
     """At M = rank, an image the dictionary represents exactly comes back >= 40 dB."""
     flat = np.full((1, 7, 7), 128.0)
-    synthdata.write_idx_images(tmp_path / "flat.idx", flat)
+    data.write_idx_images(tmp_path / "flat.idx", flat)
     psi = gf.load_dictionary(tiny_dict_file)
     rank = gf.build_state(psi).rank
     cfg, _ = _tiny_cfg(

@@ -19,3 +19,22 @@ def test_no_module_imports_another_modules_private_names():
                 bad += [f"{path.relative_to(root)}:{node.lineno}: {alias.name}"
                         for alias in node.names if alias.name.startswith("_")]
     assert bad == []
+
+
+def test_each_file_format_is_read_and_written_in_one_module():
+    """The binary layouts (``struct``, ``json``) live in ``data.py`` and the CSV
+    tables in ``harness.py``: no other module imports those libraries."""
+    root = Path(gf.__file__).resolve().parent
+    home = {"struct": "data.py", "json": "data.py", "csv": "harness.py"}
+    bad = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno}: {name}" for name in names
+                    if home.get(name.split(".")[0], path.name) != path.name]
+    assert bad == []
