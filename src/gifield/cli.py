@@ -3,12 +3,12 @@
 Subcommands mirror the workflow: ``train-dict`` learns the dictionary and saves
 it to ``dictionary.path``, ``build-fields`` writes each light field variant to
 ``run.out`` once, whatever the grid, ``run`` the measure/reconstruct sweep, and
-``report`` summarizes a finished run directory, named by ``--out`` or by the
-``run.out`` of ``--config``. The harness does each command's work; this module
-parses arguments and prints. Every setting comes from the config file; no
-option overrides one. Exit codes: 0 success; 2 bad usage or bad input (a bad
-config, dataset or dictionary file), which the package reports with its own
-``GifieldError`` types; 1 any other failure.
+``report`` summarizes the finished run in ``run.out``. Every command takes
+``--config FILE`` alone: every setting comes from the config file, which
+``main`` loads once, and the handler makes one harness call on it and prints.
+Exit codes: 0 success; 2 bad usage or bad input (a bad config, dataset or
+dictionary file), which the package reports with its own ``GifieldError``
+types; 1 any other failure.
 """
 
 from __future__ import annotations
@@ -17,41 +17,32 @@ import argparse
 import logging
 import sys
 
-from .errors import GifieldError, ValidationError
+from .errors import GifieldError
 from .harness import load_config, read_results, run_experiment, train_dictionary, write_fields
 
 log = logging.getLogger(__name__)
 
 
-def _cmd_train_dict(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_train_dict(cfg) -> int:
     dictionary = train_dictionary(cfg, cfg.dictionary_path)
     print(f"dictionary: {dictionary.n_pixels}x{dictionary.n_atoms} -> {cfg.dictionary_path}")
     return 0
 
 
-def _cmd_build_fields(args) -> int:
-    for path in write_fields(load_config(args.config)):
+def _cmd_build_fields(cfg) -> int:
+    for path in write_fields(cfg):
         print(f"wrote {path}")
     return 0
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_run(cfg) -> int:
     records = run_experiment(cfg)
     print(f"{len(records)} records -> {cfg.out_dir}/results.csv")
     return 0
 
 
-def _cmd_report(args) -> int:
-    # an empty name would read the working directory, since Path("") is "."
-    if args.config is None:
-        out_dir, source = args.out, "--out"
-    else:
-        out_dir, source = load_config(args.config).out_dir, "config: run.out"
-    if not out_dir:
-        raise ValidationError(f"{source} directory is required")
-    rows, finished = read_results(out_dir)
+def _cmd_report(cfg) -> int:
+    rows, finished = read_results(cfg)
     if not finished:
         print("warning: run did not finish (_DONE marker missing)", file=sys.stderr)
 
@@ -85,12 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", _cmd_report, "summarize a finished run directory"),
     ):
         p = sub.add_parser(name, help=help_text)
-        if name == "report":
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--config", help="run config whose output dir to read")
-            group.add_argument("--out", help="run directory to read")
-        else:
-            p.add_argument("--config", required=True, help="INI run description")
+        p.add_argument("--config", required=True, help="INI run description")
         p.set_defaults(handler=handler)
     return parser
 
@@ -102,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.handler(args)
+        return args.handler(load_config(args.config))
     except GifieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

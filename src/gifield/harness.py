@@ -88,7 +88,7 @@ class ExperimentConfig:
     gaussian_seeds: int
     field_seed: int
     recon_sparsity: int | None  # None: the dictionary's training budget
-    dictionary_path: str | None  # the trained dictionary a sweep reads
+    dictionary_path: str  # the trained dictionary a sweep reads
 
     def __post_init__(self):
         if self.train_count < 1 or self.test_count < 1:
@@ -169,7 +169,7 @@ _CONFIG_TABLE = {
     ("data", "train_seed"): ("train_seed", int, 0),
     ("data", "test_count"): ("test_count", int, 200),
     ("data", "test_seed"): ("test_seed", int, 1),
-    ("dictionary", "path"): ("dictionary_path", _optional(str), None),
+    ("dictionary", "path"): ("dictionary_path", _optional(str), ""),
     ("dictionary", "atoms"): ("training.atom_count", int, 1024),
     ("dictionary", "sparsity"): ("training.sparsity", int, 8),
     ("dictionary", "sweeps"): ("training.sweeps", int, 30),
@@ -243,11 +243,14 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
     one value per sweep) and its last value (``objective_last``). Every value
     was checked when ``cfg`` was made; here go the checks, first that ``out_path``
-    names a file, then those on ``data.train`` and its images. The directory of
-    ``out_path`` is made last, before training: a file in its way is a ``ValidationError``.
+    names a file and no directory, then those on ``data.train`` and its images. The
+    directory of ``out_path`` is made last, before training: a file in its way is a
+    ``ValidationError``.
     """
     if not (out_path := Path(out_path or "")).name:
         raise ValidationError("config: dictionary.path must name the file to train into")
+    if out_path.is_dir():
+        raise ValidationError(f"config: dictionary.path {out_path} is a directory, not a file")
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
     atoms = cfg.training.atom_count
@@ -347,10 +350,16 @@ def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[flo
     return grid
 
 
-def _set_up(cfg: ExperimentConfig):
-    """Check ``cfg`` and its dictionary for a sweep; return ``(psi, state, grid)``."""
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """``run.out`` as a path; an empty one is a ``ValidationError``, not the working directory."""
     if not cfg.out_dir:
         raise ValidationError("config: run.out directory is required")
+    return Path(cfg.out_dir)
+
+
+def _set_up(cfg: ExperimentConfig):
+    """Check ``cfg`` and its dictionary for a sweep; return ``(out, psi, state, grid)``."""
+    out = _out_dir(cfg)
     if not cfg.dictionary_path:
         raise ValidationError(
             "no trained dictionary configured (dictionary.path); run train-dict first"
@@ -361,7 +370,7 @@ def _set_up(cfg: ExperimentConfig):
             f"dictionary {cfg.dictionary_path} holds only the constant atom; a sweep needs more"
         )
     state = build_state(psi)
-    return psi, state, _resolve_grid(cfg, state)
+    return out, psi, state, _resolve_grid(cfg, state)
 
 
 def _field_variants(cfg: ExperimentConfig, state: FieldOptState):
@@ -383,21 +392,22 @@ def _field_variants(cfg: ExperimentConfig, state: FieldOptState):
             yield method, seed, phi
 
 
-def write_fields(cfg: ExperimentConfig):
-    """Write each variant's whole field to ``run.out``, once; yield each path.
+def write_fields(cfg: ExperimentConfig) -> list[Path]:
+    """Write each variant's whole field to ``run.out``, once; return the paths written.
 
     ``field_optimized.gim`` or ``field_gaussian_s{seed}.gim`` holds the rank-row
     field ``run`` measures with; its metadata ends in the checksum or the seed.
     """
-    psi, state, _ = _set_up(cfg)
-    out = Path(cfg.out_dir)
+    out, psi, state, _ = _set_up(cfg)
     _make_dir(out, "run.out", cfg.out_dir)
+    paths = []
     for method, seed, phi in _field_variants(cfg, state):
         origin = {"dictionary_checksum": psi.checksum} if seed is None else {"seed": seed}
         path = out / (f"field_{method}.gim" if seed is None else f"field_{method}_s{seed}.gim")
         write_matrix(path, phi, meta={"role": "sampling", "provenance": method,
                                       "qbits": cfg.qbits, **origin})
-        yield path
+        paths.append(path)
+    return paths
 
 
 def _noise_for(base: NoiseModel, method: str, seed: int | None) -> NoiseModel:
@@ -492,14 +502,14 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_results(out_dir) -> tuple[list[dict], bool]:
-    """The rows of ``out_dir``'s ``results.csv``, numbers parsed, and whether the run finished.
+def read_results(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
+    """The rows of ``run.out``'s ``results.csv``, numbers parsed, and whether the run finished.
 
-    No ``results.csv`` under ``out_dir``, or one with no records, is a
+    No ``run.out``, no ``results.csv`` under it, or one with no records, is a
     ``ValidationError``; a malformed one is a ``FormatError``. ``finished``
     says whether the ``_DONE`` marker is there.
     """
-    out = Path(out_dir)
+    out = _out_dir(cfg)
     path = out / "results.csv"
     if not path.is_file():
         raise ValidationError(f"no results.csv under {out}")
@@ -551,14 +561,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """
     if not cfg.test_path:
         raise ValidationError("config: data.test path is required")
-    psi, state, grid = _set_up(cfg)
+    out, psi, state, grid = _set_up(cfg)
     test = _subset_or_invalid(cfg.test_path, "test", cfg.test_count, cfg.test_seed)
     if test.pixels_per_image != psi.n_pixels:
         raise ValidationError(
             f"test images have {test.pixels_per_image} pixels, dictionary has {psi.n_pixels}"
         )
     x_test = test.as_columns()
-    out = Path(cfg.out_dir)
     _make_dir(out, "run.out", cfg.out_dir)
     marker = out / DONE_MARKER
     marker.unlink(missing_ok=True)

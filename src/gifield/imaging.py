@@ -36,7 +36,7 @@ class NoiseModel:
             raise ValueError(f"seed {self.seed} must be >= 0")
 
 
-def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel = NoiseModel()) -> np.ndarray:
     """Simulate detection: the readings y = Phi x (+ optional white Gaussian noise).
 
     ``phi`` is a finite M x N matrix with no negative entry — a physical
@@ -44,16 +44,17 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> 
     (:func:`gifield.nn_lift`). ``x`` is one finite image (any shape with N
     pixels) or an N x L stack of images, one per column; a stack gives
     M x L readings from one product, column j for image j. ``noise`` is
-    no model or one model for the whole call. With ``kind="awgn"`` every
-    reading gets its own standard normal from one draw in the readings'
-    shape, seeded by the model: no two images share noise, and for the same
-    L the draw for M rows is the first M rows of the draw for more. Each
+    one model for the whole call, noiseless by default. With
+    ``kind="awgn"`` every reading gets its own standard normal from one
+    draw in the readings' shape, seeded by the model: no two images share
+    noise, and for the same L the draw for M rows is the first M rows of
+    the draw for more. Each
     image's noise is scaled to ``snr_db`` against the variance of its
     readings across its 2 or more patterns, so a field's lift adds none.
     Returns M readings for one image, M x L for a stack, all finite.
     """
-    if noise is not None and not isinstance(noise, NoiseModel):
-        raise TypeError(f"noise must be None or one NoiseModel, not {type(noise).__name__}")
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be one NoiseModel, not {type(noise).__name__}")
     if phi.ndim != 2:
         raise ValueError(f"sampling matrix must be 2-D, got shape {phi.shape}")
     if not np.isfinite(phi).all():
@@ -69,7 +70,7 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel | None = None) -> 
     if not np.isfinite(x).all():
         raise ValueError("image holds a non-finite pixel")
     y = phi @ x
-    if noise is not None and noise.kind == "awgn":
+    if noise.kind == "awgn":
         if len(y) < 2:
             raise ValueError("AWGN needs at least 2 patterns to scale its noise to")
         sigma = np.sqrt(np.var(y, axis=0) * 10.0 ** (-noise.snr_db / 10.0))

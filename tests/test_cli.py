@@ -1,5 +1,7 @@
 """The gifield command line: train-dict / build-fields / run / report."""
 
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -69,20 +71,19 @@ def test_pipeline_end_to_end(workdir, capsys):
     per_image = (out / "per_image.csv").read_text(encoding="utf-8").splitlines()
     assert len(per_image) == 1 + 4 * 20  # 2 methods x 2 SRs x data.test_count images
 
-    assert main(["report", "--out", str(out)]) == 0
+    assert main(["report", "--config", str(cfg)]) == 0
     text = capsys.readouterr().out
     assert "optimized" in text and "gaussian" in text
     assert "vs gaussian" in text
-    assert main(["report", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == text
 
 
-@pytest.mark.parametrize("command", ["train-dict", "build-fields", "run"])
+@pytest.mark.parametrize("command", ["train-dict", "build-fields", "run", "report"])
 @pytest.mark.parametrize("flag", ["--seed", "--limit", "--out"])
 def test_settings_come_only_from_the_config(tmp_path, command, flag):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(tmp_path / "run.ini"), flag, "3"])
-    assert exc.value.code == 2
+    for argv in ([command, "--config", str(tmp_path / "run.ini"), flag, "3"], [command, flag, "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_run_without_dictionary_exits_2(tmp_path, data_dir, capsys):
@@ -346,8 +347,15 @@ def test_other_failures_exit_1(tmp_path, data_dir, monkeypatch, capsys):
     assert "disk on fire" in capsys.readouterr().err
 
 
+def _report_config(out_dir):
+    """The path of a config, written into ``out_dir``, that names it as ``run.out``."""
+    path = Path(out_dir) / "report.ini"
+    path.write_text(f"[run]\nout = {out_dir}\n", encoding="utf-8")
+    return str(path)
+
+
 def test_report_on_empty_dir_exits_2(tmp_path, capsys):
-    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert main(["report", "--config", _report_config(tmp_path)]) == 2
     assert "results.csv" in capsys.readouterr().err
 
 
@@ -369,18 +377,9 @@ def test_report_config_needs_run_out(tmp_path, monkeypatch, capsys):
     assert "run.out" in captured.err and not captured.out
 
 
-def test_report_rejects_empty_out(tmp_path, monkeypatch, capsys):
-    # Path("") is the working directory; its stray results.csv must not be read
-    monkeypatch.chdir(tmp_path)
-    _write_results(tmp_path)
-    assert main(["report", "--out", ""]) == 2
-    captured = capsys.readouterr()
-    assert "--out" in captured.err and not captured.out
-
-
 def test_report_warns_on_unfinished_run(tmp_path, capsys):
     _write_results(tmp_path)
-    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert main(["report", "--config", _report_config(tmp_path)]) == 0
     captured = capsys.readouterr()
     assert "did not finish" in captured.err
     assert "optimized" in captured.out
@@ -408,7 +407,7 @@ def test_report_on_a_malformed_results_file_exits_2(tmp_path, capsys, content, n
         results.write_text(content, encoding="utf-8")
     else:
         results.write_bytes(content)
-    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert main(["report", "--config", _report_config(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err and str(results) in captured.err
     assert not captured.out
@@ -428,7 +427,7 @@ def test_report_on_any_results_bytes_exits_0_or_2(content):
     """Whatever ``results.csv`` holds, ``report`` prints it or exits 2, never 1."""
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "results.csv").write_bytes(content)
-        assert main(["report", "--out", tmp]) in (0, 2)
+        assert main(["report", "--config", _report_config(tmp)]) in (0, 2)
 
 
 def test_run_with_a_config_that_is_not_utf8_exits_2(tmp_path, data_dir, tiny_dict_file, capsys):
@@ -458,3 +457,13 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "train-dict" in proc.stdout and "report" in proc.stdout
+
+
+def test_readme_command_lines_parse():
+    """Every ``gifield`` line in the README's shell blocks is a command line the CLI takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [shlex.split(line, comments=True)
+             for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+             for line in block.splitlines() if line.startswith("gifield ")]
+    commands = [cli._build_parser().parse_args(words[1:]).command for words in lines]
+    assert sorted(commands) == ["build-fields", "report", "run", "train-dict"]

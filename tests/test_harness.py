@@ -55,7 +55,7 @@ def test_load_config_defaults(tmp_path):
         methods=("optimized", "gaussian"), qbits=0,
         noise=gf.NoiseModel(kind="none", snr_db=None, seed=0),
         out_dir="o", gaussian_seeds=3, field_seed=0, recon_sparsity=None,
-        dictionary_path=None,
+        dictionary_path="",
     )
     # an empty value takes the default for string, list and optional keys ...
     empty = tmp_path / "empty.ini"
@@ -387,7 +387,7 @@ def test_awgn_grid_with_one_pattern_rejected(tmp_path, data_dir, tiny_dict_file)
     with pytest.raises(gf.ValidationError, match="M=1"):
         gf.run_experiment(cfg)
     with pytest.raises(gf.ValidationError, match="M=1"):
-        list(harness.write_fields(cfg))
+        harness.write_fields(cfg)
     assert not out.exists()
     noiseless, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name="clean", m="10,1")
     assert [r.m for r in gf.run_experiment(noiseless)] == [10, 1, 10, 1]
@@ -397,7 +397,7 @@ def _recorded_measure(monkeypatch):
     """Wrap ``harness.measure``; return the list its (field, noise) arguments go to."""
     measure, calls = harness.measure, []
 
-    def recording(phi, x, noise=None):
+    def recording(phi, x, noise):
         calls.append((phi, noise))
         return measure(phi, x, noise)
 
@@ -549,7 +549,7 @@ def test_train_dictionary_refuses_an_output_under_a_file_before_training(
     assert blocker.read_bytes() == b""
 
 
-@pytest.mark.parametrize("out_path", ["", None], ids=["empty", "none"])
+@pytest.mark.parametrize("out_path", ["", None, "made"], ids=["empty", "none", "directory"])
 def test_train_dictionary_refuses_no_destination_before_reading(
     tmp_path, data_dir, tiny_dict_file, monkeypatch, out_path
 ):
@@ -558,10 +558,13 @@ def test_train_dictionary_refuses_no_destination_before_reading(
 
     monkeypatch.setattr(harness, "load_idx_images", no_reading)
     monkeypatch.chdir(tmp_path)
+    made = [tmp_path / "made"] if out_path == "made" else []
+    for directory in made:
+        directory.mkdir()
     cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file)
     with pytest.raises(gf.ValidationError, match="dictionary.path"):
         gf.train_dictionary(cfg, out_path)
-    assert sorted(tmp_path.iterdir()) == [tmp_path / "out.ini"]
+    assert sorted(tmp_path.rglob("*")) == sorted([tmp_path / "out.ini", *made])
 
 
 def test_a_grid_and_its_reverse_give_the_same_rows(tmp_path, data_dir, tiny_dict_file):

@@ -142,8 +142,9 @@ def test_measure_stack_awgn_one_model():
     unit_tall = gf.measure(tall, x, model) - gf.measure(tall, x)
     unit_tall /= np.sqrt(np.var(gf.measure(tall, x), axis=0) * 10.0 ** (-30.0 / 10.0))
     np.testing.assert_allclose(unit_tall[:18], unit, rtol=1e-9, atol=1e-9)
-    with pytest.raises(TypeError):
-        gf.measure(phi, x, [model] * 6)
+    for not_a_model in ([model] * 6, None):
+        with pytest.raises(TypeError):
+            gf.measure(phi, x, not_a_model)
 
 
 def test_reconstruct_zero_measurement():
