@@ -6,7 +6,7 @@ dictionary, builds each field variant once (the optimized field, and one
 Gaussian draw per seed) and gives every grid point that variant's row
 prefix (Gaussian scores averaged over seeds), reconstructs every test image,
 and writes results.csv, per_image.csv, and per-method curve files.
-Everything except the two wall-clock columns is bit-reproducible.
+Every output is bit-reproducible.
 
 Usage: python3 05_full_sweep.py [--out DIR] [--test N]
 """

@@ -16,9 +16,8 @@ Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per test
 image per cell), per-method curves and a zero-byte ``_DONE`` marker written
 last to flag unfinished runs. ``read_results`` reads ``results.csv`` back.
 
-Everything derived from seeds is byte-reproducible across runs with one BLAS
-build and thread count; the two wall-clock columns of results.csv are the
-only fields that vary.
+Every output is byte-reproducible across runs with one BLAS build and thread
+count; each cell's INFO log line carries its mean coding time.
 """
 
 from __future__ import annotations
@@ -58,10 +57,7 @@ from .metrics import QualityReport, aggregate, mse, mutual_coherence, psnr, ssim
 
 log = logging.getLogger(__name__)
 
-RESULTS_HEADER = (
-    "method,sr,M,qbits,psnr_mean,psnr_std,ssim_mean,ssim_std,mu,"
-    "n_exact,build_sec,recon_sec_mean"
-)
+RESULTS_HEADER = "method,sr,M,qbits,psnr_mean,psnr_std,ssim_mean,ssim_std,mu,n_exact"
 PER_IMAGE_HEADER = "method,sr,M,qbits,image,mse,psnr,ssim"
 DONE_MARKER = "_DONE"
 
@@ -121,7 +117,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One (method, SR) cell: per-image scores, their aggregate, coherence, timings.
+    """One (method, SR) cell: per-image scores, their aggregate and coherence.
 
     ``mse``, ``psnr`` and ``ssim`` hold each test image's mean over field seeds
     (``psnr``'s over the finite ones, +inf if all are) and are made read-only.
@@ -136,13 +132,9 @@ class ExperimentRecord:
     ssim: np.ndarray
     mu: float
     n_exact: int  # reconstructions (image x field seed) with infinite PSNR
-    build_sec: float
-    recon_sec_mean: float
     report: QualityReport = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if self.build_sec < 0 or self.recon_sec_mean < 0:
-            raise ValueError("timings must be non-negative")
         for scores in (self.mse, self.psnr, self.ssim):
             scores.setflags(write=False)
         object.__setattr__(self, "report", aggregate(self.mse, self.psnr, self.ssim))
@@ -194,7 +186,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -241,11 +233,10 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     """Train per config and persist the atoms with their training metadata.
 
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
-    one value per sweep) and its last value (``objective_last``). Every value
-    was checked when ``cfg`` was made; here go the checks, first that ``out_path``
-    names a file and no directory, then those on ``data.train`` and its images. The
-    directory of ``out_path`` is made last, before training: a file in its way is a
-    ``ValidationError``.
+    one value per sweep). Every value was checked when ``cfg`` was made; here go
+    the checks, first that ``out_path`` names a file and no directory, then those
+    on ``data.train`` and its images. The directory of ``out_path`` is made last,
+    before training: a file in its way is a ``ValidationError``.
     """
     if not (out_path := Path(out_path or "")).name:
         raise ValidationError("config: dictionary.path must name the file to train into")
@@ -285,7 +276,6 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
             "sweeps": cfg.training.sweeps,
             "train_source": data.source,
             "objectives": objectives.tolist(),
-            "objective_last": objectives[-1],
         },
     )
     return dictionary
@@ -439,12 +429,9 @@ def _run_method(
     sums = np.zeros((len(grid), 4, x_test.shape[1]))
     mu = np.zeros(len(grid))
     coding_sec = np.zeros(len(grid))
-    build_sec = 0.0
     n_variants = 0
-    start = time.perf_counter()
     for _, seed, phi in variants:
         equivalent = phi[: max(ms)] @ psi.atoms
-        build_sec += time.perf_counter() - start
         noise = _noise_for(cfg.noise, method, seed)
         mu += mutual_coherence(equivalent, ms)
         for c_idx, m in enumerate(ms):
@@ -460,7 +447,6 @@ def _run_method(
             sums[c_idx, 3] += finite
         n_variants += 1
         del phi, equivalent  # one variant's field and D alive at a time
-        start = time.perf_counter()
 
     # means over field seeds; infinite (exact) PSNRs are tallied apart, not averaged
     n_finite = sums[:, 3]
@@ -468,6 +454,7 @@ def _run_method(
     sums[:, 0::2] /= n_variants
     mu /= n_variants
     records = []
+    n_recons = n_variants * x_test.shape[1]
     for c_idx, (sr, m) in enumerate(grid):
         record = ExperimentRecord(
             method=method,
@@ -477,14 +464,13 @@ def _run_method(
             mse=sums[c_idx, 0],
             psnr=sums[c_idx, 1],
             ssim=sums[c_idx, 2],
-            n_exact=n_variants * x_test.shape[1] - int(n_finite[c_idx].sum()),
+            n_exact=n_recons - int(n_finite[c_idx].sum()),
             mu=float(mu[c_idx]),
-            build_sec=build_sec / len(grid),  # the cell's share of the method's one build
-            recon_sec_mean=float(coding_sec[c_idx]) / (n_variants * x_test.shape[1]),
         )
         log.info(
-            "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f",
+            "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f, %.3g s per reconstruction",
             method, sr, m, record.report.psnr_mean, record.report.ssim_mean, record.mu,
+            coding_sec[c_idx] / n_recons,
         )
         records.append(record)
     return records
@@ -580,7 +566,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
     _write_csv(out / "results.csv", RESULTS_HEADER, [
         (r.method, r.sr, r.m, r.qbits, r.report.psnr_mean, r.report.psnr_std,
-         r.report.ssim_mean, r.report.ssim_std, r.mu, r.n_exact, r.build_sec, r.recon_sec_mean)
+         r.report.ssim_mean, r.report.ssim_std, r.mu, r.n_exact)
         for r in records
     ])
     _write_csv(out / "per_image.csv", PER_IMAGE_HEADER, [

@@ -256,7 +256,7 @@ def test_criterion_8_dictionary_constraints(desk_dictionary, tiny_dict_file):
 
 
 def test_criterion_9_determinism(tmp_path, data_dir, tiny_dict_file):
-    """Identical configs, identical CSV bytes (results.csv timing columns aside)."""
+    """Identical configs, identical CSV bytes."""
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -282,6 +282,5 @@ def test_criterion_9_determinism(tmp_path, data_dir, tiny_dict_file):
     _verdict(
         9,
         ok,
-        "reruns byte-identical: per_image.csv, all curve files, and results.csv "
-        "apart from its two wall-clock columns (build_sec, recon_sec_mean)",
+        "reruns byte-identical: per_image.csv, all curve files, and results.csv",
     )
