@@ -154,7 +154,6 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
     # slot t holds each running signal's t-th atom: its Gram row, or the atom itself
     picked = np.empty((budget, block, n_atoms if gram is not None else d.shape[0]))
     corr = np.empty((block, n_atoms))
-    scores = np.empty((block, n_atoms))
     index = np.arange(block)
     for first in range(0, n_signals, _OMP_BLOCK):
         y = x[:, first:first + _OMP_BLOCK].T  # one signal per row
@@ -170,11 +169,12 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
         going = energy > tol  # a zero signal stops before it starts
         for t in range(budget):
             cols, energy, tol, alpha, sel, *factors = state
-            np.abs(alpha if t == 0 else corr[:n], out=scores[:n])
-            np.divide(scores[:n], norms, out=scores[:n])
-            scores[index[:n, None], sel[:, :t]] = -1.0
-            best = np.argmax(scores[:n], axis=1)
-            going &= scores[index[:n], best] > 0.0
+            # scored in place: both update paths rewrite corr[:n] at the end of the step
+            np.abs(alpha if t == 0 else corr[:n], out=corr[:n])
+            np.divide(corr[:n], norms, out=corr[:n])
+            corr[index[:n, None], sel[:, :t]] = -1.0
+            best = np.argmax(corr[:n], axis=1)
+            going &= corr[index[:n], best] > 0.0
             if np.count_nonzero(going) < n:  # drop the signals that stopped
                 kept = going.nonzero()[0]
                 state, best, n = tuple(a[kept] for a in state), best[kept], kept.size
@@ -249,31 +249,17 @@ def _grow_factors(
     return c, fit
 
 
-def _random_zero_mean_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    v -= v.mean()
+def _constrain_atom(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Project onto the zero-mean unit sphere, largest-magnitude entry positive; a
+    ``v`` that vanishes once centred gives way to centred normal draws from ``rng``."""
+    v = v - v.mean()
     nrm = np.linalg.norm(v)
-    while nrm < 1e-12:  # vanishing after centering; redraw
-        v = rng.standard_normal(n)
+    while nrm < 1e-12:
+        v = rng.standard_normal(v.size)
         v -= v.mean()
         nrm = np.linalg.norm(v)
-    return v / nrm
-
-
-def _orient(v: np.ndarray) -> np.ndarray:
-    """Flip sign so the largest-magnitude entry is positive (determinism)."""
-    if v[int(np.argmax(np.abs(v)))] < 0:
-        return -v
-    return v
-
-
-def _constrain_atom(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Project onto the zero-mean unit sphere; random fallback if degenerate."""
-    w = v - v.mean()
-    nrm = np.linalg.norm(w)
-    if nrm < 1e-12:
-        return _orient(_random_zero_mean_unit(rng, v.size))
-    return _orient(w / nrm)
+    v = v / nrm
+    return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
 
 
 def _init_atoms(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import gifield as gf
-from gifield import data, dictionary, synthdata
+from gifield import data, synthdata
 
 DESK_TRAIN = 2000
 DESK_TEST = 200
@@ -29,7 +29,9 @@ def random_dictionary(n, k, seed):
     atoms = np.empty((n, k))
     atoms[:, 0] = n**-0.5
     for j in range(1, k):
-        atoms[:, j] = dictionary._random_zero_mean_unit(rng, n)
+        v = rng.standard_normal(n)
+        v -= v.mean()
+        atoms[:, j] = v / np.linalg.norm(v)
     return gf.Dictionary(atoms=atoms, sparsity=max(1, n // 8))
 
 

@@ -52,6 +52,8 @@ def test_write_idx_images_refuses_pixels_a_byte_cannot_hold(tmp_path, monkeypatc
         for target in (path, tmp_path / "new.idx"):
             with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
                 write_idx_images(target, bad)
+    with pytest.raises(ValueError, match=re.escape("expected a (count, rows, cols) image stack")):
+        write_idx_images(path, imgs[0].astype(float))  # one image, not a stack
 
     def refuse(*args):
         raise OSError("rename refused")
@@ -178,24 +180,25 @@ def test_matrix_rejects_bad_payloads(tmp_path):
 
     with pytest.raises(ValueError):
         gf.write_matrix(tmp_path / "nan.gim", np.array([[np.nan, 1.0]]), meta={})
+    with pytest.raises(ValueError, match=re.escape("expected a 2-D matrix, got shape (3,)")):
+        gf.write_matrix(tmp_path / "flat.gim", np.ones(3), meta={})
 
 
 @pytest.mark.parametrize(
-    "block",
-    [b"\xff", b"x", b"["],  # bad UTF-8, bad JSON, JSON that is not an object
+    "block, message",
+    [(b'\xff"role": "dictionary"}', "unreadable metadata block"),  # bad UTF-8
+     (b'x"role": "dictionary"}', "unreadable metadata block"),  # bad JSON
+     (b"[1]", "metadata block is not a JSON object")],  # valid JSON, not an object
     ids=["utf8", "json", "not-object"],
 )
-def test_matrix_corrupt_metadata_raises_corruption_error(tmp_path, block):
+def test_matrix_corrupt_metadata_raises_corruption_error(tmp_path, block, message):
     path = tmp_path / "m.gim"
     gf.write_matrix(path, np.ones((2, 2)), meta={"role": "dictionary"})
-    raw = bytearray(path.read_bytes())
-    first_meta_byte = 24 + 4 * 8 + 4  # header, payload, length prefix
-    assert raw[first_meta_byte:first_meta_byte + 1] == b"{"
-    raw[first_meta_byte:first_meta_byte + 1] = block
-    if block == b"[":
-        raw[-1:] = b"]"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(gf.CorruptionError):
+    raw = path.read_bytes()
+    payload_end = 24 + 4 * 8  # header, payload
+    assert raw[payload_end + 4:] == b'{"role": "dictionary"}'
+    path.write_bytes(raw[:payload_end] + struct.pack("<I", len(block)) + block)
+    with pytest.raises(gf.CorruptionError, match=message):
         gf.read_matrix_meta(path)
 
 

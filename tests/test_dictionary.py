@@ -90,6 +90,14 @@ def test_omp_zero_column_rejected():
         gf.omp(d, np.ones(10), t0=2)
 
 
+def test_sparse_code_columns_rejects_mismatched_rows_and_a_zero_budget():
+    d = _unit_columns(10, 5, seed=3)
+    with pytest.raises(ValueError, match=re.escape("matrix (10, 5) incompatible with signals (9, 3)")):
+        gf.sparse_code_columns(d, np.ones((9, 3)), t0=2)
+    with pytest.raises(ValueError, match="sparsity budget must be >= 1"):
+        gf.sparse_code_columns(d, np.ones((10, 3)), t0=0)
+
+
 def test_omp_exact_recovery_low_coherence_8x12():
     d = _low_coherence_columns(8, 12, target=1.0 / 3, seed=4)
     # verify the mu < 1/3 premise by exhaustive pair check
@@ -237,14 +245,22 @@ def test_training_config_validation():
         gf.TrainingConfig(atom_count=4, sparsity=1, sweeps=0)
 
 
+_CONST = np.full((4, 1), 0.5)
+
+
 @pytest.mark.parametrize(
-    "atoms, sparsity",
-    [(np.empty((4, 0)), 1), (np.full((4, 1), 0.5), 0), (np.full((4, 1), 0.5), 2.7),
-     (np.full((4, 1), 0.5), True)],
-    ids=["no-atoms", "zero", "fraction", "bool"],
+    "atoms, sparsity, message",
+    [(np.empty((4, 0)), 1, "hold no constant first atom"),
+     (_CONST, 0, "not an integer >= 1"), (_CONST, 2.7, "not an integer >= 1"),
+     (_CONST, True, "not an integer >= 1"),
+     (np.array([[0.5], [0.5], [0.5], [-0.5]]), 1, "first atom is not the constant vector"),
+     (np.hstack([_CONST, [[1.0], [0.0], [0.0], [0.0]]]), 1, "not zero-mean"),
+     (np.hstack([_CONST, [[1.0], [-1.0], [0.0], [0.0]]]), 1, "atoms are not unit norm")],
+    ids=["no-atoms", "zero", "fraction", "bool", "not-constant", "not-zero-mean",
+         "not-unit-norm"],
 )
-def test_dictionary_checks_itself_when_made(atoms, sparsity):
-    with pytest.raises(ValueError):
+def test_dictionary_checks_itself_when_made(atoms, sparsity, message):
+    with pytest.raises(ValueError, match=message):
         gf.Dictionary(atoms=atoms, sparsity=sparsity)
     assert gf.Dictionary(atoms=np.full((4, 1), 0.5), sparsity=np.int64(2)).n_atoms == 1
 
@@ -296,6 +312,8 @@ def test_ksvd_rejects_bad_input():
     cfg = gf.TrainingConfig(atom_count=8, sparsity=1, sweeps=1)
     with pytest.raises(ValueError, match="training matrix is all zero"):
         gf.ksvd_train(np.zeros((8, 10)), cfg)
+    with pytest.raises(ValueError, match="N x L matrix"):
+        gf.ksvd_train(np.ones(8), cfg)
     with pytest.raises(ValueError):
         gf.ksvd_train(np.ones((16, 10)), cfg)  # K < N
     with pytest.raises(ValueError):

@@ -89,6 +89,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("[fields]\nqbits = soon\n", encoding="utf-8")
     with pytest.raises(gf.ValidationError):
         gf.load_config(bad)
+    zero_t0 = tmp_path / "t0.ini"
+    zero_t0.write_text("[data]\ntest = t.idx\n[run]\nout = o\nt0 = 0\n", encoding="utf-8")
+    with pytest.raises(gf.ValidationError, match="config value error: run.t0 must be >= 1"):
+        gf.load_config(zero_t0)
 
 
 @pytest.mark.parametrize("out", ["runs/100%done", "runs/100%%done", "runs/%(x)s"])
@@ -528,6 +532,14 @@ def test_missing_dictionary_file_rejected(tmp_path, data_dir):
     cfg, _ = _tiny_cfg(tmp_path, data_dir, tmp_path / "nope.gim")
     with pytest.raises(gf.ValidationError):
         gf.run_experiment(cfg)
+
+
+def test_missing_test_dataset_rejected(tmp_path, data_dir, tiny_dict_file):
+    """The dictionary loads first, so it is a valid one here."""
+    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, test=tmp_path / "nope.idx")
+    with pytest.raises(gf.ValidationError, match="test dataset not found"):
+        gf.run_experiment(cfg)
+    assert not out.exists()
 
 
 def test_train_dictionary_requires_train_path(tmp_path, data_dir, tiny_dict_file):

@@ -188,6 +188,8 @@ def test_reconstruct_validates_readings():
     stack = gf.measure(phi, np.ones((36, 2)))  # M x 2: two images, not one
     with pytest.raises(ValueError, match="readings of shape"):
         gf.reconstruct(stack, phi, psi)
+    with pytest.raises(ValueError, match="pattern length does not match"):
+        gf.reconstruct(y[:3], phi[:3, :-1], psi)
 
 
 def test_recovery_oracle_small_k():
