@@ -263,62 +263,65 @@ def _constrain_atom(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _init_atoms(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The first K x N atom rows: the constant atom, then k - 1 distinct signals, constrained."""
     n, n_signals = x.shape
-    atoms = np.empty((n, k))
-    atoms[:, 0] = n**-0.5
+    rows = np.empty((k, n))
+    rows[0] = n**-0.5
     picks = rng.choice(n_signals, size=k - 1, replace=False) if k > 1 else []
-    for col, pick in enumerate(picks, start=1):
-        atoms[:, col] = _constrain_atom(x[:, pick], rng)
-    return atoms
+    for i, pick in enumerate(picks, start=1):
+        rows[i] = _constrain_atom(x[:, pick], rng)
+    return rows
 
 
 def _constrained_rank1(e: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The zero-mean unit atom that captures the most of ``e``: argmax ||psi^T e||.
+    """The zero-mean unit atom that captures the most of ``e``: argmax ||e psi||.
 
-    That is the top left singular vector of the column-centred ``P e``, with
-    ``P = I - 11^T/N``, found from the smaller centred Gram: ``psi`` is
-    ``P e w`` normalised, where ``w`` is the top eigenvector of ``e^T P e``
-    when ``e`` has no more columns than rows, else ``e^T u`` for ``u`` the
-    top eigenvector of ``P e e^T P``. A random zero-mean atom stands in when
-    ``P e w`` vanishes next to ``e w``, that is, when the centred residual is
+    ``e`` holds one residual per row, count x N, as the atom loop gathers it.
+    The answer is the top right singular vector of the row-centred ``e P``,
+    with ``P = I - 11^T/N``, found from the smaller centred Gram: ``psi`` is
+    ``w e P`` normalised, where ``w`` is the top eigenvector of ``e P e^T``
+    when ``e`` has no more rows than columns, else ``e u`` for ``u`` the top
+    eigenvector of ``P e^T e P``. A random zero-mean atom stands in when
+    ``w e P`` vanishes next to ``w e``, that is, when the centred residual is
     gone.
     """
-    n, count = e.shape
+    count, n = e.shape
     if count <= n:
-        sums = e.sum(axis=0)
-        _, vecs = np.linalg.eigh(e.T @ e - np.outer(sums, sums) / n)
+        sums = e.sum(axis=1)
+        _, vecs = np.linalg.eigh(e @ e.T - np.outer(sums, sums) / n)
         w = vecs[:, -1]
     else:
-        gram = e @ e.T
+        gram = e.T @ e
         means = gram.mean(axis=0)  # symmetric: row and column means agree
         gram -= means
         gram -= means[:, None]
         gram += means.mean()
         _, vecs = np.linalg.eigh(gram)
-        w = vecs[:, -1] @ e
-    v = e @ w
+        w = e @ vecs[:, -1]
+    v = w @ e
     scale = np.linalg.norm(v)
     return _constrain_atom(v / scale if scale > 0.0 else v, rng)
 
 
 def _replace_dead_atoms(
-    atoms: np.ndarray,
+    rows: np.ndarray,
     usage_counts: np.ndarray,
     x: np.ndarray,
     residual: np.ndarray,
     rng: np.random.Generator,
 ) -> int:
-    """Replace unused atoms (beyond the first) in place by the worst-coded columns of ``x``.
+    """Replace unused atom rows (beyond the first) in place by the worst-coded columns of ``x``.
 
-    ``residual`` is X - Psi Z. ``x`` needs a column per dead atom, which
+    ``rows`` holds one atom per row and ``residual`` one signal's residual
+    per row, (X - Psi Z)^T. ``x`` needs a column per dead atom, which
     :func:`ksvd_train` ensures by asking for at least as many signals as
     atoms. Returns the number of atoms replaced.
     """
     dead = np.flatnonzero(usage_counts[1:] == 0) + 1
     if dead.size:
-        worst_first = np.argsort(np.linalg.norm(residual, axis=0))[::-1]
+        worst_first = np.argsort(np.linalg.norm(residual, axis=1))[::-1]
         for k, col in zip(dead, worst_first):
-            atoms[:, k] = _constrain_atom(x[:, col], rng)
+            rows[k] = _constrain_atom(x[:, col], rng)
     return dead.size
 
 
@@ -343,7 +346,8 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
     smaller centred Gram of ``E``; its coefficients are then refit. No
     update can lose to the atom it replaces. After each sweep, every atom
     that no signal uses is replaced by one of the worst-coded signals.
-    There must be at least as many signals as atoms.
+    There must be at least as many signals as atoms, and a dictionary of
+    more than one atom needs signals of at least 2 pixels.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 1:
@@ -355,20 +359,26 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
     n = x.shape[0]
     if cfg.atom_count < n:
         raise ValueError(f"atom count {cfg.atom_count} < signal dimension {n}")
+    if n < 2 and cfg.atom_count > 1:
+        raise ValueError(
+            f"atom count {cfg.atom_count} > 1 needs signals of at least 2 pixels, not {n}"
+        )
     if x.shape[1] < cfg.atom_count:
         raise ValueError(f"{x.shape[1]} training signals < atom count {cfg.atom_count}")
 
     rng = np.random.default_rng(cfg.seed)
-    atoms = _init_atoms(x, cfg.atom_count, rng)
+    # atom-major until the end: atom k is the contiguous row rows[k], which the
+    # atom loop reads and writes whole, where a column of N x K strides by K
+    rows = _init_atoms(x, cfg.atom_count, rng)
     objectives = np.empty(cfg.sweeps)
 
     for sweep in range(cfg.sweeps):
-        z = sparse_code_columns(atoms, x, cfg.sparsity)
+        z = sparse_code_columns(rows.T, x, cfg.sparsity)
         # np.nonzero walks z row by row, so each atom's signals are one slice
         owner, signal = np.nonzero(z)
         bounds = np.searchsorted(owner, np.arange(cfg.atom_count + 1))
         # one row per signal, so that an atom's signals are a cheap row gather
-        residual = z.T @ atoms.T
+        residual = z.T @ rows
         np.subtract(x.T, residual, out=residual)
         objectives[sweep] = float(np.sum(residual * residual))
 
@@ -377,21 +387,21 @@ def ksvd_train(x: np.ndarray, cfg: TrainingConfig) -> tuple[Dictionary, np.ndarr
             if used.size == 0:
                 continue
             e = residual[used]
-            e += z[k, used, None] * atoms[:, k]
-            psi = atoms[:, 0] if k == 0 else _constrained_rank1(e.T, rng)
+            e += z[k, used, None] * rows[k]
+            psi = rows[0] if k == 0 else _constrained_rank1(e, rng)
             coeffs = e @ psi
             z[k, used] = coeffs
             e -= coeffs[:, None] * psi
             residual[used] = e
-            atoms[:, k] = psi
+            rows[k] = psi
 
         if log.isEnabledFor(logging.DEBUG):
             updated = float(np.sum(residual * residual))
             log.debug("sweep %d: objective %r -> %r", sweep, float(objectives[sweep]), updated)
 
-        n_dead = _replace_dead_atoms(atoms, np.count_nonzero(z, axis=1), x, residual.T, rng)
+        n_dead = _replace_dead_atoms(rows, np.count_nonzero(z, axis=1), x, residual, rng)
         if n_dead:
             log.debug("sweep %d: replaced %d dead atoms", sweep, n_dead)
         del z, residual, owner, signal  # free them before the next sweep's coding pass
 
-    return Dictionary(atoms=atoms, sparsity=cfg.sparsity), objectives
+    return Dictionary(atoms=np.ascontiguousarray(rows.T), sparsity=cfg.sparsity), objectives

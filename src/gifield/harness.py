@@ -255,6 +255,11 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
             f"config: dictionary.atoms {atoms} < the {data.pixels_per_image} pixels"
             f" of the images in {cfg.train_path}"
         )
+    if atoms > 1 and data.pixels_per_image < 2:  # a centred 1-pixel atom is always 0
+        raise ValidationError(
+            f"config: dictionary.atoms {atoms} > 1 needs images of at least 2 pixels,"
+            f" not the 1 pixel of the images in {cfg.train_path}"
+        )
     _make_dir(out_path.parent, "dictionary.path", str(out_path))
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",

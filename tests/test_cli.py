@@ -233,6 +233,27 @@ def test_a_sweep_refuses_a_dictionary_of_fewer_than_two_atoms(
     assert not (tmp_path / "out").exists()
 
 
+def test_train_dict_refuses_more_than_one_atom_for_1_pixel_images(
+    tmp_path, data_dir, monkeypatch, capsys
+):
+    """A 1-pixel image has no zero-mean atom, so only the constant atom can be
+    learnt: more atoms are refused before training and before any directory."""
+    def no_training(*args):
+        raise AssertionError("trained a dictionary that 1-pixel images cannot hold")
+
+    monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
+    images = tmp_path / "one_pixel.idx"
+    gf.data.write_idx_images(images, np.arange(20.0).reshape(20, 1, 1))
+    cfg = write_run_config(tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim",
+                           tmp_path / "out", train=images, train_count=20, atoms=2,
+                           sparsity=1, sweeps=1)
+    assert main(["train-dict", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert ("dictionary.atoms 2 > 1 needs images of at least 2 pixels,"
+            f" not the 1 pixel of the images in {images}") in err
+    assert sorted(tmp_path.iterdir()) == [images, cfg]  # no dictionary, not even its directory
+
+
 def test_train_dict_refuses_images_without_pixels(tmp_path, data_dir, capsys):
     images = tmp_path / "empty.idx"
     images.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 3000, 0, 0))

@@ -1,5 +1,6 @@
 """OMP oracles (exhaustive search), K-SVD behavior, and constraint projection."""
 
+import logging
 import os
 import re
 import subprocess
@@ -221,7 +222,7 @@ def test_constrained_rank1_is_the_exact_optimum(n, count, columns, seed):
     else:
         e = np.zeros((n, count))
 
-    psi = dictionary._constrained_rank1(e, np.random.default_rng(seed))
+    psi = dictionary._constrained_rank1(e.T, np.random.default_rng(seed))  # one residual per row
     assert abs(psi.sum()) <= 1e-12
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     if columns in ("all_constant", "zero"):
@@ -320,6 +321,11 @@ def test_ksvd_rejects_bad_input():
         gf.ksvd_train(np.full((8, 10), np.inf), cfg)
     with pytest.raises(ValueError, match="7 training signals < atom count 8"):
         gf.ksvd_train(np.random.default_rng(0).standard_normal((8, 7)), cfg)
+    one_pixel = np.arange(1.0, 11.0).reshape(1, 10)  # a centred 1-pixel signal is always 0
+    with pytest.raises(ValueError, match="atom count 2 > 1 needs signals of at least 2 pixels, not 1"):
+        gf.ksvd_train(one_pixel, gf.TrainingConfig(atom_count=2, sparsity=1, sweeps=1))
+    psi, _ = gf.ksvd_train(one_pixel, gf.TrainingConfig(atom_count=1, sparsity=1, sweeps=1))
+    np.testing.assert_array_equal(psi.atoms, [[1.0]])  # the constant atom alone
 
 
 def test_replace_unused_atoms():
@@ -332,16 +338,26 @@ def test_replace_unused_atoms():
     if np.all(usage > 0):  # force a dead atom for the test
         codes[5, :] = 0.0
         usage = np.count_nonzero(codes, axis=1)
-    residual = x - psi.atoms @ codes
-    atoms = np.array(psi.atoms)
-    n_dead = dictionary._replace_dead_atoms(atoms, usage, x, residual, np.random.default_rng(0))
+    residual = (x - psi.atoms @ codes).T  # one signal per row
+    rows = np.array(psi.atoms.T)  # one atom per row
+    n_dead = dictionary._replace_dead_atoms(rows, usage, x, residual, np.random.default_rng(0))
     assert n_dead == np.count_nonzero(usage[1:] == 0)
-    gf.Dictionary(atoms=atoms, sparsity=psi.sparsity).validate()
-    worst = int(np.argmax(np.linalg.norm(residual, axis=0)))
+    gf.Dictionary(atoms=rows.T, sparsity=psi.sparsity).validate()
+    worst = int(np.argmax(np.linalg.norm(residual, axis=1)))
     expected = x[:, worst] - x[:, worst].mean()
     expected /= np.linalg.norm(expected)
     dead = int(np.flatnonzero(usage == 0)[0])
-    assert abs(abs(expected @ atoms[:, dead]) - 1.0) < 1e-12
+    assert abs(abs(expected @ rows[dead]) - 1.0) < 1e-12
+
+
+def test_ksvd_returns_c_contiguous_atoms_after_replacing_a_dead_atom(caplog):
+    """Training keeps its atoms atom-major; callers get a C-contiguous N x K matrix."""
+    x = np.full((16, 40), 5.0)  # the constant atom codes every signal, so every other atom dies
+    with caplog.at_level(logging.DEBUG, logger="gifield.dictionary"):
+        psi, _ = gf.ksvd_train(x, gf.TrainingConfig(atom_count=16, sparsity=2, sweeps=1, seed=0))
+    assert any("replaced" in r.getMessage() for r in caplog.records)
+    assert psi.atoms.shape == (16, 16)
+    assert psi.atoms.flags.c_contiguous
 
 
 def test_import_loads_no_scipy():
