@@ -102,9 +102,12 @@ def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray
     """Orthogonal matching pursuit on every column of ``x`` against the columns of ``atoms``.
 
     Greedily picks the column most correlated with the residual
-    (normalized by column norm), refits least squares on the selected
-    support, and stops once ``t0`` atoms are used or the residual norm
-    drops to 1e-6 * ||y||. Returns the K x L coefficient matrix.
+    (normalized by column norm) and refits least squares on the selected
+    support. A signal stops once ``t0`` atoms are used, once its residual
+    energy drops to 1e-12 ||y||^2, when no column correlates with its
+    residual, or when the column it picked lies in the span of its support:
+    that dependent column gets coefficient 0 and the fit stays as it was.
+    Returns the K x L coefficient matrix.
 
     Raises:
         ValueError: ``atoms`` or ``x`` holds a NaN or an infinity, or
@@ -129,8 +132,10 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
     correlations alpha - G_I c. Otherwise a buffer keeps the selected atoms,
     which give the new column and the residual r, and the correlations are
     D^T r. A signal stops at the budget, once its residual energy drops to
-    1e-12 ||y||^2, or when no atom correlates with its residual. Columns go
-    in blocks of ``_OMP_BLOCK``; the buffers are allocated once per call.
+    1e-12 ||y||^2, when no atom correlates with its residual, or on a
+    dependent atom, one whose Cholesky pivot vanishes: that atom keeps
+    coefficient 0 and the signal keeps the fit it had. Columns go in blocks
+    of ``_OMP_BLOCK``; the buffers are allocated once per call.
     Returns (support, coeffs): L x budget atom indices in selection order and
     their coefficients, with -1 and 0 in unused slots.
     """
@@ -159,94 +164,77 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
         y = x[:, first:first + _OMP_BLOCK].T  # one signal per row
         alpha = y @ d
         energy = np.einsum("ln,ln->l", y, y)
-        tol = 1e-12 * energy
         n = energy.size
-        # one row per running signal: its column of x, energy, tolerance and
-        # correlations with the atoms, what it selected and its factors
-        state = (first + index[:n], energy, tol, alpha, np.empty((n, budget), dtype=np.intp),
-                 np.zeros((n, budget, budget + 1)), np.empty((n, budget, budget + 1)),
-                 np.zeros(n, dtype=bool))
-        going = energy > tol  # a zero signal stops before it starts
+        # one row per running signal: its column of x, energy and correlations
+        # with the atoms, and its Cholesky factors
+        state = (first + index[:n], energy, alpha, np.zeros((n, budget, budget + 1)))
+        going = energy > 0.0  # a zero signal stops before it starts
         for t in range(budget):
-            cols, energy, tol, alpha, sel, *factors = state
+            cols, energy, alpha, chol = state
             # scored in place: both update paths rewrite corr[:n] at the end of the step
             np.abs(alpha if t == 0 else corr[:n], out=corr[:n])
             np.divide(corr[:n], norms, out=corr[:n])
-            corr[index[:n, None], sel[:, :t]] = -1.0
+            corr[index[:n, None], support[cols, :t]] = -1.0
             best = np.argmax(corr[:n], axis=1)
             going &= corr[index[:n], best] > 0.0
             if np.count_nonzero(going) < n:  # drop the signals that stopped
                 kept = going.nonzero()[0]
                 state, best, n = tuple(a[kept] for a in state), best[kept], kept.size
-                cols, energy, tol, alpha, sel, *factors = state
+                cols, energy, alpha, chol = state
                 picked[:t, :n] = picked[:t, kept]
                 if n == 0:
                     break
-            sel[:, t] = best
             support[cols, t] = best
             rows = picked[: t + 1, :n].transpose(1, 0, 2)
             if gram is not None:
                 np.take(gram, best, axis=0, out=picked[t, :n], mode="clip")
-                col = picked[t, index[:n, None], sel[:, : t + 1]]
+                col = picked[t, index[:n, None], support[cols, : t + 1]]
             else:
                 picked[t, :n] = d[:, best].T
                 col = (rows @ picked[t, :n, :, None])[:, :, 0]
-            c, fit = _grow_factors(factors, col, alpha[index[:n], best], t)
+            c, fit, dependent = _grow_factors(chol, col, alpha[index[:n], best], t)
             coeffs[cols, : t + 1] = c
             if t + 1 == budget:
                 break
             if gram is not None:
-                going = energy - fit > tol
+                going = energy - fit > 1e-12 * energy
                 np.matmul(c[:, None, :], rows, out=corr[:n, None, :])
                 np.subtract(alpha, corr[:n], out=corr[:n])
             else:
                 residual = x[:, cols].T - (c[:, None, :] @ rows)[:, 0]
-                going = np.einsum("ln,ln->l", residual, residual) > tol
+                going = np.einsum("ln,ln->l", residual, residual) > 1e-12 * energy
                 np.matmul(residual, d, out=corr[:n])
+            going &= ~dependent
     return support, coeffs
 
 
 def _grow_factors(
-    factors: list[np.ndarray], col: np.ndarray, a_new: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray]:
+    chol: np.ndarray, col: np.ndarray, a_new: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Add atom ``t`` to every running support: one batched Cholesky step.
 
-    ``factors`` is (chol, held, singular), one row per signal. Row i of
-    ``chol`` is row i of L^-1, for the support Gram G_I = L L^T, with entry i
-    of the forward vector w = L^-1 alpha_I in its last column; row i of
-    ``held`` is row i of G_I's lower triangle with alpha_i (atom i's
-    correlation with the signal) in its last column; ``singular`` marks the
-    supports whose Gram turned singular. All three grow in place. ``col`` is
-    the new atom's row of the grown G_I, its diagonal entry last, and
-    ``a_new`` its correlation with the signal. Returns the coefficients
-    c = L^-T w and the captured energy ||w||^2, so the residual energy is
-    ||y||^2 - ||w||^2. A pivot within rounding of zero marks a support
-    singular; from then on that signal takes the least-norm fit
-    pinv(G_I) alpha_I.
+    Row i of ``chol`` is row i of L^-1, for the support Gram G_I = L L^T, with
+    entry i of the forward vector w = L^-1 alpha_I in its last column, one
+    such matrix per signal; it grows in place. ``col`` is the new atom's row
+    of the grown G_I, its diagonal entry last, and ``a_new`` its correlation
+    with the signal. Returns the coefficients c = L^-T w, the captured energy
+    ||w||^2, so the residual energy is ||y||^2 - ||w||^2, and which new atoms
+    are dependent: a pivot within rounding of zero leaves the new row of
+    L^-1 zero, so that atom's coefficient is 0 and c and ||w||^2 are those of
+    the support without it.
     """
-    chol, held, singular = factors
-    held[:, t, : t + 1] = col
-    held[:, t, -1] = a_new
     v = chol[:, :t, :t] @ col[:, :t, None]  # L^-1 g, one column per signal
     vt = v.transpose(0, 2, 1)
     pivot2 = col[:, t] - (vt @ v)[:, 0, 0]
-    singular |= pivot2 <= 1e-14 * col[:, t]  # a duplicate atom leaves a few ulps of G_jj
-    pivot2[singular] = np.inf  # a singular support stops growing its factor
+    dependent = pivot2 <= 1e-14 * col[:, t]  # a duplicate atom leaves a few ulps of G_jj
+    pivot2[dependent] = np.inf  # so the new row of L^-1 comes out 0
     row = chol[:, t]  # (e_t, a_new) - v^T (L^-1, w), over the pivot
     row[:, t] = 1.0
     row[:, -1] = a_new
     row -= (vt @ chol[:, :t])[:, 0]
     row /= np.sqrt(pivot2)[:, None]
     fitted = (chol[:, None, : t + 1, -1] @ chol[:, : t + 1])[:, 0]  # w^T L^-1, then w . w
-    c, fit = fitted[:, : t + 1], fitted[:, -1]
-    if np.count_nonzero(singular):
-        s = singular.nonzero()[0]
-        g = np.tril(held[s, : t + 1, : t + 1])
-        g += np.tril(g, -1).transpose(0, 2, 1)
-        a_s = held[s, : t + 1, -1]
-        c[s] = (np.linalg.pinv(g) @ a_s[:, :, None])[:, :, 0]
-        fit[s] = np.einsum("li,li->l", c[s], a_s)
-    return c, fit
+    return fitted[:, : t + 1], fitted[:, -1], dependent
 
 
 def _constrain_atom(v: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -260,6 +260,11 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
             f"config: dictionary.atoms {atoms} > 1 needs images of at least 2 pixels,"
             f" not the 1 pixel of the images in {cfg.train_path}"
         )
+    if not np.any(data.images):
+        raise ValidationError(
+            f"config: data.train {cfg.train_path} gives {len(data)} training images"
+            " that are all zero"
+        )
     _make_dir(out_path.parent, "dictionary.path", str(out_path))
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",
@@ -533,7 +538,7 @@ def read_results(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     return rows, (out / DONE_MARKER).is_file()
 
 
-def emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
+def _emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
     """Write per-method (sr, psnr_mean) and (sr, ssim_mean) files, sorted by sr."""
     for method in dict.fromkeys(r.method for r in records):
         cells = sorted((r for r in records if r.method == method), key=lambda r: r.sr)
@@ -579,6 +584,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         for r in records
         for i, image in enumerate(zip(r.mse, r.psnr, r.ssim))
     ])
-    emit_curves(records, out)
+    _emit_curves(records, out)
     marker.touch()
     return records

@@ -50,7 +50,8 @@ def timings():
 
 @pytest.fixture(scope="session")
 def data_dir(tmp_path_factory):
-    """Synthetic IDX corpora: 28x28 train/test plus a mean-pooled 7x7 pair."""
+    """Synthetic IDX corpora: 28x28 train/test, a mean-pooled 7x7 pair and
+    twenty all-zero 4x4 images."""
     root = tmp_path_factory.mktemp("corpus")
     synthdata.generate_idx(root / "train.idx", 2200, seed=0)
     synthdata.generate_idx(root / "test.idx", 300, seed=99)
@@ -58,6 +59,7 @@ def data_dir(tmp_path_factory):
         imgs = synthdata.make_digit_images(count, seed=seed)
         pooled = imgs.reshape(count, 7, 4, 7, 4).mean(axis=(2, 4))
         data.write_idx_images(root / name, np.floor(pooled + 0.5))
+    data.write_idx_images(root / "zero_train.idx", np.zeros((20, 4, 4)))
     return root
 
 

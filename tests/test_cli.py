@@ -156,8 +156,10 @@ def test_train_dict_reads_only_training_keys(tmp_path, data_dir, capsys):
     [
         ({"atoms": 10, "train_count": 60}, "dictionary.atoms 10 < the 49 pixels"),
         ({"atoms": 64, "train_count": 50}, "data.train_count 50 < dictionary.atoms 64"),
+        ({"train": "zero_train.idx", "atoms": 16, "train_count": 20, "sparsity": 2},
+         "training images that are all zero"),
     ],
-    ids=["atoms-below-pixels", "signals-below-atoms"],
+    ids=["atoms-below-pixels", "signals-below-atoms", "all-zero-images"],
 )
 def test_train_dict_refuses_an_impossible_dictionary(
     tmp_path, data_dir, monkeypatch, capsys, overrides, message
@@ -166,9 +168,10 @@ def test_train_dict_refuses_an_impossible_dictionary(
         raise AssertionError("trained before checking the dictionary's shape")
 
     monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
+    opts = {"sparsity": 3, "sweeps": 1, **overrides}
+    opts["train"] = data_dir / opts.get("train", "tiny_train.idx")
     cfg = write_run_config(
-        tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim", tmp_path / "out",
-        train=data_dir / "tiny_train.idx", sparsity=3, sweeps=1, **overrides,
+        tmp_path / "r.ini", data_dir, tmp_path / "dict" / "d.gim", tmp_path / "out", **opts
     )
     assert main(["train-dict", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err

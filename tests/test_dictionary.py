@@ -410,8 +410,9 @@ def test_desk_training_beats_dct_coding(desk_dictionary, data_dir):
 
 def test_omp_duplicate_columns_and_signal_outside_range():
     """Once the residual is orthogonal to every column, the correlations left are
-    rounding noise; a duplicate column picked on noise makes a singular support
-    Gram, and the fit must still be the least-squares projection."""
+    rounding noise; a duplicate column picked on noise is dependent on the
+    support, so it gets coefficient 0 and ends its signal with the
+    least-squares fit it had. Alone or in a batch, the signal gets one code."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         a = rng.standard_normal(6)
@@ -421,11 +422,13 @@ def test_omp_duplicate_columns_and_signal_outside_range():
         outside -= q @ (q.T @ outside)
         y = 2.0 * a + outside
         # one signal goes the direct way; four signals against three atoms take the Gram side
+        alone = gf.omp(d, y, 3)
         tiled = gf.sparse_code_columns(d, np.tile(y[:, None], 4), 3)
-        for z in (gf.omp(d, y, 3), gf.sparse_code_columns(d, y[:, None], 3)[:, 0],
-                  *tiled.T):
+        for z in (alone, gf.sparse_code_columns(d, y[:, None], 3)[:, 0], *tiled.T):
             assert np.all(np.isfinite(z))
             np.testing.assert_allclose(d @ z, 2.0 * a, atol=1e-9)
+            assert z[1] == 0.0  # ties pick the first twin; the second, if picked, is dependent
+            np.testing.assert_allclose(z, alone, atol=1e-9)
 
 
 def test_coder_refuses_non_finite_input():

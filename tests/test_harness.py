@@ -669,7 +669,7 @@ def test_emit_curves_sorts(tmp_path):
         _record("optimized", 0.5, (28.0,)),  # out of order
         _record("optimized", 0.1, (30.0,)),
     ]
-    harness.emit_curves(records, tmp_path)
+    harness._emit_curves(records, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "curve_optimized_psnr.csv", "curve_optimized_ssim.csv",
     ]
