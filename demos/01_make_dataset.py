@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--test", type=int, default=100)
     args = ap.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     synthdata.generate_idx(out / "train.idx", args.train, seed=0)
     synthdata.generate_idx(out / "test.idx", args.test, seed=99)

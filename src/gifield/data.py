@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -61,6 +62,12 @@ def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _numpy_can_hold(*shape: int) -> bool:
+    """Whether numpy can make a float64 array of ``shape``: the product of its
+    nonzero dimensions, in bytes, must fit an ``intp``, even when another is 0."""
+    return math.prod(n for n in shape if n) * 8 <= np.iinfo(np.intp).max
+
+
 def load_idx_images(path) -> Dataset:
     """Read an IDX image file (the MNIST container format).
 
@@ -69,8 +76,9 @@ def load_idx_images(path) -> Dataset:
 
     Raises:
         FormatError: the magic tag is not the IDX image magic.
-        CorruptionError: the header declares images without pixels, or the
-            pixel payload is not exactly as long as the header declares.
+        CorruptionError: the header declares images without pixels, or a
+            shape numpy cannot hold, or the pixel payload is not exactly as
+            long as the header declares.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
@@ -87,6 +95,11 @@ def load_idx_images(path) -> Dataset:
     if len(payload) != need:
         raise CorruptionError(
             f"{path}: payload holds {len(payload)} bytes, header needs {need}"
+        )
+    if not _numpy_can_hold(count, rows * cols):
+        raise CorruptionError(
+            f"{path}: header declares {count} images of {rows} x {cols} pixels,"
+            " a shape numpy cannot hold"
         )
     pixels = np.frombuffer(payload, dtype=np.uint8)
     images = pixels.reshape(count, rows * cols).astype(np.float64)
@@ -133,9 +146,11 @@ def atomic_write(path):
     The bytes go to a temporary file beside ``path``, which ``os.replace``
     moves over it at the end, so a reader sees the old file or the whole new
     one, never a truncated one. If the block raises, the temporary file is
-    deleted and ``path`` is left as it was.
+    deleted and ``path`` is left as it was. The directory of ``path`` and its
+    parents are made first if missing, so a writer makes its own directory.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -182,6 +197,10 @@ def _parse_matrix_file(path) -> tuple[np.ndarray, dict]:
         raise CorruptionError(
             f"{path}: payload holds {len(body)} bytes, {rows}x{cols} needs {need}"
         )
+    if not _numpy_can_hold(rows, cols):
+        raise CorruptionError(
+            f"{path}: header declares a {rows}x{cols} matrix, a shape numpy cannot hold"
+        )
     m = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
     if not np.all(np.isfinite(m)):
         raise CorruptionError(f"{path}: payload holds a non-finite entry")
@@ -204,7 +223,8 @@ def read_matrix(path) -> np.ndarray:
     """Read back a matrix written by :func:`write_matrix` (bit-exact).
 
     Raises ``CorruptionError`` if the payload holds a NaN or an infinity,
-    which :func:`write_matrix` never writes, or if no metadata block follows it.
+    which :func:`write_matrix` never writes, if no metadata block follows it,
+    or if the header declares a shape numpy cannot hold.
     """
     return _parse_matrix_file(path)[0]
 

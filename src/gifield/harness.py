@@ -3,16 +3,17 @@
 A run is fully described by one INI-style config file: dataset paths, training
 knobs, the SR grid, methods, quantization, noise. ``write_fields``
 (``build-fields``) and ``run_experiment`` share one set-up, and write nothing
-until every check has passed. Each field variant is built once, with the Gram
-rank of rows, by one lift-and-scale rule (lifted by its own minimum, quantized
-against its own peak); ``write_fields`` writes it whole, and a sweep forms its
-D = Phi Psi once, at the grid's largest M, and gives every (method, SR) cell
-row prefixes of both. A sweep makes one pass per field variant: each cell
-measures, reconstructs and scores all test images together, under one noise
-model seeded from the variant's method and field seed, and adds the scores to
-the cell's running sums. After a method's last variant each cell is one
-record: per-image means over field seeds, as arrays, and their aggregate.
-Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per test
+until every check has passed. No command makes a directory: the first file
+written into one makes it (``data.atomic_write``). Each field variant is built
+once, with the Gram rank of rows, by one lift-and-scale rule (lifted by its
+own minimum, quantized against its own peak); ``write_fields`` writes it
+whole, and a sweep forms its D = Phi Psi once, at the grid's largest M, and
+gives every (method, SR) cell row prefixes of both. A sweep makes one pass per
+field variant: each cell measures, reconstructs and scores all test images
+together, under one noise model seeded from the variant's method and field
+seed, and adds the scores to the cell's running sums. After a method's last
+variant each cell is one record: per-image means over field seeds, as arrays,
+and their aggregate. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per test
 image per cell), per-method curves and a zero-byte ``_DONE`` marker written
 last to flag unfinished runs. ``read_results`` reads ``results.csv`` back.
 
@@ -234,14 +235,15 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
 
     The metadata holds the whole K-SVD objective trajectory (``objectives``,
     one value per sweep). Every value was checked when ``cfg`` was made; here go
-    the checks, first that ``out_path`` names a file and no directory, then those
-    on ``data.train`` and its images. The directory of ``out_path`` is made last,
-    before training: a file in its way is a ``ValidationError``.
+    the checks, first that ``out_path`` names a file, with no directory there and
+    no file where its directory must go, then those on ``data.train`` and its
+    images. Nothing is written, nor any directory made, before training ends.
     """
     if not (out_path := Path(out_path or "")).name:
         raise ValidationError("config: dictionary.path must name the file to train into")
     if out_path.is_dir():
         raise ValidationError(f"config: dictionary.path {out_path} is a directory, not a file")
+    _check_dir(out_path.parent, "dictionary.path", str(out_path))
     if not cfg.train_path:
         raise ValidationError("config: data.train path is required to train")
     atoms = cfg.training.atom_count
@@ -265,7 +267,6 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
             f"config: data.train {cfg.train_path} gives {len(data)} training images"
             " that are all zero"
         )
-    _make_dir(out_path.parent, "dictionary.path", str(out_path))
     log.info(
         "training dictionary: %d signals, %d atoms, T0=%d, %d sweeps",
         len(data), cfg.training.atom_count, cfg.training.sparsity, cfg.training.sweeps,
@@ -291,18 +292,21 @@ def train_dictionary(cfg: ExperimentConfig, out_path) -> Dictionary:
     return dictionary
 
 
-def _make_dir(path: Path, key: str, value: str) -> None:
-    """Create the directory ``path`` (and its parents) that config ``key`` = ``value`` needs.
+def _check_dir(path, key: str, value: str) -> Path:
+    """``path`` as the directory that config ``key`` = ``value`` needs, checked, not made.
 
-    A file where the directory or one of its parents must go is a
-    ``ValidationError`` naming the key and its value.
+    An empty ``path`` (not the working directory) or a file where the directory
+    or one of its parents must go is a ``ValidationError`` naming the key.
     """
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ValidationError(
-            f"config: {key} {value}: a file stands where a directory must go ({exc.filename})"
-        ) from exc
+    if not path:
+        raise ValidationError(f"config: {key} directory is required")
+    path = Path(path)
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise ValidationError(
+                f"config: {key} {value}: a file stands where a directory must go ({part})"
+            )
+    return path
 
 
 def _subset_or_invalid(path: str, split: str, count: int, seed: int):
@@ -350,16 +354,9 @@ def _resolve_grid(cfg: ExperimentConfig, state: FieldOptState) -> list[tuple[flo
     return grid
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    """``run.out`` as a path; an empty one is a ``ValidationError``, not the working directory."""
-    if not cfg.out_dir:
-        raise ValidationError("config: run.out directory is required")
-    return Path(cfg.out_dir)
-
-
 def _set_up(cfg: ExperimentConfig):
     """Check ``cfg`` and its dictionary for a sweep; return ``(out, psi, state, grid)``."""
-    out = _out_dir(cfg)
+    out = _check_dir(cfg.out_dir, "run.out", cfg.out_dir)
     if not cfg.dictionary_path:
         raise ValidationError(
             "no trained dictionary configured (dictionary.path); run train-dict first"
@@ -399,7 +396,6 @@ def write_fields(cfg: ExperimentConfig) -> list[Path]:
     field ``run`` measures with; its metadata ends in the checksum or the seed.
     """
     out, psi, state, _ = _set_up(cfg)
-    _make_dir(out, "run.out", cfg.out_dir)
     paths = []
     for method, seed, phi in _field_variants(cfg, state):
         origin = {"dictionary_checksum": psi.checksum} if seed is None else {"seed": seed}
@@ -505,7 +501,7 @@ def read_results(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     ``ValidationError``; a malformed one is a ``FormatError``. ``finished``
     says whether the ``_DONE`` marker is there.
     """
-    out = _out_dir(cfg)
+    out = _check_dir(cfg.out_dir, "run.out", cfg.out_dir)
     path = out / "results.csv"
     if not path.is_file():
         raise ValidationError(f"no results.csv under {out}")
@@ -550,10 +546,11 @@ def _emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """Execute the full sweep described by ``cfg`` and write all outputs.
 
-    Returns the records in (method, grid) order. Every check runs before
-    ``run.out`` is made or a stale ``_DONE`` marker cleared; the marker is
-    written only after every file is flushed, so its absence flags a
-    partial run.
+    Returns the records in (method, grid) order. Every check runs before the
+    sweep, and the sweep before any output: a stale ``_DONE`` marker is cleared
+    just before the first file is written, and the marker is written only after
+    every file is flushed, so a run that fails before writing leaves ``run.out``
+    as it was, and one that fails while writing leaves no marker.
     """
     if not cfg.test_path:
         raise ValidationError("config: data.test path is required")
@@ -564,9 +561,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             f"test images have {test.pixels_per_image} pixels, dictionary has {psi.n_pixels}"
         )
     x_test = test.as_columns()
-    _make_dir(out, "run.out", cfg.out_dir)
-    marker = out / DONE_MARKER
-    marker.unlink(missing_ok=True)
 
     records = [
         record
@@ -574,6 +568,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
         for record in _run_method(method, variants, grid, psi, x_test, cfg)
     ]
 
+    marker = out / DONE_MARKER
+    marker.unlink(missing_ok=True)
     _write_csv(out / "results.csv", RESULTS_HEADER, [
         (r.method, r.sr, r.m, r.qbits, r.report.psnr_mean, r.report.psnr_std,
          r.report.ssim_mean, r.report.ssim_std, r.mu, r.n_exact)

@@ -69,12 +69,13 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel = NoiseModel()) ->
             raise ValueError(f"image length {x.size} != pattern length {n_pixels}")
     if not np.isfinite(x).all():
         raise ValueError("image holds a non-finite pixel")
-    y = phi @ x
-    if noise.kind == "awgn":
-        if len(y) < 2:
-            raise ValueError("AWGN needs at least 2 patterns to scale its noise to")
-        sigma = np.sqrt(np.var(y, axis=0) * 10.0 ** (-noise.snr_db / 10.0))
-        y += sigma * np.random.default_rng(noise.seed).standard_normal(y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite readings are refused below
+        y = phi @ x
+        if noise.kind == "awgn":
+            if len(y) < 2:
+                raise ValueError("AWGN needs at least 2 patterns to scale its noise to")
+            sigma = np.sqrt(np.var(y, axis=0) * 10.0 ** (-noise.snr_db / 10.0))
+            y += sigma * np.random.default_rng(noise.seed).standard_normal(y.shape)
     if not np.isfinite(y).all():
         raise ValueError("measurement contains non-finite readings")
     return y

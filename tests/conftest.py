@@ -43,6 +43,15 @@ def write_payload_only(path, m):
     return Path(path)
 
 
+def write_unholdable_matrix(path, shape):
+    """A dictionary file of ``shape``, one dimension 0 so the payload is empty,
+    with a valid metadata block: a shape numpy cannot hold makes it corrupt."""
+    meta = b'{"role": "dictionary", "sparsity": 2}'
+    Path(path).write_bytes(data.MATRIX_MAGIC + struct.pack("<QQ", *shape)
+                           + struct.pack("<I", len(meta)) + meta)
+    return Path(path)
+
+
 @pytest.fixture(scope="session")
 def timings():
     return {}

@@ -19,7 +19,7 @@ from gifield import cli, harness
 from gifield.cli import main
 from gifield.data import IDX_IMAGE_MAGIC
 
-from conftest import write_payload_only, write_run_config
+from conftest import write_payload_only, write_run_config, write_unholdable_matrix
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +333,10 @@ def _write_bad_magic(path):
     path.write_bytes(b"NOTAGIM!" + bytes(64))
 
 
+def _write_unholdable_shape(path):
+    write_unholdable_matrix(path, (0, 2**62))
+
+
 def _write_broken_constraints(path):
     atoms = np.random.default_rng(0).standard_normal((49, 64))
     gf.write_matrix(path, atoms, meta={"role": "dictionary", "sparsity": 2})
@@ -343,10 +347,12 @@ def _write_broken_constraints(path):
     [
         ("dictionary", _write_bad_magic),
         ("dictionary", _write_broken_constraints),
+        ("dictionary", _write_unholdable_shape),
         ("test", _write_bad_magic),
         ("test", None),  # test_count beyond the 40 images of tiny_test.idx
     ],
-    ids=["dictionary-bad-magic", "dictionary-constraints", "test-bad-magic", "test-overdraw"],
+    ids=["dictionary-bad-magic", "dictionary-constraints", "dictionary-unholdable-shape",
+         "test-bad-magic", "test-overdraw"],
 )
 def test_run_with_bad_input_file_exits_2(tmp_path, data_dir, tiny_dict_file, capsys, key, write):
     files = {"dictionary": tiny_dict_file, "test": data_dir / "tiny_test.idx"}

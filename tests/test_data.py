@@ -16,7 +16,7 @@ import gifield as gf
 from gifield.data import IDX_IMAGE_MAGIC, atomic_write, write_idx_images
 from gifield import synthdata
 
-from conftest import random_dictionary, write_payload_only
+from conftest import random_dictionary, write_payload_only, write_unholdable_matrix
 
 
 def _write_idx(path, images):
@@ -78,6 +78,24 @@ def test_idx_images_without_pixels_are_corrupt(tmp_path, shape):
     path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *shape))
     with pytest.raises(gf.CorruptionError, match=re.escape(str(path))):
         gf.load_idx_images(path)
+
+
+# the headers below declare an empty payload, as a zero dimension makes it, but a
+# shape numpy cannot hold: the nonzero dimensions of a float64 array must fit 2**63 bytes
+@pytest.mark.parametrize("shape", [(0, 2**31, 2**31), (0, 2**32 - 1, 2**32 - 1)])
+def test_idx_shape_numpy_cannot_hold_is_corrupt(tmp_path, shape):
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, *shape))
+    with pytest.raises(gf.CorruptionError, match=re.escape(f"{path}: header declares 0 images")):
+        gf.load_idx_images(path)
+
+
+@pytest.mark.parametrize("reader", [gf.read_matrix, gf.read_matrix_meta, gf.load_dictionary])
+@pytest.mark.parametrize("shape", [(0, 2**62), (2**63, 0)])
+def test_matrix_shape_numpy_cannot_hold_is_corrupt(tmp_path, shape, reader):
+    path = write_unholdable_matrix(tmp_path / "huge.gim", shape)
+    with pytest.raises(gf.CorruptionError, match=re.escape(f"{path}: header declares a")):
+        reader(path)
 
 
 def test_idx_wrong_magic(tmp_path):

@@ -175,6 +175,7 @@ def test_a_config_built_by_hand_checks_itself(tmp_path):
     path.write_text("[fields]\nm = 10\n", encoding="utf-8")
     cfg = gf.load_config(path)
     for change, key in (({"methods": ("fourier",)}, "fields.methods"),
+                        ({"methods": ()}, "fields.methods must name at least one method"),
                         ({"qbits": 17}, "fields.qbits"),
                         ({"sr_grid": (0.5,)}, "fields.sr and fields.m"),
                         ({"train_seed": -1}, "data.train_seed: seed -1"),
@@ -564,6 +565,20 @@ def test_train_dictionary_refuses_an_output_under_a_file_before_training(
     assert blocker.read_bytes() == b""
 
 
+def test_an_interrupted_training_leaves_no_directory(tmp_path, data_dir, tiny_dict_file,
+                                                     monkeypatch):
+    """The dictionary's directory is made with its file, so a training that
+    fails leaves nothing at ``dictionary.path``, not even the directory."""
+    def interrupted(*args):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(harness, "ksvd_train", interrupted)
+    cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, atoms=49)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        gf.train_dictionary(cfg, tmp_path / "dict" / "d.gim")
+    assert [path.name for path in tmp_path.iterdir()] == ["out.ini"]
+
+
 @pytest.mark.parametrize("out_path", ["", None, "made"], ids=["empty", "none", "directory"])
 def test_train_dictionary_refuses_no_destination_before_reading(
     tmp_path, data_dir, tiny_dict_file, monkeypatch, out_path
@@ -621,10 +636,17 @@ def test_awgn_run_hurts_quality_and_stays_deterministic(tmp_path, data_dir, tiny
 
 
 def test_stale_done_marker_removed(tmp_path, data_dir, tiny_dict_file, monkeypatch):
-    """Once a run starts writing, a stale ``_DONE`` never survives its failure."""
+    """A rerun into a finished ``run.out`` that fails in its sweep leaves the
+    earlier run byte for byte, ``_DONE`` included; once it starts writing, a
+    stale ``_DONE`` never survives its failure."""
     cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, sr="0.4", test_count=4)
-    out.mkdir(parents=True)
-    (out / harness.DONE_MARKER).touch()
+    gf.run_experiment(cfg)
+
+    def files():
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    finished = files()
+    assert harness.DONE_MARKER in finished
     measure, calls = harness.measure, []
 
     def measure_then_fail(*args):
@@ -637,10 +659,23 @@ def test_stale_done_marker_removed(tmp_path, data_dir, tiny_dict_file, monkeypat
     with pytest.raises(RuntimeError, match="interrupted"):
         gf.run_experiment(cfg)
     assert len(calls) == 2
-    assert not (out / harness.DONE_MARKER).exists()  # stale marker cleared first
+    assert files() == finished  # nothing written, nothing cleared
+    monkeypatch.undo()
+
+    write = harness.atomic_write
+
+    def write_then_fail(path):
+        if Path(path).name == "per_image.csv":
+            raise RuntimeError("interrupted")
+        return write(path)
+
+    monkeypatch.setattr(harness, "atomic_write", write_then_fail)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        gf.run_experiment(cfg)
+    assert not (out / harness.DONE_MARKER).exists()  # cleared before the first file
     monkeypatch.undo()
     gf.run_experiment(cfg)
-    assert (out / harness.DONE_MARKER).exists()
+    assert files() == finished
 
 
 def _record(method="optimized", sr=0.1, psnr=(30.0,)):

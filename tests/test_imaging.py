@@ -56,6 +56,16 @@ def test_measure_validation():
         gf.NoiseModel(kind="none", snr_db=10.0)  # an SNR that no noise would honour
 
 
+def test_measure_refuses_readings_that_overflow():
+    """Finite fields and images whose readings overflow are refused with the
+    documented ValueError, not a floating-point warning, with or without noise."""
+    phi = np.full((3, 4), 1e200)
+    for x in (np.full(4, 1e200), np.full((4, 2), 1e200)):
+        for noise in (gf.NoiseModel(), gf.NoiseModel(kind="awgn", snr_db=30.0)):
+            with pytest.raises(ValueError, match="non-finite readings"):
+                gf.measure(phi, x, noise)
+
+
 def test_measure_checks_the_entries_not_their_history():
     # non-negative, never passed through nn_lift: displayable, so accepted
     phi = np.abs(gf.gaussian_sampling(4, 8, seed=0))
