@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from .errors import GifieldError
@@ -45,20 +46,16 @@ def _cmd_report(cfg) -> int:
     rows, finished = read_results(cfg)
     if not finished:
         print("warning: run did not finish (_DONE marker missing)", file=sys.stderr)
-
-    print(f"{'method':<10} {'sr':>6} {'M':>5} {'qbits':>5} {'psnr':>8} "
-          f"{'ssim':>8} {'mu':>8} {'exact':>5}")
-    for r in rows:
-        print(f"{r['method']:<10} {r['sr']:>6.3f} {r['M']:>5.0f} {r['qbits']:>5.0f} "
-              f"{r['psnr_mean']:>8.2f} {r['ssim_mean']:>8.4f} "
-              f"{r['mu']:>8.4f} {r['n_exact']:>5.0f}")
-    by_sr: dict[float, dict[str, float]] = {}
-    for r in rows:
-        by_sr.setdefault(r["sr"], {})[r["method"]] = r["psnr_mean"]
-    for sr, methods in by_sr.items():
-        if "optimized" in methods and "gaussian" in methods:
-            gain = methods["optimized"] - methods["gaussian"]
-            print(f"SR {sr:.3f}: optimized {gain:+.2f} dB vs gaussian")
+    # the header names, then each row: every column, text as it is and numbers as .4g
+    for r in (dict(zip(rows[0], rows[0])), *rows):
+        print(*(f"{v:>10}" if isinstance(v, str) else f"{v:>10.4g}" for v in r.values()))
+    psnr = {(r["method"], r["sr"]): r["psnr_mean"] for r in rows}
+    for sr in dict.fromkeys(sr for _, sr in psnr):
+        optimized, gaussian = psnr.get(("optimized", sr)), psnr.get(("gaussian", sr))
+        if optimized == gaussian == math.inf:
+            print(f"SR {sr:.3f}: optimized and gaussian both exact")
+        elif None not in (optimized, gaussian):
+            print(f"SR {sr:.3f}: optimized {optimized - gaussian:+.2f} dB vs gaussian")
     return 0
 
 

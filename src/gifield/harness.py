@@ -28,6 +28,7 @@ import csv
 import dataclasses
 import itertools
 import logging
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,8 +59,6 @@ from .metrics import QualityReport, aggregate, mse, mutual_coherence, psnr, ssim
 
 log = logging.getLogger(__name__)
 
-RESULTS_HEADER = "method,sr,M,qbits,psnr_mean,psnr_std,ssim_mean,ssim_std,mu,n_exact"
-PER_IMAGE_HEADER = "method,sr,M,qbits,image,mse,psnr,ssim"
 DONE_MARKER = "_DONE"
 
 METHODS = ("optimized", "gaussian")
@@ -139,6 +138,18 @@ class ExperimentRecord:
         for scores in (self.mse, self.psnr, self.ssim):
             scores.setflags(write=False)
         object.__setattr__(self, "report", aggregate(self.mse, self.psnr, self.ssim))
+
+
+# results.csv header name -> the ExperimentRecord attribute that gives it, in file
+# order: the one place a sweep's columns are named. A per_image.csv row holds the
+# first four of them, then "image" (the image's index), then the record's _SCORES.
+_RESULTS_COLUMNS = {
+    "method": "method", "sr": "sr", "M": "m", "qbits": "qbits",
+    "psnr_mean": "report.psnr_mean", "psnr_std": "report.psnr_std",
+    "ssim_mean": "report.ssim_mean", "ssim_std": "report.ssim_std",
+    "mu": "mu", "n_exact": "n_exact",
+}
+_SCORES = ("mse", "psnr", "ssim")
 
 
 def _optional(convert):
@@ -431,8 +442,8 @@ def _run_method(
 
     # per cell: running sums over field seeds of each image's mse, finite psnr
     # and ssim, and its count of finite PSNRs, all scored together on row
-    # prefixes of the variant's field and D; the records view this one block
-    sums = np.zeros((len(grid), 4, x_test.shape[1]))
+    # prefixes of the variant's field and D; the records view these arrays
+    mses, psnrs, ssims, n_finite = np.zeros((4, len(grid), x_test.shape[1]))
     mu = np.zeros(len(grid))
     coding_sec = np.zeros(len(grid))
     n_variants = 0
@@ -447,17 +458,17 @@ def _run_method(
             coding_sec[c_idx] += time.perf_counter() - start
             db = psnr(x_test, images, axis=0)
             finite = np.isfinite(db)
-            sums[c_idx, 0] += mse(x_test, images, axis=0)
-            sums[c_idx, 1] += np.where(finite, db, 0.0)
-            sums[c_idx, 2] += ssim(x_test, images, axis=0)
-            sums[c_idx, 3] += finite
+            mses[c_idx] += mse(x_test, images, axis=0)
+            psnrs[c_idx] += np.where(finite, db, 0.0)
+            ssims[c_idx] += ssim(x_test, images, axis=0)
+            n_finite[c_idx] += finite
         n_variants += 1
         del phi, equivalent  # one variant's field and D alive at a time
 
     # means over field seeds; infinite (exact) PSNRs are tallied apart, not averaged
-    n_finite = sums[:, 3]
-    sums[:, 1] = np.where(n_finite > 0, sums[:, 1] / np.maximum(n_finite, 1), np.inf)
-    sums[:, 0::2] /= n_variants
+    psnrs[:] = np.where(n_finite > 0, psnrs / np.maximum(n_finite, 1), np.inf)
+    mses /= n_variants
+    ssims /= n_variants
     mu /= n_variants
     records = []
     n_recons = n_variants * x_test.shape[1]
@@ -467,9 +478,9 @@ def _run_method(
             sr=sr,
             m=m,
             qbits=cfg.qbits,
-            mse=sums[c_idx, 0],
-            psnr=sums[c_idx, 1],
-            ssim=sums[c_idx, 2],
+            mse=mses[c_idx],
+            psnr=psnrs[c_idx],
+            ssim=ssims[c_idx],
             n_exact=n_recons - int(n_finite[c_idx].sum()),
             mu=float(mu[c_idx]),
         )
@@ -482,14 +493,11 @@ def _run_method(
     return records
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One line per row after ``header``; floats as ``_fmt`` gives them, the rest as ``str``."""
-    lines = [header, *(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-                       for row in rows)]
+def _write_csv(path: Path, columns, rows) -> None:
+    """``columns`` as the header, then one line per row: floats as ``repr`` gives them (numpy's
+    as Python's), the rest as ``str``."""
+    lines = [",".join(columns), *(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                           for v in row) for row in rows)]
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -505,7 +513,7 @@ def read_results(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     path = out / "results.csv"
     if not path.is_file():
         raise ValidationError(f"no results.csv under {out}")
-    columns = RESULTS_HEADER.split(",")
+    columns = list(_RESULTS_COLUMNS)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -516,7 +524,7 @@ def read_results(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     if header != columns:
         missing = [name for name in columns if name not in header]
         raise FormatError(f"{path}: no {missing[0]!r} column" if missing
-                          else f"{path}: header is not {RESULTS_HEADER!r}")
+                          else f"{path}: header is not {','.join(columns)!r}")
     if not lines:
         raise ValidationError(f"{path} has no records")
     rows = []
@@ -538,9 +546,10 @@ def _emit_curves(records: list[ExperimentRecord], out_dir: Path) -> None:
     """Write per-method (sr, psnr_mean) and (sr, ssim_mean) files, sorted by sr."""
     for method in dict.fromkeys(r.method for r in records):
         cells = sorted((r for r in records if r.method == method), key=lambda r: r.sr)
-        for metric in ("psnr", "ssim"):
-            _write_csv(out_dir / f"curve_{method}_{metric}.csv", f"sr,{metric}_mean",
-                       [(r.sr, getattr(r.report, f"{metric}_mean")) for r in cells])
+        for column in ("psnr_mean", "ssim_mean"):
+            mean = operator.attrgetter(_RESULTS_COLUMNS[column])
+            _write_csv(out_dir / f"curve_{method}_{column.removesuffix('_mean')}.csv",
+                       ("sr", column), [(r.sr, mean(r)) for r in cells])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
@@ -570,15 +579,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
     marker = out / DONE_MARKER
     marker.unlink(missing_ok=True)
-    _write_csv(out / "results.csv", RESULTS_HEADER, [
-        (r.method, r.sr, r.m, r.qbits, r.report.psnr_mean, r.report.psnr_std,
-         r.report.ssim_mean, r.report.ssim_std, r.mu, r.n_exact)
-        for r in records
-    ])
-    _write_csv(out / "per_image.csv", PER_IMAGE_HEADER, [
-        (r.method, r.sr, r.m, r.qbits, i, *image)
-        for r in records
-        for i, image in enumerate(zip(r.mse, r.psnr, r.ssim))
+    names, attributes = zip(*_RESULTS_COLUMNS.items())
+    _write_csv(out / "results.csv", names, map(operator.attrgetter(*attributes), records))
+    cell, scores = operator.attrgetter(*attributes[:4]), operator.attrgetter(*_SCORES)
+    _write_csv(out / "per_image.csv", (*names[:4], "image", *_SCORES), [
+        (*cell(r), i, *image) for r in records for i, image in enumerate(zip(*scores(r)))
     ])
     _emit_curves(records, out)
     marker.touch()

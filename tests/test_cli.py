@@ -310,23 +310,25 @@ def test_output_path_through_a_file_exits_2(
         raise AssertionError("trained before checking where the dictionary goes")
 
     monkeypatch.setattr(gf.harness, "ksvd_train", no_training)
-    if command == "train-dict":
-        key, path = "dictionary.path", blocker / "d.gim"
-        cfg = write_run_config(
-            tmp_path / "r.ini", data_dir, path, tmp_path / "out",
-            train=data_dir / "tiny_train.idx", train_count=60, atoms=49, sparsity=3, sweeps=1,
-        )
-    else:
-        key, path = "run.out", blocker
-        cfg = write_run_config(
-            tmp_path / "r.ini", data_dir, tiny_dict_file, blocker,
-            test=data_dir / "tiny_test.idx", test_count=4, sr="0.2",
-        )
-    assert main([command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert key in err and str(path) in err
-    assert sorted(tmp_path.iterdir()) == [blocker, tmp_path / "r.ini"]  # nothing written
-    assert blocker.read_bytes() == b""
+    for below in (blocker, blocker / "sub"):  # the file is the direct parent, or two levels up
+        if command == "train-dict":
+            key, path = "dictionary.path", below / "d.gim"
+            cfg = write_run_config(
+                tmp_path / "r.ini", data_dir, path, tmp_path / "out",
+                train=data_dir / "tiny_train.idx", train_count=60, atoms=49, sparsity=3,
+                sweeps=1,
+            )
+        else:
+            key, path = "run.out", below
+            cfg = write_run_config(
+                tmp_path / "r.ini", data_dir, tiny_dict_file, below,
+                test=data_dir / "tiny_test.idx", test_count=4, sr="0.2",
+            )
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and str(path) in err
+        assert sorted(tmp_path.iterdir()) == [blocker, tmp_path / "r.ini"]  # nothing written
+        assert blocker.read_bytes() == b""
 
 
 def _write_bad_magic(path):
@@ -392,7 +394,7 @@ def test_report_on_empty_dir_exits_2(tmp_path, capsys):
 def _write_results(directory):
     row = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0"
     (directory / "results.csv").write_text(
-        f"{gf.harness.RESULTS_HEADER}\n{row}\n", encoding="utf-8"
+        f"{_HEADER}\n{row}\n", encoding="utf-8"
     )
 
 
@@ -415,7 +417,7 @@ def test_report_warns_on_unfinished_run(tmp_path, capsys):
     assert "optimized" in captured.out
 
 
-_HEADER = gf.harness.RESULTS_HEADER
+_HEADER = "method,sr,M,qbits,psnr_mean,psnr_std,ssim_mean,ssim_std,mu,n_exact"
 _ROW = "optimized,0.1,78,0,21.5,1.2,0.81,0.05,0.31,0"
 
 
@@ -443,6 +445,23 @@ def test_report_on_a_malformed_results_file_exits_2(tmp_path, capsys, content, n
     captured = capsys.readouterr()
     assert named in captured.err and str(results) in captured.err
     assert not captured.out
+
+
+def test_report_on_an_all_exact_sweep(tmp_path, data_dir, tiny_dict_file, capsys):
+    """All-zero test images come back exact in every cell: the run reads back with
+    psnr_mean inf and psnr_std 0, and report calls each pair both exact, never nan."""
+    gf.data.write_idx_images(tmp_path / "zeros.idx", np.zeros((4, 7, 7)))
+    cfg = write_run_config(tmp_path / "r.ini", data_dir, tiny_dict_file, tmp_path / "out",
+                           test=tmp_path / "zeros.idx", test_count=4, sr="0.2,0.4")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows, finished = harness.read_results(gf.load_config(cfg))
+    assert finished and len(rows) == 4
+    assert all(row["psnr_mean"] == np.inf and row["psnr_std"] == 0.0 for row in rows)
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert "nan" not in text
+    assert text.count("optimized and gaussian both exact") == 2
 
 
 _CELL = st.sampled_from(["optimized", "gaussian", "0.1", "78", "-0", "nan", "inf", "1e400", ""])

@@ -470,10 +470,10 @@ def test_tiny_run_outputs(tiny_run):
     assert (out / harness.DONE_MARKER).exists()
 
     results = (out / "results.csv").read_text(encoding="utf-8").splitlines()
-    assert results[0] == harness.RESULTS_HEADER
+    assert results[0] == "method,sr,M,qbits,psnr_mean,psnr_std,ssim_mean,ssim_std,mu,n_exact"
     assert len(results) == 7
     per_image = (out / "per_image.csv").read_text(encoding="utf-8").splitlines()
-    assert per_image[0] == harness.PER_IMAGE_HEADER
+    assert per_image[0] == "method,sr,M,qbits,image,mse,psnr,ssim"
     assert len(per_image) == 1 + 6 * 12
     for method in ("optimized", "gaussian"):
         for metric in ("psnr", "ssim"):
@@ -484,16 +484,59 @@ def test_tiny_run_outputs(tiny_run):
             assert srs == sorted(srs) == [0.2, 0.4, 0.8]
 
 
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_results_csv_matches_records(tiny_run):
+    """Every column of both tables holds what the record gives it, in its own place."""
     records, out, _ = tiny_run
-    with open(out / "results.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_csv(out / "results.csv")
+    assert len(rows) == len(records)
     for record, row in zip(records, rows):
         assert row["method"] == record.method
+        assert float(row["sr"]) == record.sr
         assert int(row["M"]) == record.m
+        assert int(row["qbits"]) == record.qbits
         assert float(row["psnr_mean"]) == record.report.psnr_mean
+        assert float(row["psnr_std"]) == record.report.psnr_std
+        assert float(row["ssim_mean"]) == record.report.ssim_mean
+        assert float(row["ssim_std"]) == record.report.ssim_std
         assert float(row["mu"]) == record.mu
         assert int(row["n_exact"]) == record.n_exact
+    per_image = _read_csv(out / "per_image.csv")
+    assert len(per_image) == sum(len(r.mse) for r in records)
+    cells = [(r, i) for r in records for i in range(len(r.mse))]
+    for (record, i), row in zip(cells, per_image):
+        assert (row["method"], float(row["sr"])) == (record.method, record.sr)
+        assert (int(row["M"]), int(row["qbits"]), int(row["image"])) == (record.m, record.qbits, i)
+        assert float(row["mse"]) == record.mse[i]
+        assert float(row["psnr"]) == record.psnr[i]
+        assert float(row["ssim"]) == record.ssim[i]
+
+
+def test_an_all_zero_image_is_exact_and_left_out_of_psnr_mean(
+    tmp_path, data_dir, tiny_dict_file
+):
+    """Under AWGN an all-zero test image reads zeros, so every field reconstructs it
+    exactly: it counts once per field variant in ``n_exact``, its ``per_image.csv``
+    psnr is inf, and ``psnr_mean`` is the mean over the other images."""
+    images = gf.load_idx_images(data_dir / "tiny_test.idx").images[:12].reshape(12, 7, 7)
+    images = np.where(np.arange(12)[:, None, None] == 5, 0.0, images)
+    data.write_idx_images(tmp_path / "one_zero.idx", images)
+    cfg, out = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, test=tmp_path / "one_zero.idx",
+                         noise=("awgn", 30.0), gaussian_seeds=3)
+    subset = gf.random_subset(gf.load_idx_images(cfg.test_path), 12, cfg.test_seed).images
+    (zero,) = np.flatnonzero(~subset.any(axis=1))
+    records = gf.run_experiment(cfg)
+    assert [r.n_exact for r in records] == [1] * 3 + [3] * 3  # 1 optimized field, 3 draws
+    assert [int(row["n_exact"]) for row in _read_csv(out / "results.csv")] == [1] * 3 + [3] * 3
+    per_image = _read_csv(out / "per_image.csv")
+    assert [row["psnr"] for row in per_image if int(row["image"]) == zero] == ["inf"] * 6
+    for r in records:
+        assert r.psnr[zero] == np.inf
+        assert r.report.psnr_mean == np.mean(np.delete(r.psnr, zero))
 
 
 def test_quality_improves_with_sr(tiny_run):
