@@ -5,8 +5,10 @@ One config describes the whole experiment; the harness reuses the saved
 dictionary, builds each field variant once (the optimized field, and one
 Gaussian draw per seed) and gives every grid point that variant's row
 prefix (Gaussian scores averaged over seeds), reconstructs every test image,
-and writes results.csv, per_image.csv, and per-method curve files.
-Every output is bit-reproducible.
+and writes results.csv, per_image.csv, and per-method curve files under
+DIR/sweep. Every output is bit-reproducible. It ends with ``gifield report``
+on the finished run: the results table and, per sampling ratio, the optimized
+field's PSNR gain over the Gaussian draws (or "both exact").
 
 Usage: python3 05_full_sweep.py [--out DIR] [--test N]
 """
@@ -15,6 +17,7 @@ import argparse
 from pathlib import Path
 
 import gifield as gf
+from gifield import cli
 
 
 def main():
@@ -48,19 +51,10 @@ out = {out / 'sweep'}
 """,
         encoding="utf-8",
     )
-    records = gf.run_experiment(gf.load_config(cfg_path))
-
-    print(f"\n{'method':<10} {'SR':>5} {'M':>4} {'PSNR':>7} {'SSIM':>7} {'mu(D)':>7}")
-    for r in records:
-        print(f"{r.method:<10} {r.sr:>5.2f} {r.m:>4} {r.report.psnr_mean:>7.2f} "
-              f"{r.report.ssim_mean:>7.4f} {r.mu:>7.4f}")
-
-    by = {(r.method, r.sr): r.report.psnr_mean for r in records}
-    print()
-    for sr in sorted({r.sr for r in records}):
-        gain = by[("optimized", sr)] - by[("gaussian", sr)]
-        print(f"SR {sr:.2f}: optimized {gain:+.2f} dB vs gaussian")
-    print(f"\nCSV outputs under {out / 'sweep'}")
+    gf.run_experiment(gf.load_config(cfg_path))
+    code = cli.main(["report", "--config", str(cfg_path)])
+    if code:
+        raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,12 @@ class GifieldError(Exception):
 
 
 class FormatError(GifieldError, ValueError):
-    """A file does not start with the expected magic tag."""
+    """A file is not in the format its reader expects.
+
+    A dataset or dictionary file does not start with the expected magic tag,
+    or a ``results.csv`` is not readable CSV text, lacks a column, has another
+    header, has a row of the wrong length or holds a cell that is not a number.
+    """
 
 
 class CorruptionError(GifieldError, ValueError):

@@ -237,7 +237,7 @@ def load_config(path) -> ExperimentConfig:
             raise ValidationError(f"config value error: {key}: {exc}") from exc
     try:
         return ExperimentConfig(**values)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"config value error: {exc}") from exc
 
 

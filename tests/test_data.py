@@ -329,3 +329,15 @@ def test_as_columns_layout(tmp_path):
     cols = ds.as_columns()
     assert cols.shape == (784, 4)
     np.testing.assert_array_equal(cols[:, 2], ds.images[2])
+
+
+def test_make_digit_images_refuses_no_images():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        synthdata.make_digit_images(0, seed=0)
+
+
+def test_a_zero_length_stroke_is_its_point():
+    """A stroke segment from a point to itself gives each pixel's distance to that point."""
+    gy, gx = np.mgrid[0:5, 0:5].astype(np.float64)
+    d = synthdata._segment_distance(gx, gy, (1.5, 2.25), (1.5, 2.25))
+    np.testing.assert_array_equal(d, np.hypot(gx - 1.5, gy - 2.25))
