@@ -6,9 +6,9 @@ it to ``dictionary.path``, ``build-fields`` writes each light field variant to
 ``report`` summarizes the finished run in ``run.out``. Every command takes
 ``--config FILE`` alone: every setting comes from the config file, which
 ``main`` loads once, and the handler makes one harness call on it and prints.
-Exit codes: 0 success; 2 bad usage or bad input (a bad config, dataset or
-dictionary file), which the package reports with its own ``GifieldError``
-types; 1 any other failure.
+Exit codes: 0 success; 2 bad usage or bad input (a bad config, dataset,
+dictionary or ``results.csv`` file), which the package reports with its own
+``GifieldError`` types; 1 any other failure.
 """
 
 from __future__ import annotations

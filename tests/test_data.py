@@ -336,8 +336,76 @@ def test_make_digit_images_refuses_no_images():
         synthdata.make_digit_images(0, seed=0)
 
 
+def _reference_distance(gx, gy, p, q):
+    """One image's pixel distances to the segment p-q, computed alone."""
+    (px, py), (qx, qy) = p, q
+    vx, vy = qx - px, qy - py
+    vv = vx * vx + vy * vy
+    if vv == 0.0:
+        return np.hypot(gx - px, gy - py)
+    t = np.clip(((gx - px) * vx + (gy - py) * vy) / vv, 0.0, 1.0)
+    return np.hypot(gx - (px + t * vx), gy - (py + t * vy))
+
+
+def _reference_digit(digit, rng):
+    """One image at a time, each draw its own ``rng.uniform`` call."""
+    scale = rng.uniform(0.72, 1.12)
+    angle = rng.uniform(-0.3, 0.3)
+    shear = rng.uniform(-0.22, 0.22)
+    dx, dy = rng.uniform(-0.08, 0.08, size=2)
+    peak = rng.uniform(200.0, 255.0)
+    cos_a, sin_a = np.cos(angle), np.sin(angle)
+    gy, gx = np.mgrid[0:28, 0:28].astype(np.float64)
+    img = np.zeros((28, 28))
+    for stroke in synthdata._GLYPHS[digit]:
+        sigma = rng.uniform(0.7, 1.45)
+        pts = []
+        for x, y in stroke:
+            u, v = x - 0.5 + rng.uniform(-0.035, 0.035), y - 0.5 + rng.uniform(-0.035, 0.035)
+            u += shear * v
+            u, v = cos_a * u - sin_a * v, sin_a * u + cos_a * v
+            pts.append(((u * scale + 0.5 + dx) * 22 + 3, (v * scale + 0.5 + dy) * 22 + 3))
+        for p, q in zip(pts[:-1], pts[1:]):
+            d = _reference_distance(gx, gy, p, q)
+            shade = peak * rng.uniform(0.82, 1.0)
+            img = np.maximum(img, shade * np.exp(-0.5 * (d / sigma) ** 2))
+    return np.floor(np.clip(img, 0.0, 255.0) + 0.5)
+
+
+@pytest.mark.parametrize("count, seed, block", [(1, 0, None), (47, 5, 3)])
+def test_block_rendering_matches_one_image_at_a_time(monkeypatch, count, seed, block):
+    """Blocks of one digit give the bytes of a renderer that draws and paints
+    each image alone; 47 images with blocks of 3 cover all ten digits and
+    split each digit's images over several blocks."""
+    if block is not None:
+        monkeypatch.setattr(synthdata, "_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    expected = np.stack([_reference_digit(i % 10, rng) for i in range(count)])
+    got = synthdata.make_digit_images(count, seed)
+    assert got.dtype == expected.dtype and got.shape == (count, 28, 28)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_a_corpus_is_the_prefix_of_a_larger_one():
+    whole = synthdata.make_digit_images(23, seed=6)
+    for count in (1, 9, 10, 11, 22):
+        assert synthdata.make_digit_images(count, seed=6).tobytes() == whole[:count].tobytes()
+
+
 def test_a_zero_length_stroke_is_its_point():
-    """A stroke segment from a point to itself gives each pixel's distance to that point."""
+    """A stroke segment from a point to itself gives each pixel's distance to
+    that point, also in a block whose other image has a segment of nonzero
+    length: each image gets its own distances, with no NaN and no divide
+    warning (pytest runs with warnings as errors)."""
     gy, gx = np.mgrid[0:5, 0:5].astype(np.float64)
     d = synthdata._segment_distance(gx, gy, (1.5, 2.25), (1.5, 2.25))
     np.testing.assert_array_equal(d, np.hypot(gx - 1.5, gy - 2.25))
+
+    p = (np.array([1.5, 0.5])[:, None, None], np.array([2.25, 3.0])[:, None, None])
+    q = (np.array([1.5, 3.75])[:, None, None], np.array([2.25, 1.0])[:, None, None])
+    with np.errstate(divide="raise", invalid="raise"):
+        d = synthdata._segment_distance(gx, gy, p, q)
+    assert d.shape == (2, 5, 5) and not np.isnan(d).any()
+    for i in range(2):
+        one = _reference_distance(gx, gy, (p[0][i, 0, 0], p[1][i, 0, 0]), (q[0][i, 0, 0], q[1][i, 0, 0]))
+        np.testing.assert_array_equal(d[i], one)
