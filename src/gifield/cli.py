@@ -95,9 +95,5 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -41,9 +41,10 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel = NoiseModel()) ->
 
     ``phi`` is a finite M x N matrix with no negative entry — a physical
     light field cannot carry negative intensities, so lift it first
-    (:func:`gifield.nn_lift`). ``x`` is one finite image (any shape with N
-    pixels) or an N x L stack of images, one per column; a stack gives
-    M x L readings from one product, column j for image j. ``noise`` is
+    (:func:`gifield.nn_lift`). ``x`` is one finite image as an N-vector, or
+    an N x L stack of images, one per column (any other shape is a
+    ``ValueError``); a stack gives M x L readings from one product, column
+    j for image j. ``noise`` is
     one model for the whole call, noiseless by default. With
     ``kind="awgn"`` every reading gets its own standard normal from one
     draw in the readings' shape, seeded by the model: no two images share
@@ -61,12 +62,9 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel = NoiseModel()) ->
         raise ValueError("sampling matrix holds a non-finite entry")
     if (phi < 0.0).any():
         raise ValueError("patterns have negative entries; lift them before display")
-    n_pixels = phi.shape[1]
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != n_pixels:
-        x = x.ravel()
-        if x.size != n_pixels:
-            raise ValueError(f"image length {x.size} != pattern length {n_pixels}")
+    if x.ndim not in (1, 2) or x.shape[0] != phi.shape[1]:
+        raise ValueError(f"images of shape {x.shape} for patterns of {phi.shape[1]} pixels")
     if not np.isfinite(x).all():
         raise ValueError("image holds a non-finite pixel")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite readings are refused below
@@ -81,18 +79,14 @@ def measure(phi: np.ndarray, x: np.ndarray, noise: NoiseModel = NoiseModel()) ->
     return y
 
 
-def reconstruct(
-    y: np.ndarray,
-    phi: np.ndarray,
-    psi: Dictionary,
-    t0: int | None = None,
-) -> np.ndarray:
+def reconstruct(y: np.ndarray, phi: np.ndarray, psi: Dictionary) -> np.ndarray:
     """Recover the N-pixel image behind the readings ``y`` by OMP in the dictionary.
 
     ``y`` holds one finite reading per row of ``phi``. Forms the equivalent
-    matrix D = Phi Psi, solves for a code z_hat with at most ``t0`` atoms
-    (default: the dictionary's training budget), and returns
-    x_hat = Psi z_hat. For the code itself call :func:`gifield.omp` on D.
+    matrix D = Phi Psi, solves for a code z_hat with at most
+    ``psi.sparsity`` atoms (the dictionary's training budget), and returns
+    x_hat = Psi z_hat. For the code itself, or a code under another budget
+    T0, call :func:`gifield.omp` on D: ``psi.atoms @ omp(D, y, T0)``.
     Many images under one pattern stack code faster together, through
     ``sparse_code_columns``.
     """
@@ -102,4 +96,4 @@ def reconstruct(
         raise ValueError(f"readings of shape {np.shape(y)} for {phi.shape[0]} patterns")
     if not np.isfinite(y).all():
         raise ValueError("measurement contains non-finite readings")
-    return psi.atoms @ omp(phi @ psi.atoms, y, psi.sparsity if t0 is None else t0)
+    return psi.atoms @ omp(phi @ psi.atoms, y, psi.sparsity)

@@ -493,11 +493,13 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.ini")]) == 2
 
 
-def test_console_entry_exits_with_the_command_code(tmp_path, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["gifield", "run", "--config", str(tmp_path / "absent.ini")])
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 2
+def test_console_entry_exits_with_the_command_code(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gifield.cli", "run", "--config", str(tmp_path / "absent.ini")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "config file not found" in proc.stderr
 
 
 def test_bad_usage_raises_systemexit():

@@ -245,14 +245,19 @@ def test_readme_config_loads(tmp_path):
     assert cfg.training.sweeps == 30 and cfg.gaussian_seeds == 3
 
 
-def test_readme_key_table_matches_the_config_table(tmp_path):
-    """The README lists every config key once, with the default load_config uses."""
+def _readme_key_rows():
+    """The README's config key table as (section, key, default cell) rows, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = readme.splitlines()
     start = lines.index("| Section | Key | Default | Meaning |") + 2
+    return [tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+            for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:])]
+
+
+def test_readme_key_table_matches_the_config_table(tmp_path):
+    """The README lists every config key once, with the default load_config uses."""
     rows = {}
-    for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
-        section, key, default = (cell.strip().strip("`") for cell in line.split("|")[1:4])
+    for section, key, default in _readme_key_rows():
         assert (section, key) not in rows, f"{section}.{key} listed twice"
         rows[section, key] = default
     assert set(rows) == set(harness._CONFIG_TABLE)
@@ -262,6 +267,27 @@ def test_readme_key_table_matches_the_config_table(tmp_path):
         path = tmp_path / f"{section}.{key}.ini"
         path.write_text(f"[{section}]\n{key} = {default}\n", encoding="utf-8")
         assert gf.load_config(path) == defaults, f"README default of {section}.{key}"
+
+
+def test_readme_key_table_shows_each_default_as_written_in_table_order(tmp_path):
+    """The README's rows follow ``_CONFIG_TABLE`` key for key, and each default
+    cell is that key's default as a config value: empty for ``""``, ``None`` and
+    an empty list, and for ``fields.sr`` the desk grid that ``load_config`` fills
+    in, each ratio with two decimals."""
+
+    def written(value):
+        if isinstance(value, tuple):
+            return ",".join(map(written, value))
+        if isinstance(value, float):
+            return f"{value:.2f}"
+        return "" if value is None else str(value)
+
+    rows = _readme_key_rows()
+    defaults = {key: default for key, (_, _, default) in harness._CONFIG_TABLE.items()}
+    (tmp_path / "none.ini").write_text("", encoding="utf-8")
+    defaults["fields", "sr"] = gf.load_config(tmp_path / "none.ini").sr_grid
+    assert [(section, key) for section, key, _ in rows] == list(harness._CONFIG_TABLE)
+    assert [cell for _, _, cell in rows] == [written(value) for value in defaults.values()]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Detection simulation and OMP reconstruction, including the recovery oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,11 @@ def test_measure_linearity():
 
 def test_measure_validation():
     psi, phi = _setup(seed=2)
-    with pytest.raises(ValueError):
-        gf.measure(phi, np.zeros(17))
+    # an image is an N-vector or a column of an N x L stack: a wrong length, a
+    # 6 x 6 grid, a 3-D stack and a scalar are refused by shape
+    for shape in ((17,), (6, 6), (36, 2, 1), ()):
+        with pytest.raises(ValueError, match=re.escape(f"images of shape {shape} ")):
+            gf.measure(phi, np.zeros(shape))
     unlifted = gf.gaussian_sampling(4, 8, seed=0)
     with pytest.raises(ValueError):
         gf.measure(unlifted, np.zeros(8))
@@ -118,10 +123,6 @@ def test_measure_stack_matches_single_images():
         single = gf.measure(phi, x[:, i])
         np.testing.assert_allclose(batch[:, i], single, rtol=1e-12, atol=1e-9)
     assert not batch[:, 2].any()
-    # a 6 x 6 image is still one image, whatever its shape
-    np.testing.assert_array_equal(
-        gf.measure(phi, x[:, 0].reshape(6, 6)), gf.measure(phi, x[:, 0])
-    )
 
 
 def test_measure_stack_awgn_one_model():
@@ -173,7 +174,7 @@ def test_reconstruct_one_sparse_exact():
             continue  # mu >= 1 would void the recovery guarantee
         j = int(rng.integers(1, psi.n_atoms))
         x = 100.0 * psi.atoms[:, j]
-        image = gf.reconstruct(gf.measure(phi, x), phi, psi, t0=1)
+        image = gf.reconstruct(gf.measure(phi, x), phi, psi)
         assert np.linalg.norm(image - x) <= 1e-6 * np.linalg.norm(x)
 
 
@@ -185,8 +186,6 @@ def test_reconstruct_consistency():
     # the image is exactly the dictionary applied to the OMP code, at the default budget
     code = gf.omp(phi @ psi.atoms, y, psi.sparsity)
     np.testing.assert_array_equal(image, psi.atoms @ code)
-    np.testing.assert_array_equal(gf.reconstruct(y, phi, psi, t0=2),
-                                  psi.atoms @ gf.omp(phi @ psi.atoms, y, 2))
 
 
 def test_reconstruct_validates_readings():

@@ -21,6 +21,25 @@ def test_no_module_imports_another_modules_private_names():
     assert bad == []
 
 
+def test_each_module_uses_every_name_it_imports_from_the_package():
+    """Every ``from .x import name`` outside ``__init__.py`` (which re-exports)
+    names something the module uses. The one listed exception is ``harness``'s
+    ``reconstruct``, which only the benchmark's tracer reads
+    (``benchmarks/gibench/trace.py`` wraps it); a second import kept for the
+    benchmark alone would fail here."""
+    root = Path(gf.__file__).resolve().parent
+    unused = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names if (alias.asname or alias.name) not in used]
+    assert unused == ["harness.py: reconstruct"]
+
+
 def test_each_file_format_is_read_and_written_in_one_module():
     """The binary layouts (``struct``, ``json``) live in ``data.py`` and the CSV
     tables in ``harness.py``: no other module imports those libraries."""
