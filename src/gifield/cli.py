@@ -49,13 +49,13 @@ def _cmd_report(cfg) -> int:
     # the header names, then each row: every column, text as it is and numbers as .4g
     for r in (dict(zip(rows[0], rows[0])), *rows):
         print(*(f"{v:>10}" if isinstance(v, str) else f"{v:>10.4g}" for v in r.values()))
-    psnr = {(r["method"], r["sr"]): r["psnr_mean"] for r in rows}
-    for sr in dict.fromkeys(sr for _, sr in psnr):
-        optimized, gaussian = psnr.get(("optimized", sr)), psnr.get(("gaussian", sr))
+    psnr = {(r["method"], r["sr"], r["M"]): r["psnr_mean"] for r in rows}
+    for sr, m in dict.fromkeys((sr, m) for _, sr, m in psnr):
+        optimized, gaussian = psnr.get(("optimized", sr, m)), psnr.get(("gaussian", sr, m))
         if optimized == gaussian == math.inf:
-            print(f"SR {sr:.3f}: optimized and gaussian both exact")
+            print(f"SR {sr:.3f} M={m:g}: optimized and gaussian both exact")
         elif None not in (optimized, gaussian):
-            print(f"SR {sr:.3f}: optimized {optimized - gaussian:+.2f} dB vs gaussian")
+            print(f"SR {sr:.3f} M={m:g}: optimized {optimized - gaussian:+.2f} dB vs gaussian")
     return 0
 
 

@@ -137,7 +137,7 @@ class ExperimentRecord:
     def __post_init__(self):
         for scores in (self.mse, self.psnr, self.ssim):
             scores.setflags(write=False)
-        object.__setattr__(self, "report", aggregate(self.mse, self.psnr, self.ssim))
+        object.__setattr__(self, "report", aggregate(self.psnr, self.ssim))
 
 
 # results.csv header name -> the ExperimentRecord attribute that gives it, in file
@@ -456,11 +456,11 @@ def _run_method(
             start = time.perf_counter()
             images = psi.atoms @ sparse_code_columns(equivalent[:m], readings, t0)
             coding_sec[c_idx] += time.perf_counter() - start
-            db = psnr(x_test, images, axis=0)
+            db = psnr(x_test, images)
             finite = np.isfinite(db)
-            mses[c_idx] += mse(x_test, images, axis=0)
+            mses[c_idx] += mse(x_test, images)
             psnrs[c_idx] += np.where(finite, db, 0.0)
-            ssims[c_idx] += ssim(x_test, images, axis=0)
+            ssims[c_idx] += ssim(x_test, images)
             n_finite[c_idx] += finite
         n_variants += 1
         del phi, equivalent  # one variant's field and D alive at a time

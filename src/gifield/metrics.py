@@ -19,58 +19,57 @@ DYNAMIC_RANGE = 255.0
 _GRAM_BLOCK = 128
 
 
-def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _images(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"image shapes differ: {x.shape} vs {y.shape}")
+    if x.ndim not in (1, 2) or not len(x):
+        raise ValueError(f"images of shape {x.shape}: need an N-vector or an N x L stack")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("image holds a non-finite pixel")
     return x, y
 
 
-def mse(x, y, *, axis=None):
-    """Mean squared pixel difference.
-
-    With ``axis=None`` both images are scored as a whole and a float is
-    returned. With an axis (``axis=0`` for images stored as columns) every
-    image along the other axes is scored at once and an array comes back.
+def mse(x, y):
+    """Mean squared pixel difference: one score for two N-vector images, one per
+    column for two N x L stacks, as :func:`gifield.measure` takes images (so a
+    2-D image is flattened first). Any other shape, shapes that differ or a
+    non-finite pixel is a ``ValueError``.
     """
-    x, y = _check_same_shape(x, y)
-    err = np.mean((x - y) ** 2, axis=axis)
-    return float(err) if axis is None else err
+    x, y = _images(x, y)
+    return np.mean((x - y) ** 2, axis=0)
 
 
-def psnr(x, y, *, axis=None):
+def psnr(x, y):
     """Peak signal-to-noise ratio in dB for a peak of ``DYNAMIC_RANGE`` (255).
 
-    +inf when the images are identical. ``axis`` works as in :func:`mse`.
+    +inf when the images are identical. Takes images as :func:`mse` does.
     """
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.divide(DYNAMIC_RANGE**2, mse(x, y, axis=axis)))
-    return float(db) if axis is None else db
+        return 10.0 * np.log10(np.divide(DYNAMIC_RANGE**2, mse(x, y)))
 
 
-def ssim(x, y, *, axis=None):
+def ssim(x, y):
     """Structural similarity with a single window spanning the whole image.
 
     Uses population moments and the usual stabilizers c1 = (0.01*B)^2,
     c2 = (0.03*B)^2 with B = ``DYNAMIC_RANGE`` (255), so constant images
-    compare cleanly (ssim(x, x) == 1). ``axis`` works as in :func:`mse`.
+    compare cleanly (ssim(x, x) == 1). Takes images as :func:`mse` does.
     """
-    x, y = _check_same_shape(x, y)
+    x, y = _images(x, y)
     c1 = (0.01 * DYNAMIC_RANGE) ** 2
     c2 = (0.03 * DYNAMIC_RANGE) ** 2
-    mu_x = np.mean(x, axis=axis, keepdims=True)
-    mu_y = np.mean(y, axis=axis, keepdims=True)
+    mu_x = np.mean(x, axis=0)
+    mu_y = np.mean(y, axis=0)
     dx = x - mu_x
     dy = y - mu_y
-    var_x = np.mean(dx * dx, axis=axis)
-    var_y = np.mean(dy * dy, axis=axis)
-    cov = np.mean(dx * dy, axis=axis)
-    mu_x = np.squeeze(mu_x, axis=axis)
-    mu_y = np.squeeze(mu_y, axis=axis)
+    var_x = np.mean(dx * dx, axis=0)
+    var_y = np.mean(dy * dy, axis=0)
+    cov = np.mean(dx * dy, axis=0)
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float(num / den) if axis is None else num / den
+    return num / den
 
 
 def mutual_coherence(d: np.ndarray, prefixes=None):
@@ -158,11 +157,11 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Aggregate metrics over a set of reconstructed images.
+    """PSNR and SSIM statistics over a set of reconstructed images.
 
-    PSNR statistics exclude infinite values (exact reconstructions); if
-    every value is infinite the mean is +inf and the std 0. Standard
-    deviations are population (1/n) ones.
+    PSNR statistics exclude +inf values (exact reconstructions); if every
+    value is +inf the mean is +inf and the std 0. Standard deviations are
+    population (1/n) ones.
     """
 
     psnr_mean: float
@@ -175,15 +174,22 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values))
 
 
-def aggregate(mse_values, psnr_values, ssim_values) -> QualityReport:
-    """Summarize per-image metric triples into a :class:`QualityReport`."""
-    mses = np.asarray(mse_values, dtype=np.float64)
+def aggregate(psnr_values, ssim_values) -> QualityReport:
+    """Summarize per-image PSNR and SSIM scores into a :class:`QualityReport`.
+
+    A PSNR is finite or +inf (exact); a NaN or -inf PSNR, a non-finite SSIM,
+    no scores or lengths that differ are a ``ValueError``.
+    """
     psnrs = np.asarray(psnr_values, dtype=np.float64)
     ssims = np.asarray(ssim_values, dtype=np.float64)
-    if mses.size == 0:
+    if psnrs.size == 0:
         raise ValueError("cannot aggregate an empty metric set")
-    if not (mses.size == psnrs.size == ssims.size):
+    if psnrs.size != ssims.size:
         raise ValueError("metric arrays must have equal length")
     finite = np.isfinite(psnrs)
+    if not (finite | (psnrs == math.inf)).all():
+        raise ValueError("a PSNR is NaN or -inf; only +inf marks an exact reconstruction")
+    if not np.isfinite(ssims).all():
+        raise ValueError("an SSIM is not finite")
     psnr_stats = _mean_std(psnrs[finite]) if finite.any() else (math.inf, 0.0)
     return QualityReport(*psnr_stats, *_mean_std(ssims))

@@ -198,8 +198,8 @@ def test_criterion_7_metric_examples():
         for i in range(3)
         for j in range(i + 1, 3)
     )
-    single = gf.aggregate([2.0], [30.0], [0.9])
-    pair = gf.aggregate([1.0, 1.0], [10.0, 20.0], [0.5, 0.7])
+    single = gf.aggregate([30.0], [0.9])
+    pair = gf.aggregate([10.0, 20.0], [0.5, 0.7])
     dup = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     checks = {
         "mse identical = 0": gf.mse(zeros, zeros) == 0.0,

@@ -464,6 +464,22 @@ def test_report_on_an_all_exact_sweep(tmp_path, data_dir, tiny_dict_file, capsys
     assert text.count("optimized and gaussian both exact") == 2
 
 
+def test_report_names_m_in_each_gain_line(tmp_path, capsys):
+    """Ratios that print alike at three decimals still give distinct gain lines:
+    each names its M after ``SR <ratio>``."""
+    rows = [f"{method},{m / 4096!r},{m},0,{psnr!r},0.0,0.5,0.0,0.9,{exact}"
+            for method, shift in (("optimized", 1.5), ("gaussian", 0.0))
+            for m, psnr, exact in ((1, 10.0 + shift, 0), (2, 12.0 + shift, 0), (3, np.inf, 3))]
+    (tmp_path / "results.csv").write_text("\n".join([_HEADER, *rows]) + "\n", encoding="utf-8")
+    assert main(["report", "--config", _report_config(tmp_path)]) == 0
+    gains = [line for line in capsys.readouterr().out.splitlines() if line.startswith("SR ")]
+    assert gains == [
+        "SR 0.000 M=1: optimized +1.50 dB vs gaussian",
+        "SR 0.000 M=2: optimized +1.50 dB vs gaussian",
+        "SR 0.001 M=3: optimized and gaussian both exact",
+    ]
+
+
 _CELL = st.sampled_from(["optimized", "gaussian", "0.1", "78", "-0", "nan", "inf", "1e400", ""])
 
 

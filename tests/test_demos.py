@@ -1,7 +1,9 @@
 """The demo scripts, run as scripts on the tier-1 corpora."""
 
+import os
 import runpy
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,22 @@ def test_full_sweep_demo_prints_the_report(
     assert sorted(float(line.split()[1].rstrip(":")) for line in gains) == sorted(grid)
     if zeros:
         assert all(line.endswith("both exact") for line in gains)
+
+
+@pytest.mark.parametrize("script, printed", [
+    ("03_optimize_fields.py", "successive sampling: the 20-row field is the first 20 rows"),
+    ("04_measure_and_reconstruct.py", "opt+noise: PSNR"),
+], ids=["03", "04"])
+def test_dictionary_demos_run_on_the_desk_dictionary(data_dir, desk_dictionary_file, script,
+                                                     printed):
+    """Demos 03 and 04 exit 0 under ``-W error`` with ``--out`` at a directory that
+    holds the desk ``dictionary.gim`` and 28 x 28 ``test.idx``."""
+    assert desk_dictionary_file == data_dir / "dictionary.gim"
+    src = str(Path(gf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(DEMOS / script), "--out", str(data_dir)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert printed in proc.stdout

@@ -1,6 +1,7 @@
 """Metric oracles: hand-derived values, symmetry, and brute-force coherence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,7 @@ def test_mutual_coherence_orthonormal_is_zero(k):
 
 
 def test_metrics_along_axis_match_single_images():
+    """An N x L stack scores each column as that column alone would score."""
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 255, size=(784, 12))
     y = x + rng.normal(0.0, 20.0, size=x.shape)
@@ -227,39 +229,81 @@ def test_metrics_along_axis_match_single_images():
     y[:, 5] = 255.0 - x[:, 5]
     x[:, 7] = y[:, 7] = 200.0  # constant and identical
     for metric in (gf.mse, gf.psnr, gf.ssim):
-        batch = metric(x, y, axis=0)
+        batch = metric(x, y)
         assert batch.shape == (12,)
         singles = [metric(x[:, i], y[:, i]) for i in range(12)]
+        assert all(isinstance(score, float) for score in singles)
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=0)
-        # the images as rows score the same along the other axis
-        np.testing.assert_allclose(metric(x.T, y.T, axis=1), singles, rtol=1e-12, atol=0)
     for i in (3, 7):
-        assert gf.mse(x, y, axis=0)[i] == 0.0
-        assert gf.psnr(x, y, axis=0)[i] == math.inf
-        assert gf.ssim(x, y, axis=0)[i] == 1.0
-    assert gf.ssim(x, y, axis=0)[5] < 0.0
-    with pytest.raises(ValueError):
-        gf.mse(x, y[:, :3], axis=0)
+        assert gf.mse(x, y)[i] == 0.0
+        assert gf.psnr(x, y)[i] == math.inf
+        assert gf.ssim(x, y)[i] == 1.0
+    assert gf.ssim(x, y)[5] < 0.0
+    with pytest.raises(ValueError, match="shapes differ"):
+        gf.mse(x, y[:, :3])
+
+
+@pytest.mark.parametrize("metric", [gf.mse, gf.psnr, gf.ssim], ids=["mse", "psnr", "ssim"])
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (28, 28, 1), (4, 3, 2)])
+def test_metrics_refuse_an_image_that_is_neither_a_vector_nor_a_stack(metric, shape):
+    """Only an N-vector or an N x L stack is an image, as for ``measure``; the
+    refusal names the shape."""
+    x = np.ones(shape)
+    with pytest.raises(ValueError, match=re.escape(f"images of shape {shape}")):
+        metric(x, x)
+
+
+@pytest.mark.parametrize("metric", [gf.mse, gf.psnr, gf.ssim], ids=["mse", "psnr", "ssim"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_refuse_a_non_finite_pixel(metric, bad):
+    """A NaN or an infinity would score as NaN or -inf dB; it is refused, in
+    either argument, for one image and for a stack."""
+    rng = np.random.default_rng(9)
+    for shape in ((16,), (16, 3)):
+        x = rng.uniform(0, 255, size=shape)
+        y = x.copy()
+        y.flat[5] = bad
+        for pair in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="non-finite pixel"):
+                metric(*pair)
 
 
 def test_aggregate_basic():
-    r = gf.aggregate([1.0], [30.0], [0.9])
+    r = gf.aggregate([30.0], [0.9])
     assert r.psnr_std == 0.0 and r.psnr_mean == 30.0
-    r = gf.aggregate([1.0, 2.0], [10.0, 20.0], [0.5, 0.7])
+    r = gf.aggregate([10.0, 20.0], [0.5, 0.7])
     assert r.psnr_mean == 15.0 and r.psnr_std == 5.0  # population std
     assert np.isclose(r.ssim_mean, 0.6)
 
 
 def test_aggregate_infinite_psnr():
-    r = gf.aggregate([0.0, 1.0, 4.0], [math.inf, 10.0, 30.0], [1.0, 0.5, 0.2])
+    r = gf.aggregate([math.inf, 10.0, 30.0], [1.0, 0.5, 0.2])
     assert r.psnr_mean == 20.0 and r.psnr_std == 10.0  # the exact image is left out
     assert np.isclose(r.ssim_mean, 1.7 / 3)  # but its SSIM counts
-    r = gf.aggregate([0.0], [math.inf], [1.0])
+    r = gf.aggregate([math.inf], [1.0])
     assert r.psnr_mean == math.inf and r.psnr_std == 0.0
 
 
 def test_aggregate_errors():
     with pytest.raises(ValueError):
-        gf.aggregate([], [], [])
+        gf.aggregate([], [])
     with pytest.raises(ValueError):
-        gf.aggregate([1.0], [1.0, 2.0], [0.5])
+        gf.aggregate([1.0, 2.0], [0.5])
+
+
+@pytest.mark.parametrize(
+    "psnrs, ssims, named",
+    [
+        ([math.nan], [0.5], "PSNR"),
+        ([20.0, math.nan], [0.5, 0.5], "PSNR"),
+        ([-math.inf, 20.0], [0.5, 0.5], "PSNR"),
+        ([20.0], [math.nan], "SSIM"),
+        ([20.0, math.inf], [0.5, math.inf], "SSIM"),
+        ([20.0], [-math.inf], "SSIM"),
+    ],
+)
+def test_aggregate_counts_only_positive_infinity_as_exact(psnrs, ssims, named):
+    """+inf alone marks an exact reconstruction: a NaN or -inf PSNR, or a
+    non-finite SSIM, is refused rather than left out of the means."""
+    with pytest.raises(ValueError, match=named):
+        gf.aggregate(psnrs, ssims)
