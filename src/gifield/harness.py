@@ -120,7 +120,7 @@ class ExperimentRecord:
     """One (method, SR) cell: per-image scores, their aggregate and coherence.
 
     ``mse``, ``psnr`` and ``ssim`` hold each test image's mean over field seeds
-    (``psnr``'s over the finite ones, +inf if all are) and are made read-only.
+    (``psnr``'s over the ones below +inf, +inf if all are exact) and are made read-only.
     """
 
     method: str
@@ -131,7 +131,7 @@ class ExperimentRecord:
     psnr: np.ndarray
     ssim: np.ndarray
     mu: float
-    n_exact: int  # reconstructions (image x field seed) with infinite PSNR
+    n_exact: int  # reconstructions (image x field seed) with +inf PSNR
     report: QualityReport = dataclasses.field(init=False)
 
     def __post_init__(self):
@@ -440,10 +440,10 @@ def _run_method(
     t0 = cfg.recon_sparsity or psi.sparsity
     ms = [m for _, m in grid]
 
-    # per cell: running sums over field seeds of each image's mse, finite psnr
-    # and ssim, and its count of finite PSNRs, all scored together on row
-    # prefixes of the variant's field and D; the records view these arrays
-    mses, psnrs, ssims, n_finite = np.zeros((4, len(grid), x_test.shape[1]))
+    # per cell: running sums over field seeds of each image's mse, inexact psnr
+    # and ssim, and its count of inexact (not +inf) PSNRs, all scored together
+    # on row prefixes of the variant's field and D; the records view these arrays
+    mses, psnrs, ssims, n_inexact = np.zeros((4, len(grid), x_test.shape[1]))
     mu = np.zeros(len(grid))
     coding_sec = np.zeros(len(grid))
     n_variants = 0
@@ -457,16 +457,17 @@ def _run_method(
             images = psi.atoms @ sparse_code_columns(equivalent[:m], readings, t0)
             coding_sec[c_idx] += time.perf_counter() - start
             db = psnr(x_test, images)
-            finite = np.isfinite(db)
+            # only +inf is exact: a -inf or NaN PSNR stays in the sum for aggregate to refuse
+            inexact = db != np.inf
             mses[c_idx] += mse(x_test, images)
-            psnrs[c_idx] += np.where(finite, db, 0.0)
+            psnrs[c_idx] += np.where(inexact, db, 0.0)
             ssims[c_idx] += ssim(x_test, images)
-            n_finite[c_idx] += finite
+            n_inexact[c_idx] += inexact
         n_variants += 1
         del phi, equivalent  # one variant's field and D alive at a time
 
-    # means over field seeds; infinite (exact) PSNRs are tallied apart, not averaged
-    psnrs[:] = np.where(n_finite > 0, psnrs / np.maximum(n_finite, 1), np.inf)
+    # means over field seeds; exact (+inf) PSNRs are tallied apart, not averaged
+    psnrs[:] = np.where(n_inexact > 0, psnrs / np.maximum(n_inexact, 1), np.inf)
     mses /= n_variants
     ssims /= n_variants
     mu /= n_variants
@@ -481,7 +482,7 @@ def _run_method(
             mse=mses[c_idx],
             psnr=psnrs[c_idx],
             ssim=ssims[c_idx],
-            n_exact=n_recons - int(n_finite[c_idx].sum()),
+            n_exact=n_recons - int(n_inexact[c_idx].sum()),
             mu=float(mu[c_idx]),
         )
         log.info(

@@ -16,8 +16,21 @@ whole corpus of ``c`` images with the same seed.
 
 Rendering works on all the images of one digit together, in blocks of at
 most ``_BLOCK`` images, so each pixel work array holds at most ``_BLOCK``
-images whatever the count. Each pixel goes through the same floating-point
-operations, in the same order, as when its image is rendered alone.
+images whatever the count. Each stroke segment is painted only inside one
+window per image: the grid pixels within ``_REACH`` stroke widths
+(R = sqrt(12.5) sigma) of the segment's bounding box. The windows of a block
+share one size, the largest its images need, and a window that would
+overhang the grid slides back onto it.
+
+This keeps every byte of a full-grid rendering. Inside its window, each
+pixel goes through the same floating-point operations, in the same order,
+as when its image is rendered alone on the whole grid. Outside it, the pixel
+lies more than R sigma from the segment, which adds at most
+255 exp(-R**2 / 2) = 0.4923 to it, since no shade exceeds 255. A pixel's
+byte is ``floor(clip(m) + 0.5)`` of the largest value ``m`` its segments give
+it. Leaving out a value below 0.5 changes ``m`` only where that value was the
+largest, and then ``m`` stays below 0.5 and the byte stays 0. So each pixel
+gets the same operations wherever a segment can reach.
 """
 
 from __future__ import annotations
@@ -28,6 +41,9 @@ from . import data
 
 SIDE = 28
 _BLOCK = 64  # images rendered together: a 64 x 28 x 28 work array is 392 KiB
+# a segment paints pixels within _REACH stroke widths of it: beyond, it adds at
+# most 255 * exp(-_REACH**2 / 2) = 0.4923 to a pixel, which rounds to 0
+_REACH = np.sqrt(12.5)
 
 # digit skeletons as polylines on the unit square, y pointing down
 def _ring(cx: float, cy: float, rx: float, ry: float, n: int = 14) -> list[tuple[float, float]]:
@@ -55,8 +71,10 @@ _DRAWS = [6 + sum(3 * len(stroke) for stroke in _GLYPHS[digit]) for digit in ran
 def _segment_distance(gx: np.ndarray, gy: np.ndarray, p, q) -> np.ndarray:
     """Distance from each pixel ``(gx, gy)`` to the segment from ``p`` to ``q``.
 
-    The end points may be per-image arrays of shape (n, 1, 1), which broadcast
-    over the pixel grid. A segment of zero length gives the distance to its point.
+    Pixels and end points broadcast together. :func:`_render` passes each
+    image's window, ``gx`` of shape (n, 1, w) and ``gy`` of shape (n, h, 1),
+    with end points of shape (n, 1, 1), for distances of shape (n, h, w). A
+    segment of zero length gives the distance to its point.
     """
     px, py = p
     qx, qy = q
@@ -67,6 +85,16 @@ def _segment_distance(gx: np.ndarray, gy: np.ndarray, p, q) -> np.ndarray:
     t = np.divide(along, vv, out=np.zeros_like(along), where=vv != 0.0)
     np.clip(t, 0.0, 1.0, out=t)
     return np.hypot(gx - (px + t * vx), gy - (py + t * vy))
+
+
+def _window(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each image's first pixel on one axis, and one length for all images,
+    so that each window holds the image's grid pixels in ``[low, high]``; a
+    window that would overhang the grid slides back onto it."""
+    first = np.clip(np.ceil(low), 0, SIDE).astype(np.intp)
+    stop = np.clip(np.floor(high) + 1, 0, SIDE).astype(np.intp)
+    length = int((stop - first).max())
+    return np.minimum(first, SIDE - length), length
 
 
 def _render(digit: int, draws: np.ndarray) -> np.ndarray:
@@ -84,10 +112,12 @@ def _render(digit: int, draws: np.ndarray) -> np.ndarray:
     peak = uniform(200.0, 255.0)
 
     cos_a, sin_a = np.cos(angle), np.sin(angle)
-    gy, gx = np.mgrid[0:SIDE, 0:SIDE].astype(np.float64)
     img = np.zeros((len(draws), SIDE, SIDE))
+    pixels = img.reshape(-1)
+    image_start = np.arange(len(draws))[:, None, None] * (SIDE * SIDE)
     for stroke in _GLYPHS[digit]:
         sigma = uniform(0.7, 1.45)
+        reach = _REACH * sigma
         pts = []
         for x, y in stroke:
             # wobble each vertex, then center, shear, rotate, scale, translate,
@@ -97,9 +127,15 @@ def _render(digit: int, draws: np.ndarray) -> np.ndarray:
             u, v = cos_a * u - sin_a * v, sin_a * u + cos_a * v
             pts.append(((u * scale + 0.5 + dx) * 22 + 3, (v * scale + 0.5 + dy) * 22 + 3))
         for p, q in zip(pts[:-1], pts[1:]):
-            d = _segment_distance(gx, gy, p, q)
+            # the segment's box grown by its reach, on the grid: (n, 1, w) columns, (n, h, 1) rows
+            x0, w = _window(np.minimum(p[0], q[0]) - reach, np.maximum(p[0], q[0]) + reach)
+            y0, h = _window(np.minimum(p[1], q[1]) - reach, np.maximum(p[1], q[1]) + reach)
+            cols = x0 + np.arange(w)
+            rows = y0 + np.arange(h)[:, None]
+            d = _segment_distance(cols.astype(np.float64), rows.astype(np.float64), p, q)
             shade = peak * uniform(0.82, 1.0)
-            np.maximum(img, shade * np.exp(-0.5 * (d / sigma) ** 2), out=img)
+            at = image_start + rows * SIDE + cols
+            pixels[at] = np.maximum(pixels[at], shade * np.exp(-0.5 * (d / sigma) ** 2))
     return np.floor(np.clip(img, 0.0, 255.0) + 0.5)
 
 

@@ -143,6 +143,11 @@ def test_random_subset_full_and_overdraw(tmp_path):
         gf.random_subset(ds, 11, seed=0)
 
 
+def test_a_subset_source_names_its_count_and_seed(tmp_path):
+    ds = gf.load_idx_images(synthdata.generate_idx(tmp_path / "d.idx", 10, seed=1))
+    assert gf.random_subset(ds, 6, seed=4).source == f"{ds.source}#subset(count=6,seed=4)"
+
+
 def test_matrix_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     for shape in [(2, 3), (1, 1), (17, 5), (64, 128)]:
@@ -384,6 +389,71 @@ def test_block_rendering_matches_one_image_at_a_time(monkeypatch, count, seed, b
     got = synthdata.make_digit_images(count, seed)
     assert got.dtype == expected.dtype and got.shape == (count, 28, 28)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_full_blocks_match_one_image_at_a_time():
+    """700 images fill whole blocks of 64, so each digit's 70 images span two
+    blocks, the second with 6: the windows of a full block keep the bytes."""
+    rng = np.random.default_rng(3)
+    expected = np.stack([_reference_digit(i % 10, rng) for i in range(700)])
+    assert synthdata.make_digit_images(700, seed=3).tobytes() == expected.tobytes()
+
+
+class _GivenDraws:
+    """Stands in for a ``Generator`` in ``_reference_digit``: ``uniform`` maps
+    the next given draws onto [low, high) as ``Generator.uniform`` does."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def uniform(self, low, high, size=None):
+        u = next(self._draws) if size is None else np.array([next(self._draws) for _ in range(size)])
+        return low + (high - low) * u
+
+
+# the draws Generator.random gives: multiples of 2**-53 in [0, 1)
+_UNIT = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+_MOST_DRAWS = max(synthdata._DRAWS)
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("digit", range(10))
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(rows=st.lists(st.lists(_UNIT, min_size=_MOST_DRAWS, max_size=_MOST_DRAWS), min_size=1, max_size=3))
+@example(rows=[[0.0] * _MOST_DRAWS, [_BELOW_ONE] * _MOST_DRAWS])
+def test_windowed_rendering_matches_the_full_grid_for_any_draws(digit, rows):
+    """A block rendered from any draws in [0, 1) gives the bytes of the
+    full-grid reference, with no floating-point error raised in the windows.
+    All draws 0 or just below 1 give the smallest and largest scale and stroke
+    width (sigma 1.45) and strokes pushed against the grid's edges, so the
+    windows of one block differ in size."""
+    draws = np.array(rows)[:, : synthdata._DRAWS[digit]]
+    with np.errstate(all="raise"):
+        got = synthdata._render(digit, draws)
+    # the full grid takes pixels far from a stroke, whose exp underflows to 0
+    expected = np.stack([_reference_digit(digit, _GivenDraws(row)) for row in draws])
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("digit", range(10))
+def test_a_narrow_window_at_the_edge_slides_back_onto_the_grid(digit):
+    """Two images pushed against the bottom right edge, one with the thinnest
+    strokes and one with the widest: the block's windows take the wider
+    reach, so the thin image's windows overhang the grid and slide back."""
+    wide = np.full(synthdata._DRAWS[digit], _BELOW_ONE)
+    thin = wide.copy()
+    width_draws = 6 + np.cumsum([0] + [3 * len(stroke) for stroke in synthdata._GLYPHS[digit]])[:-1]
+    thin[width_draws] = 0.0
+    draws = np.stack([thin, wide])
+    expected = np.stack([_reference_digit(digit, _GivenDraws(row)) for row in draws])
+    assert synthdata._render(digit, draws).tobytes() == expected.tobytes()
+
+
+def test_a_stroke_rounds_to_zero_beyond_its_reach():
+    """A segment adds at most 255 * exp(-reach**2 / 2) to a pixel beyond
+    _REACH stroke widths, which must round to 0 with room to spare, so that
+    painting only within reach keeps every byte."""
+    assert 255.0 * np.exp(-synthdata._REACH**2 / 2) < 0.5 - 0.005
 
 
 def test_a_corpus_is_the_prefix_of_a_larger_one():

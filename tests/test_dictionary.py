@@ -308,6 +308,15 @@ def test_ksvd_objective_monotone_and_deterministic():
     np.testing.assert_array_equal(obj1, obj2)
 
 
+def test_ksvd_atoms_have_their_largest_entry_positive():
+    """Every atom but the constant one has its largest-magnitude entry
+    positive, whether drawn from a signal or from an eigenvector's sign."""
+    x = np.random.default_rng(11).standard_normal((16, 120))
+    psi, _ = gf.ksvd_train(x, gf.TrainingConfig(atom_count=24, sparsity=3, sweeps=3, seed=5))
+    rows = psi.atoms[:, 1:].T
+    assert (rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)] > 0.0).all()
+
+
 def test_ksvd_rejects_bad_input():
     cfg = gf.TrainingConfig(atom_count=8, sparsity=1, sweeps=1)
     with pytest.raises(ValueError, match="training matrix is all zero"):

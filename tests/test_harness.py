@@ -372,6 +372,20 @@ def test_train_dictionary_persists_objectives(tmp_path, data_dir):
     assert meta["objectives"] == objectives.tolist()
 
 
+def test_a_trained_dictionary_names_its_training_subset(tmp_path, data_dir):
+    """train_source names the corpus and the subset's count and seed."""
+    path = write_run_config(
+        tmp_path / "train.ini", data_dir, None, tmp_path,
+        train=data_dir / "tiny_train.idx", test=data_dir / "tiny_test.idx",
+        train_count=60, atoms=49, sparsity=3, sweeps=1,
+    )
+    cfg = dataclasses.replace(gf.load_config(path), train_seed=5)
+    gf.train_dictionary(cfg, tmp_path / "d.gim")
+    corpus = gf.load_idx_images(data_dir / "tiny_train.idx").source
+    meta = gf.read_matrix_meta(tmp_path / "d.gim")
+    assert meta["train_source"] == f"{corpus}#subset(count=60,seed=5)"
+
+
 def test_both_grids_rejected(tmp_path):
     path = tmp_path / "both.ini"
     path.write_text(
@@ -563,6 +577,73 @@ def test_an_all_zero_image_is_exact_and_left_out_of_psnr_mean(
     for r in records:
         assert r.psnr[zero] == np.inf
         assert r.report.psnr_mean == np.mean(np.delete(r.psnr, zero))
+
+
+def _hand_scored(tmp_path, monkeypatch, codes):
+    """The one record of a Gaussian M = 8 cell on two test images of a random
+    16 x 24 dictionary, with one field variant per entry of ``codes``: the
+    coefficients a stand-in coder returns for that variant. The test images
+    are ``psi.atoms @ exact``, so a variant whose codes are ``exact``
+    reconstructs both to the bit."""
+    psi, x, _ = _hand_scored_images()
+    rng = np.random.default_rng(3)
+    variants = [("gaussian", seed, rng.random((8, 16))) for seed in range(len(codes))]
+    returned = iter(codes)
+    monkeypatch.setattr(harness, "sparse_code_columns", lambda d, y, t0: next(returned))
+    (tmp_path / "min.ini").write_text("[data]\ntest = t.idx\n[run]\nout = o\n", encoding="utf-8")
+    cfg = gf.load_config(tmp_path / "min.ini")
+    (record,) = harness._run_method("gaussian", variants, [(0.5, 8)], psi, x, cfg)
+    return record
+
+
+def _hand_scored_images():
+    """The dictionary, test images and exact codes of :func:`_hand_scored`."""
+    psi = random_dictionary(16, 24, seed=3)
+    exact = np.zeros((24, 2))
+    exact[0] = 400.0  # a level of 100 from the constant atom
+    exact[[1, 2, 5], 0] = (20.0, -15.0, 10.0)
+    exact[[3, 7], 1] = (25.0, 12.0)
+    return psi, psi.atoms @ exact, exact
+
+
+def test_a_cells_mse_is_the_mean_over_field_seeds(tmp_path, monkeypatch):
+    """Each image's mse is the mean of its draws' mse, not their sum."""
+    psi, x, exact = _hand_scored_images()
+    first, second = exact.copy(), exact.copy()
+    first[1] += 0.5
+    second[2] -= 0.25
+    record = _hand_scored(tmp_path, monkeypatch, [first, second])
+    expected = (gf.mse(x, psi.atoms @ first) + gf.mse(x, psi.atoms @ second)) / 2
+    assert expected.min() > 0.0
+    np.testing.assert_array_equal(record.mse, expected)
+
+
+def test_a_cells_psnr_is_the_mean_over_its_inexact_draws(tmp_path, monkeypatch):
+    """An image that one field seed reconstructs exactly and another does not
+    scores the other's PSNR alone: the exact draw goes to n_exact and into
+    neither the sum nor the count of the mean."""
+    psi, x, exact = _hand_scored_images()
+    off = exact.copy()
+    off[1, 0] += 0.5  # image 0 only
+    record = _hand_scored(tmp_path, monkeypatch, [exact, off])
+    db = gf.psnr(x, psi.atoms @ off)
+    assert np.isfinite(db[0]) and db[1] == np.inf
+    assert record.psnr[0] == db[0]
+    assert record.psnr[1] == np.inf
+    assert record.n_exact == 3
+    np.testing.assert_array_equal(record.mse, (0.0 + gf.mse(x, psi.atoms @ off)) / 2)
+
+
+def test_an_overflowing_reconstruction_is_refused_not_counted_exact(tmp_path, monkeypatch):
+    """A reconstruction whose squared error overflows scores a PSNR of -inf.
+    Only +inf is exact, so the -inf reaches the cell's PSNR and aggregate
+    refuses it there, instead of tallying the image as exact."""
+    _, _, exact = _hand_scored_images()
+    huge = np.zeros_like(exact)
+    huge[0] = 1e180  # finite pixels of 2.5e179
+    # mse warns of the overflow, and ssim, whose moments overflow too, of a NaN
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="a PSNR is NaN or -inf"):
+        _hand_scored(tmp_path, monkeypatch, [huge, huge])
 
 
 def test_quality_improves_with_sr(tiny_run):
