@@ -98,7 +98,7 @@ def omp(d: np.ndarray, y: np.ndarray, t0: int) -> np.ndarray:
     return sparse_code_columns(d, np.asarray(y, dtype=np.float64).reshape(-1, 1), t0)[:, 0]
 
 
-def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray:
+def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int, rows=None) -> np.ndarray:
     """Orthogonal matching pursuit on every column of ``x`` against the columns of ``atoms``.
 
     Greedily picks the column most correlated with the residual
@@ -107,20 +107,39 @@ def sparse_code_columns(atoms: np.ndarray, x: np.ndarray, t0: int) -> np.ndarray
     energy drops to 1e-12 ||y||^2, when no column correlates with its
     residual, or when the column it picked lies in the span of its support:
     that dependent column gets coefficient 0 and the fit stays as it was.
+    ``rows``, one row count per column of ``x``, codes column l against
+    ``atoms[:rows[l]]`` from its own first ``rows[l]`` entries; the entries
+    past its count are ignored. Without it every column uses every row.
     Returns the K x L coefficient matrix.
 
     Raises:
-        ValueError: ``atoms`` or ``x`` holds a NaN or an infinity, or
-            ``atoms`` a zero column.
+        ValueError: ``atoms`` or the part of ``x`` coded holds a NaN or an
+            infinity, or a row prefix of ``atoms`` coded against has a zero
+            column; ``rows`` is not one integer in 1..N per column.
     """
-    support, coeffs = _lockstep_omp(atoms, x, t0)
+    support, coeffs = _lockstep_omp(atoms, x, t0, rows)
     cols, slots = np.nonzero(support >= 0)
     z = np.zeros((np.shape(atoms)[1], support.shape[0]))
     z[support[cols, slots], cols] = coeffs[cols, slots]
     return z
 
 
-def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_counts(rows, n_signals: int, n_rows: int) -> np.ndarray:
+    """``rows`` as one checked row count per signal, each in 1..``n_rows``."""
+    counts = np.asarray(rows)
+    if counts.shape != (n_signals,):
+        raise ValueError(f"row counts of shape {counts.shape} for {n_signals} signals")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"row counts of dtype {counts.dtype} are not integers")
+    bad = counts[(counts < 1) | (counts > n_rows)]
+    if bad.size:
+        raise ValueError(f"row count {bad[0]} outside 1..{n_rows}")
+    return counts.astype(np.intp)
+
+
+def _lockstep_omp(
+    d: np.ndarray, x: np.ndarray, t0: int, rows=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Batch OMP (Rubinstein, Zibulevsky & Elad, Technion TR CS-2008-08).
 
     All running columns of ``x`` hold the same number of atoms, so each step
@@ -136,6 +155,13 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
     dependent atom, one whose Cholesky pivot vanishes: that atom keeps
     coefficient 0 and the signal keeps the fit it had. Columns go in blocks
     of ``_OMP_BLOCK``; the buffers are allocated once per call.
+
+    With ``rows`` (see :func:`sparse_code_columns`) one count for every
+    column is the plain call on that row prefix. Mixed counts take the direct
+    side on the first max(rows) rows: each column's entries past its count
+    are zeroed, each atom it picks is zeroed past its count, and its
+    correlations are divided by its own prefix norms, so r and D^T r are
+    those of its own prefix.
     Returns (support, coeffs): L x budget atom indices in selection order and
     their coefficients, with -1 and 0 in unused slots.
     """
@@ -145,14 +171,33 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
         raise ValueError(f"matrix {d.shape} incompatible with signals {x.shape}")
     if t0 < 1:
         raise ValueError("sparsity budget must be >= 1")
-    norms = np.sqrt(np.add.reduce(d * d, axis=0))  # np.linalg.norm(d, axis=0) without its overhead
+    if rows is not None:
+        rows = _row_counts(rows, x.shape[1], d.shape[0])
+        counts = np.flatnonzero(np.bincount(rows))  # the distinct counts, ascending
+        top = counts[-1] if counts.size else d.shape[0]
+        d = d[:top]
+        if counts.size > 1:
+            lane = np.arange(top)
+            x = np.where(lane[:, None] < rows, x[:top], 0.0)
+        else:  # one count for every column: the plain call on that prefix
+            x, rows = x[:top], None
+    if rows is None:
+        # np.linalg.norm(d, axis=0) without its overhead
+        norms = np.sqrt(np.add.reduce(d * d, axis=0))
+    else:
+        sums = d * d
+        # row m - 1 sums the squares of d[:m] in the plain call's order
+        np.cumsum(sums, axis=0, out=sums)
+        norms = np.sqrt(sums[counts - 1])  # row i: the column norms of d[:counts[i]]
+        del sums
+        level = np.searchsorted(counts, rows)  # each column's row of norms
     if not (np.isfinite(norms).all() and np.isfinite(x).all()):
         raise ValueError("sparse coding needs finite atoms and signals")
     if np.count_nonzero(norms == 0.0):
         raise ValueError("zero column in sparse-coding matrix")
 
     n_atoms, n_signals = d.shape[1], x.shape[1]
-    gram = d.T @ d if n_signals > n_atoms else None
+    gram = d.T @ d if rows is None and n_signals > n_atoms else None
     support = np.full((n_signals, min(t0, n_atoms)), -1)
     coeffs = np.zeros(support.shape)
     budget, block = support.shape[1], min(_OMP_BLOCK, n_signals)
@@ -165,6 +210,8 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
         alpha = y @ d
         energy = np.einsum("ln,ln->l", y, y)
         n = energy.size
+        # each running signal's column norms: the atoms' own, or one row per signal
+        scale = norms if rows is None else norms[level[first:first + n]]
         # one row per running signal: its column of x, energy and correlations
         # with the atoms, and its Cholesky factors
         state = (first + index[:n], energy, alpha, np.zeros((n, budget, budget + 1)))
@@ -173,7 +220,7 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
             cols, energy, alpha, chol = state
             # scored in place: both update paths rewrite corr[:n] at the end of the step
             np.abs(alpha if t == 0 else corr[:n], out=corr[:n])
-            np.divide(corr[:n], norms, out=corr[:n])
+            np.divide(corr[:n], scale, out=corr[:n])
             corr[index[:n, None], support[cols, :t]] = -1.0
             best = np.argmax(corr[:n], axis=1)
             going &= corr[index[:n], best] > 0.0
@@ -182,26 +229,30 @@ def _lockstep_omp(d: np.ndarray, x: np.ndarray, t0: int) -> tuple[np.ndarray, np
                 state, best, n = tuple(a[kept] for a in state), best[kept], kept.size
                 cols, energy, alpha, chol = state
                 picked[:t, :n] = picked[:t, kept]
+                if rows is not None:
+                    scale = scale[kept]
                 if n == 0:
                     break
             support[cols, t] = best
-            rows = picked[: t + 1, :n].transpose(1, 0, 2)
+            held = picked[: t + 1, :n].transpose(1, 0, 2)
             if gram is not None:
                 np.take(gram, best, axis=0, out=picked[t, :n], mode="clip")
                 col = picked[t, index[:n, None], support[cols, : t + 1]]
             else:
                 picked[t, :n] = d[:, best].T
-                col = (rows @ picked[t, :n, :, None])[:, :, 0]
+                if rows is not None:  # each atom as its signal sees it
+                    picked[t, :n][lane >= rows[cols, None]] = 0.0
+                col = (held @ picked[t, :n, :, None])[:, :, 0]
             c, fit, dependent = _grow_factors(chol, col, alpha[index[:n], best], t)
             coeffs[cols, : t + 1] = c
             if t + 1 == budget:
                 break
             if gram is not None:
                 going = energy - fit > 1e-12 * energy
-                np.matmul(c[:, None, :], rows, out=corr[:n, None, :])
+                np.matmul(c[:, None, :], held, out=corr[:n, None, :])
                 np.subtract(alpha, corr[:n], out=corr[:n])
             else:
-                residual = x[:, cols].T - (c[:, None, :] @ rows)[:, 0]
+                residual = x[:, cols].T - (c[:, None, :] @ held)[:, 0]
                 going = np.einsum("ln,ln->l", residual, residual) > 1e-12 * energy
                 np.matmul(residual, d, out=corr[:n])
             going &= ~dependent

@@ -9,16 +9,19 @@ once, with the Gram rank of rows, by one lift-and-scale rule (lifted by its
 own minimum, quantized against its own peak); ``write_fields`` writes it
 whole, and a sweep forms its D = Phi Psi once, at the grid's largest M, and
 gives every (method, SR) cell row prefixes of both. A sweep makes one pass per
-field variant: each cell measures, reconstructs and scores all test images
-together, under one noise model seeded from the variant's method and field
-seed, and adds the scores to the cell's running sums. After a method's last
+field variant: each cell measures all test images together, under one noise
+model seeded from the variant's method and field seed; cells taken in order of
+M share one ``sparse_code_columns`` call, one reconstruction product and one
+scoring while their images fit ``_BATCH_IMAGES`` (a cell of more goes alone),
+and each adds its scores to its running sums. After a method's last
 variant each cell is one record: per-image means over field seeds, as arrays,
 and their aggregate. Outputs: ``results.csv`` (aggregates), ``per_image.csv`` (one row per test
 image per cell), per-method curves and a zero-byte ``_DONE`` marker written
 last to flag unfinished runs. ``read_results`` reads ``results.csv`` back.
 
 Every output is byte-reproducible across runs with one BLAS build and thread
-count; each cell's INFO log line carries its mean coding time.
+count; each cell's INFO log line carries its coding batch's time per
+reconstruction.
 """
 
 from __future__ import annotations
@@ -62,6 +65,14 @@ log = logging.getLogger(__name__)
 DONE_MARKER = "_DONE"
 
 METHODS = ("optimized", "gaussian")
+
+# images a sweep codes in one sparse_code_columns call: a variant's cells share a
+# call while their images fit, and a cell of more images goes alone. Larger
+# batches leave the allocator's heap at higher levels: with 4-image cells and a
+# 784 x 1024 dictionary, 128 and 96 peaked up to 12 and 4 MB above coding each
+# cell alone on some seeds, 64 within 0.6 MB on seeds 0-9, so measure peak memory
+# on several seeds before raising it.
+_BATCH_IMAGES = 64
 
 
 @dataclass(frozen=True)
@@ -436,14 +447,32 @@ def _run_method(
     x_test: np.ndarray,
     cfg: ExperimentConfig,
 ) -> list[ExperimentRecord]:
-    """Score every grid cell of ``method``, one pass per ``(method, seed, field)`` variant."""
+    """Score every grid cell of ``method``, one pass per ``(method, seed, field)`` variant.
+
+    Each cell is measured alone. A variant's cells, in order of M, go to the
+    coder in batches of ``_BATCH_IMAGES // test images`` (at least 1): the
+    batch's readings, zero-padded to its largest M, are one
+    ``sparse_code_columns`` call with a row count per column, then one
+    ``psi.atoms`` product and one ``mse``, ``psnr`` and ``ssim`` call, whose
+    columns each cell takes back. A cell's coding time is its share of its
+    batch's: the batch's time over its cells.
+    """
     t0 = cfg.recon_sparsity or psi.sparsity
     ms = [m for _, m in grid]
+    n_images = x_test.shape[1]
+    per_batch = max(1, _BATCH_IMAGES // n_images)  # cells a coder call takes
+    # cells go to the coder in order of M, so that a cell's batch and its place in
+    # it, and so its bytes, do not depend on the order the grid is given in
+    by_m = np.argsort(ms)
+    # x_test once per cell of the largest batch, in x_test's memory order (concatenate
+    # keeps it), so that each column scores bit for bit as it does in x_test alone
+    cells_at_most = min(per_batch, len(ms))
+    truth = x_test if cells_at_most == 1 else np.concatenate([x_test] * cells_at_most, axis=1)
 
     # per cell: running sums over field seeds of each image's mse, inexact psnr
     # and ssim, and its count of inexact (not +inf) PSNRs, all scored together
     # on row prefixes of the variant's field and D; the records view these arrays
-    mses, psnrs, ssims, n_inexact = np.zeros((4, len(grid), x_test.shape[1]))
+    mses, psnrs, ssims, n_inexact = np.zeros((4, len(grid), n_images))
     mu = np.zeros(len(grid))
     coding_sec = np.zeros(len(grid))
     n_variants = 0
@@ -451,18 +480,25 @@ def _run_method(
         equivalent = phi[: max(ms)] @ psi.atoms
         noise = _noise_for(cfg.noise, method, seed)
         mu += mutual_coherence(equivalent, ms)
-        for c_idx, m in enumerate(ms):
-            readings = measure(phi[:m], x_test, noise)
+        for first in range(0, len(ms), per_batch):
+            cells = by_m[first:first + per_batch]
+            counts = [ms[c] for c in cells]
+            # each cell measured alone, its readings zero-padded to the batch's largest M
+            readings = np.zeros((max(counts), len(counts) * n_images))
+            for j, m in enumerate(counts):
+                readings[:m, j * n_images:(j + 1) * n_images] = measure(phi[:m], x_test, noise)
             start = time.perf_counter()
-            images = psi.atoms @ sparse_code_columns(equivalent[:m], readings, t0)
-            coding_sec[c_idx] += time.perf_counter() - start
-            db = psnr(x_test, images)
+            images = psi.atoms @ sparse_code_columns(
+                equivalent[: max(counts)], readings, t0, np.repeat(counts, n_images))
+            coding_sec[cells] += (time.perf_counter() - start) / len(counts)
+            shown = truth[:, : images.shape[1]]
+            db = psnr(shown, images).reshape(len(counts), n_images)
             # only +inf is exact: a -inf or NaN PSNR stays in the sum for aggregate to refuse
             inexact = db != np.inf
-            mses[c_idx] += mse(x_test, images)
-            psnrs[c_idx] += np.where(inexact, db, 0.0)
-            ssims[c_idx] += ssim(x_test, images)
-            n_inexact[c_idx] += inexact
+            mses[cells] += mse(shown, images).reshape(db.shape)
+            psnrs[cells] += np.where(inexact, db, 0.0)
+            ssims[cells] += ssim(shown, images).reshape(db.shape)
+            n_inexact[cells] += inexact
         n_variants += 1
         del phi, equivalent  # one variant's field and D alive at a time
 
@@ -472,7 +508,7 @@ def _run_method(
     ssims /= n_variants
     mu /= n_variants
     records = []
-    n_recons = n_variants * x_test.shape[1]
+    n_recons = n_variants * n_images
     for c_idx, (sr, m) in enumerate(grid):
         record = ExperimentRecord(
             method=method,
@@ -486,7 +522,8 @@ def _run_method(
             mu=float(mu[c_idx]),
         )
         log.info(
-            "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f, %.3g s per reconstruction",
+            "%s sr=%.4g M=%d: PSNR %.2f dB, SSIM %.4f, mu %.4f,"
+            " %.3g s per reconstruction of its coding batch",
             method, sr, m, record.report.psnr_mean, record.report.ssim_mean, record.mu,
             coding_sec[c_idx] / n_recons,
         )

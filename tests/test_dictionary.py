@@ -454,3 +454,125 @@ def test_coder_refuses_non_finite_input():
     d[:, 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         gf.omp(d, y, 3)
+
+
+def _coded_alone(d, x, t0, rows):
+    """Each column coded by its own call on its row prefix: the row counts' oracle."""
+    return np.column_stack([gf.sparse_code_columns(d[:m], x[:m, [l]], t0)[:, 0]
+                            for l, m in enumerate(rows)])
+
+
+def _assert_codes_match(z, oracle):
+    for got, want in zip(z.T, oracle.T):
+        assert tuple(np.flatnonzero(got)) == tuple(np.flatnonzero(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_row_counts_code_each_column_against_its_own_prefix():
+    """Mixed row counts give every column the support of a separate call on
+    its prefix, and its coefficients to rounding."""
+    rng = np.random.default_rng(13)
+    d = rng.standard_normal((60, 120))
+    rows = rng.integers(1, 61, size=70)
+    x = np.where(np.arange(60)[:, None] < rows, rng.standard_normal((60, 70)), 0.0)
+    z = gf.sparse_code_columns(d, x, 6, rows)
+    _assert_codes_match(z, _coded_alone(d, x, 6, rows))
+    assert np.count_nonzero(z, axis=0).max() == 6
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(4, 16),
+    k=st.integers(3, 6),
+    n_signals=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_counts_match_separate_calls_through_every_stop(n, k, n_signals, seed):
+    """Random groupings of row counts in one block, with a zero signal and a
+    near-duplicate atom, give the supports and fits of separate calls. Atom 1 is atom 0 plus 1e-9 e,
+    for a unit e outside the other atoms' span in signal 1's prefix, and
+    signal 1 is 2 atom 0 - 3 e: it picks atom 0, then atom 1 on a correlation
+    far above rounding, a dependent atom. So the zero-signal, budget,
+    tolerance and dependent-atom stops all run among mixed counts."""
+    n = max(n, k + 1)
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((n, k))
+    rows = rng.integers(1, n + 1, size=n_signals)
+    m = rows[1] = rng.integers(k, n + 1)  # k - 1 atoms leave room outside their span
+    q, _ = np.linalg.qr(d[:m, [0, *range(2, k)]])
+    e = np.zeros(n)
+    e[:m] = rng.standard_normal(m)
+    e[:m] -= q @ (q.T @ e[:m])
+    e /= np.linalg.norm(e)
+    d[:, 1] = d[:, 0] + 1e-9 * e
+    x = rng.standard_normal((n, n_signals))
+    x[:, 0] = 0.0
+    x[:, 1] = 2.0 * d[:, 0] - 3.0 * e
+    x[:, 2] = d[:, 2]  # one atom: the residual tolerance ends it
+    x[np.arange(n)[:, None] >= rows] = 0.0
+
+    z, alone = gf.sparse_code_columns(d, x, k, rows), _coded_alone(d, x, k, rows)
+    # a few rows against as many random atoms can be ill-conditioned, and the
+    # coder solves the normal equations, so fits agree to rounding times cond^2
+    assert [tuple(np.flatnonzero(c)) for c in z.T] == [tuple(np.flatnonzero(c)) for c in alone.T]
+    for col, m in enumerate(rows):
+        used = np.flatnonzero(alone[:, col])
+        cond = np.linalg.cond(d[:m, used]) if used.size else 1.0
+        moved = np.linalg.norm(d[:m] @ (z[:, col] - alone[:, col]))
+        assert moved <= 1e-14 * cond**2 * np.linalg.norm(x[:m, col])
+    assert not z[:, 0].any()
+    support, coeffs = dictionary._lockstep_omp(d, x, k, rows)
+    assert tuple(support[1, :2]) == (0, 1) and coeffs[1, 1] == 0.0  # atom 1 is dependent
+    assert (support[1, 2:] == -1).all()
+
+
+def test_one_row_count_or_none_is_the_plain_call():
+    """One count for every column is the plain call on that prefix, and no
+    counts the plain call, to the bit, on either side of the Gram choice."""
+    rng = np.random.default_rng(14)
+    d = rng.standard_normal((30, 50))
+    for n_signals in (20, 80):
+        x = rng.standard_normal((30, n_signals))
+        plain = gf.sparse_code_columns(d, x, 5)
+        assert np.array_equal(gf.sparse_code_columns(d, x, 5, None), plain)
+        assert np.array_equal(gf.sparse_code_columns(d, x, 5, np.full(n_signals, 30)), plain)
+        assert np.array_equal(gf.sparse_code_columns(d, x, 5, [17] * n_signals),
+                              gf.sparse_code_columns(d[:17], x[:17], 5))
+
+
+def test_entries_past_a_row_count_are_ignored():
+    """A column is its first rows[l] entries: whatever lies past them, NaN
+    included, codes as zeros would."""
+    rng = np.random.default_rng(15)
+    d = rng.standard_normal((20, 40))
+    rows = np.array([5, 20, 12, 12, 1])
+    x = np.where(np.arange(20)[:, None] < rows, rng.standard_normal((20, 5)), 0.0)
+    noisy = np.where(np.arange(20)[:, None] < rows, x, rng.standard_normal((20, 5)))
+    noisy[15, 0] = np.nan
+    assert np.array_equal(gf.sparse_code_columns(d, noisy, 4, rows),
+                          gf.sparse_code_columns(d, x, 4, rows))
+    with pytest.raises(ValueError, match="finite"):
+        gf.sparse_code_columns(d, noisy, 4, [20] * 5)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([3, 0, 4], "row count 0 outside 1..10"),
+    ([3, 11, 4], "row count 11 outside 1..10"),
+    ([3, 4], re.escape("row counts of shape (2,) for 3 signals")),
+    ([[3, 4, 5]], re.escape("row counts of shape (1, 3) for 3 signals")),
+    ([3.0, 4.0, 5.0], "row counts of dtype float64 are not integers"),
+])
+def test_row_counts_are_checked(rows, message):
+    d = _unit_columns(10, 8, seed=16)
+    with pytest.raises(ValueError, match=message):
+        gf.sparse_code_columns(d, np.ones((10, 3)), 2, rows)
+
+
+def test_a_prefix_with_a_zero_column_is_refused():
+    """A column that is zero in the first rows of the atoms codes nothing there."""
+    d = _unit_columns(10, 8, seed=17)
+    d[:4, 3] = 0.0
+    x = np.ones((10, 2))
+    gf.sparse_code_columns(d, x, 2, [5, 10])
+    with pytest.raises(ValueError, match="zero column in sparse-coding matrix"):
+        gf.sparse_code_columns(d, x, 2, [4, 10])

@@ -314,17 +314,57 @@ def test_run_t0_sets_the_coding_budget(tmp_path, data_dir, tiny_dict_file, monke
     file's own budget (4 here), not dictionary.sparsity (2)."""
     coder, budgets = harness.sparse_code_columns, []
 
-    def recording(atoms, x, t0):
+    def recording(atoms, x, t0, rows):
         budgets.append(t0)
-        return coder(atoms, x, t0)
+        return coder(atoms, x, t0, rows)
 
     monkeypatch.setattr(harness, "sparse_code_columns", recording)
     overrides = {} if t0 is None else {"t0": t0}
     cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, sparsity=2, **overrides)
     records = gf.run_experiment(cfg)
-    # one call per cell and field variant: 3 grid points x (1 optimized + 2 Gaussian)
+    # one call per field variant (1 optimized + 2 Gaussian): its 3 cells of 12 images fit one batch
     assert len(records) == 6
-    assert budgets == [4 if t0 is None else t0] * 9
+    assert budgets == [4 if t0 is None else t0] * 3
+
+
+def test_a_variants_cells_coded_in_batches_score_as_coded_alone(
+    tmp_path, data_dir, tiny_dict_file, monkeypatch
+):
+    """A variant's cells share one coder call while their images fit the batch
+    limit, and score as cell-by-cell coding does: the same n_exact and mu, and
+    each image's scores within rounding. A limit below a cell's image count
+    codes every cell alone, at its own M."""
+    images = gf.load_idx_images(data_dir / "tiny_test.idx").images[:12].reshape(12, 7, 7)
+    images = np.where(np.arange(12)[:, None, None] == 5, 0.0, images)  # exact under AWGN
+    data.write_idx_images(tmp_path / "one_zero.idx", images)
+    coder, calls = harness.sparse_code_columns, []
+
+    def recording(atoms, x, t0, rows):
+        calls.append((len(atoms), sorted(set(rows.tolist()))))
+        return coder(atoms, x, t0, rows)
+
+    monkeypatch.setattr(harness, "sparse_code_columns", recording)
+    grid, limits = (6, 10, 14, 20, 27, 33, 39), (harness._BATCH_IMAGES, 8)
+    runs = {}
+    for limit in limits:
+        monkeypatch.setattr(harness, "_BATCH_IMAGES", limit)
+        cfg, _ = _tiny_cfg(tmp_path, data_dir, tiny_dict_file, out_name=f"limit{limit}",
+                           test=tmp_path / "one_zero.idx", m=",".join(map(str, grid)),
+                           qbits=8, noise=("awgn", 30.0))
+        calls.clear()
+        runs[limit] = gf.run_experiment(cfg), list(calls)
+    (batched, batched_calls), (alone, alone_calls) = (runs[limit] for limit in limits)
+    # 12 images a cell, in batches of as many cells as fit the limit, for each of 3 variants
+    per_call = limits[0] // 12
+    batches = [grid[i:i + per_call] for i in range(0, len(grid), per_call)]
+    assert 1 < per_call < len(grid)
+    assert batched_calls == [(batch[-1], list(batch)) for batch in batches] * 3
+    assert alone_calls == [(m, [m]) for m in grid] * 3
+    assert [r.n_exact for r in batched] == [r.n_exact for r in alone] == [1] * 7 + [2] * 7
+    for b, a in zip(batched, alone):
+        assert (b.method, b.m, b.mu) == (a.method, a.m, a.mu)
+        for name in ("mse", "psnr", "ssim"):
+            np.testing.assert_allclose(getattr(b, name), getattr(a, name), rtol=1e-12, atol=0)
 
 
 def test_one_coherence_call_per_field_variant(tmp_path, data_dir, tiny_dict_file, monkeypatch):
@@ -589,7 +629,7 @@ def _hand_scored(tmp_path, monkeypatch, codes):
     rng = np.random.default_rng(3)
     variants = [("gaussian", seed, rng.random((8, 16))) for seed in range(len(codes))]
     returned = iter(codes)
-    monkeypatch.setattr(harness, "sparse_code_columns", lambda d, y, t0: next(returned))
+    monkeypatch.setattr(harness, "sparse_code_columns", lambda d, y, t0, rows: next(returned))
     (tmp_path / "min.ini").write_text("[data]\ntest = t.idx\n[run]\nout = o\n", encoding="utf-8")
     cfg = gf.load_config(tmp_path / "min.ini")
     (record,) = harness._run_method("gaussian", variants, [(0.5, 8)], psi, x, cfg)
