@@ -58,10 +58,6 @@ class Dataset:
         return self.images.T
 
 
-def _sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _numpy_can_hold(*shape: int) -> bool:
     """Whether numpy can make a float64 array of ``shape``: the product of its
     nonzero dimensions, in bytes, must fit an ``intp``, even when another is 0."""
@@ -83,7 +79,7 @@ def load_idx_images(path) -> Dataset:
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise CorruptionError(f"{path}: too short for an IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
+    magic, count, rows, cols = struct.unpack_from(">IIII", raw)
     if magic != IDX_IMAGE_MAGIC:
         raise FormatError(
             f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x} (IDX images)"
@@ -91,19 +87,18 @@ def load_idx_images(path) -> Dataset:
     if not rows or not cols:
         raise CorruptionError(f"{path}: header declares images of {rows} x {cols} pixels")
     need = count * rows * cols
-    payload = raw[16:]
-    if len(payload) != need:
+    if len(raw) - 16 != need:
         raise CorruptionError(
-            f"{path}: payload holds {len(payload)} bytes, header needs {need}"
+            f"{path}: payload holds {len(raw) - 16} bytes, header needs {need}"
         )
     if not _numpy_can_hold(count, rows * cols):
         raise CorruptionError(
             f"{path}: header declares {count} images of {rows} x {cols} pixels,"
             " a shape numpy cannot hold"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8)
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)  # a view of the file's bytes
     images = pixels.reshape(count, rows * cols).astype(np.float64)
-    source = f"{path}#sha256={_sha256_hex(raw)}"
+    source = f"{path}#sha256={hashlib.sha256(raw).hexdigest()}"
     return Dataset(images=images, height=rows, width=cols, source=source)
 
 
@@ -122,7 +117,7 @@ def write_idx_images(path, images: np.ndarray) -> None:
     count, rows, cols = images.shape
     with atomic_write(path) as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(images, dtype=np.uint8))
 
 
 def random_subset(ds: Dataset, count: int, seed: int) -> Dataset:
@@ -181,37 +176,37 @@ def write_matrix(path, m: np.ndarray, meta: dict) -> None:
     with atomic_write(path) as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(m, dtype="<f8"))
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)
 
 
 def _parse_matrix_file(path) -> tuple[np.ndarray, dict]:
+    """The payload as a read-only view of the file's bytes, and the metadata."""
     raw = Path(path).read_bytes()
     if len(raw) < 24 or raw[:8] != MATRIX_MAGIC:
         raise FormatError(f"{path}: missing {MATRIX_MAGIC!r} magic")
-    rows, cols = struct.unpack("<QQ", raw[8:24])
+    rows, cols = struct.unpack_from("<QQ", raw, 8)
     need = rows * cols * 8
-    body = raw[24:]
-    if len(body) < need:
+    if len(raw) - 24 < need:
         raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, {rows}x{cols} needs {need}"
+            f"{path}: payload holds {len(raw) - 24} bytes, {rows}x{cols} needs {need}"
         )
     if not _numpy_can_hold(rows, cols):
         raise CorruptionError(
             f"{path}: header declares a {rows}x{cols} matrix, a shape numpy cannot hold"
         )
-    m = np.frombuffer(body[:need], dtype="<f8").reshape(rows, cols).copy()
+    m = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=24).reshape(rows, cols)
     if not np.all(np.isfinite(m)):
         raise CorruptionError(f"{path}: payload holds a non-finite entry")
-    tail = body[need:]
-    if len(tail) < 4:
+    end = 24 + need  # the metadata block: a u32 length, then that many bytes
+    if len(raw) - end < 4:
         raise CorruptionError(f"{path}: no metadata block after the payload")
-    (mlen,) = struct.unpack("<I", tail[:4])
-    if len(tail) != 4 + mlen:
+    (mlen,) = struct.unpack_from("<I", raw, end)
+    if len(raw) - end != 4 + mlen:
         raise CorruptionError(f"{path}: metadata block length mismatch")
     try:
-        meta = json.loads(tail[4:].decode("utf-8"))
+        meta = json.loads(raw[end + 4:].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptionError(f"{path}: unreadable metadata block ({exc})") from exc
     if not isinstance(meta, dict):
@@ -226,7 +221,7 @@ def read_matrix(path) -> np.ndarray:
     which :func:`write_matrix` never writes, if no metadata block follows it,
     or if the header declares a shape numpy cannot hold.
     """
-    return _parse_matrix_file(path)[0]
+    return _parse_matrix_file(path)[0].copy()
 
 
 def read_matrix_meta(path) -> dict:

@@ -247,15 +247,13 @@ def _lockstep_omp(
             coeffs[cols, : t + 1] = c
             if t + 1 == budget:
                 break
+            going = (energy - fit > 1e-12 * energy) & ~dependent  # residual energy left
             if gram is not None:
-                going = energy - fit > 1e-12 * energy
                 np.matmul(c[:, None, :], held, out=corr[:n, None, :])
                 np.subtract(alpha, corr[:n], out=corr[:n])
             else:
                 residual = x[:, cols].T - (c[:, None, :] @ held)[:, 0]
-                going = np.einsum("ln,ln->l", residual, residual) > 1e-12 * energy
                 np.matmul(residual, d, out=corr[:n])
-            going &= ~dependent
     return support, coeffs
 
 

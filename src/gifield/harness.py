@@ -352,6 +352,8 @@ def load_dictionary(path) -> Dictionary:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"trained dictionary not found: {path}")
+    # two parses, each a view of the file's bytes: the benchmark's tracer wraps
+    # both readers by name, so both stay called until ROADMAP item 10
     atoms, meta = read_matrix(path), read_matrix_meta(path)
     try:
         return Dictionary(atoms=atoms, sparsity=meta.get("sparsity"))

@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,77 @@ def test_dictionary_file_checksum_stable(tmp_path):
     again = gf.load_dictionary(path)
     assert again.checksum == psi.checksum
     assert again.sparsity == psi.sparsity
+
+
+def _traced_peak(call, *args):
+    """The peak of memory traced while ``call(*args)`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_readers_hold_one_payload_copy(tmp_path):
+    """The readers view the payload where the file's bytes hold it: ``read_matrix``
+    holds those bytes and the copy it returns, ``read_matrix_meta`` the bytes alone."""
+    psi = random_dictionary(784, 1024, seed=1)
+    path = tmp_path / "dict.gim"
+    gf.write_matrix(path, psi.atoms, meta={"role": "dictionary", "sparsity": psi.sparsity})
+    payload = psi.atoms.nbytes  # about 6.1 MiB
+    for reader, bound in ((gf.read_matrix, 2.2), (gf.read_matrix_meta, 1.3),
+                          (gf.load_dictionary, 2.3)):
+        assert _traced_peak(reader, path) <= bound * payload, reader.__name__
+    # an IDX file: its bytes and the float64 images returned, 9 x its pixels
+    imgs = np.random.default_rng(2).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+    idx = _write_idx(tmp_path / "imgs.idx", imgs)
+    assert _traced_peak(gf.load_idx_images, idx) <= 9.3 * imgs.nbytes
+
+
+def test_readers_return_arrays_of_their_own(tmp_path):
+    """A read array owns its memory, so it does not pin the file's bytes."""
+    path = tmp_path / "m.gim"
+    gf.write_matrix(path, np.arange(12.0).reshape(3, 4), meta={})
+    m = gf.read_matrix(path)
+    assert m.flags.writeable and m.flags.owndata
+    m[0, 0] = -1.0  # a writable copy: the next read sees the file, not this
+    assert gf.read_matrix(path)[0, 0] == 0.0
+    imgs = np.random.default_rng(4).integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
+    ds = gf.load_idx_images(_write_idx(tmp_path / "i.idx", imgs))
+    assert ds.images.base is None and ds.images.flags.owndata
+
+
+def test_writers_keep_c_order_for_any_layout(tmp_path):
+    """Whatever the input's strides or byte order, the payload is the C-ordered
+    array's bytes, and reads back equal."""
+    m = np.random.default_rng(7).standard_normal((6, 4))
+    for layout in (m.T, m[::2], m.astype(">f8")):
+        path = tmp_path / "m.gim"
+        gf.write_matrix(path, layout, meta={})
+        want = np.ascontiguousarray(layout, dtype="<f8").tobytes()
+        assert path.read_bytes()[24:24 + len(want)] == want
+        np.testing.assert_array_equal(gf.read_matrix(path), layout)
+    stack = np.random.default_rng(8).integers(0, 256, size=(4, 6, 5))
+    for layout in (stack.transpose(0, 2, 1), stack[::2, :, ::2]):
+        path = tmp_path / "i.idx"
+        write_idx_images(path, layout.astype(float))
+        assert path.read_bytes()[16:] == np.ascontiguousarray(layout, dtype=np.uint8).tobytes()
+        back = gf.load_idx_images(path)
+        np.testing.assert_array_equal(back.images, layout.reshape(len(layout), -1))
+
+
+def test_empty_payloads_at_the_buffers_end(tmp_path):
+    """A payload of no bytes is read at the offset where it ends."""
+    path = tmp_path / "none.idx"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 4, 5))
+    ds = gf.load_idx_images(path)
+    assert len(ds) == 0 and ds.images.shape == (0, 20) and (ds.height, ds.width) == (4, 5)
+    for shape in ((0, 5), (5, 0)):
+        path = tmp_path / "empty.gim"
+        gf.write_matrix(path, np.zeros(shape), meta={"shape": list(shape)})
+        assert gf.read_matrix(path).shape == shape
+        assert gf.read_matrix_meta(path) == {"shape": list(shape)}
 
 
 def test_as_columns_layout(tmp_path):
