@@ -112,8 +112,11 @@ def write_idx_images(path, images: np.ndarray) -> None:
     images = np.asarray(images)
     if images.ndim != 3:
         raise ValueError("expected a (count, rows, cols) image stack")
-    if not np.all((images >= 0) & (images <= 255) & (images == np.round(images))):
-        raise ValueError("IDX pixels must be integers in [0, 255]")
+    # a block of images at a time, so the check's temporaries stay small
+    for first in range(0, len(images), 256):
+        block = images[first:first + 256]
+        if not np.all((block >= 0) & (block <= 255) & (block == np.round(block))):
+            raise ValueError("IDX pixels must be integers in [0, 255]")
     count, rows, cols = images.shape
     with atomic_write(path) as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))

@@ -17,6 +17,8 @@ DYNAMIC_RANGE = 255.0
 
 # columns per Gram block in mutual_coherence; bounds its work buffer
 _GRAM_BLOCK = 128
+# a coherence scan keeps every pair within this of its best, to screen later prefixes
+_SCREEN_GAP = 0.1
 
 
 def _images(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +86,19 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     Columns are first scaled by exact powers of two, so huge or tiny ones
     give their unit-scale value; a prefix whose squares still underflow is
     taken by a call on ``d[:m]``, scaled by its own maxima. Only the Gram's
-    upper block triangle is formed, ``_GRAM_BLOCK`` columns at a time, each
-    block in two buffers: it grows by the rows between sorted prefixes and is
-    scaled by each prefix's inverse column norms to pick its best pair. The
+    upper block triangle is formed, ``_GRAM_BLOCK`` columns at a time, and
+    kept: it grows by the rows since the last scan. A scan of sorted prefix
+    ``a`` scales it by the prefix's inverse column norms to pick its best
+    pair and, unless ``a`` is the last prefix, also keeps every pair whose
+    cosine reaches the floor ``t = max(best - _SCREEN_GAP, 0)``, with its dot
+    product, if they are at most ``_GRAM_BLOCK**2``; if they are more, the
+    next prefix is scanned too. A later prefix ``m`` adds its new rows to
+    those pairs alone. A pair left out had ``|cos| < t`` at ``a``; with
+    ``e_i^2`` the share of column ``i``'s squared norm in rows ``a..m`` and
+    ``e1^2 >= e2^2`` the two largest, its cosine at ``m`` is at most
+    ``sqrt((t + (1 - t) e1^2) (t + (1 - t) e2^2))``. When the kept pairs'
+    best beats that bound by 1e-9 it is the winner; otherwise ``m`` is
+    scanned. Ties go to the first pair in scan order either way. The
     winner's cosine is taken afresh from its normalized columns: a repeated
     or negated one gives 1.0.
     """
@@ -120,30 +132,73 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
         steps = [m for m in steps if m not in coherence]
         sums = sums[~low]
     inverse = 1.0 / np.sqrt(sums)
-    best = np.full(len(steps), -1.0)
-    pairs = [(0, 1)] * len(steps)
-    gram_buf, scan_buf = np.empty((2, k * min(k, _GRAM_BLOCK)))
-    for first in range(0, k, _GRAM_BLOCK):
-        stop = min(first + _GRAM_BLOCK, k)
-        width = stop - first
-        # rows 0..stop of this column block hold every pair (i, j) with i <= j
-        gram = gram_buf[: stop * width].reshape(stop, width)
-        g = scan_buf[: stop * width].reshape(stop, width)
-        gram.fill(0.0)
-        own = np.arange(width)
-        grown = 0
-        for s, m in enumerate(steps):
-            np.matmul(d[grown:m, :stop].T, d[grown:m, first:stop], out=g)
-            gram += g
-            grown = m
+    firsts = range(0, k, _GRAM_BLOCK)
+    # each column block's Gram, rows 0..stop: every pair (i, j) with i <= j
+    shapes = [(min(first + _GRAM_BLOCK, k), min(_GRAM_BLOCK, k - first)) for first in firsts]
+    scan_buf = np.empty(k * min(k, _GRAM_BLOCK))
+    if len(steps) > 1:
+        grams = [np.empty(shape) for shape in shapes]  # kept for the next scan
+    else:  # a lone scan keeps nothing: its blocks take turns in one buffer
+        gram_buf = np.empty_like(scan_buf)
+        grams = [gram_buf[: height * width].reshape(height, width) for height, width in shapes]
+    pairs = []
+    grown = 0  # rows in the Grams: the prefix of the last scan
+    screened = False  # whether that scan kept the pairs near its best
+    for s, m in enumerate(steps):
+        if screened:
+            # a pair left out lay below the floor at the last scan and can have
+            # risen only as far as the rows since then hold its columns' energy
+            # (the docstring's bound); the 1e-9 margin covers rounding
+            new = d[counted:m]
+            for start in range(0, len(lo), 4096):  # pairs in slices: the rows gathered stay small
+                pick = slice(start, start + 4096)
+                dots[pick] += np.einsum("ri,ri->i", new[:, lo[pick]], new[:, hi[pick]])
+            counted = m
+            cosines = np.abs(dots) * inverse[s, lo] * inverse[s, hi]
+            at = int(np.argmax(cosines))
+            moved = np.partition(1.0 - sums[scanned] / sums[s], k - 2)[-2:]
+            if cosines[at] > math.sqrt(np.prod(floor + (1.0 - floor) * moved)) + 1e-9:
+                pairs.append((lo[at], hi[at]))
+                continue
+        best, pair, held = -1.0, (0, 1), 0
+        near = [] if m < steps[-1] else None
+        for first, gram in zip(firsts, grams):
+            stop, width = gram.shape
+            g = scan_buf[: stop * width].reshape(stop, width)
+            # the first scan writes each Gram; a later one adds the rows since
+            np.matmul(d[grown:m, :stop].T, d[grown:m, first:stop], out=g if grown else gram)
+            if grown:
+                gram += g
             np.multiply(gram, inverse[s, :stop, None], out=g)
             g *= inverse[s, first:stop]
             np.abs(g, out=g)
+            own = np.arange(width)
             g[first + own, own] = -1.0  # a column paired with itself never wins
             at = int(np.argmax(g))
-            if g.flat[at] > best[s]:
-                best[s] = g.flat[at]
-                pairs[s] = (at // width, first + at % width)
+            if g.flat[at] > best:
+                best = g.flat[at]
+                pair = (at // width, first + at % width)
+            if near is None:
+                continue
+            # screen at the best so far, which lies at or below the final best
+            flat = np.flatnonzero(g >= best - _SCREEN_GAP)
+            held += len(flat)
+            if held > _GRAM_BLOCK**2:  # too many pairs to certify cheaply: scan the next prefix
+                near = None
+                continue
+            i, j = np.divmod(flat, width)
+            upper = i < j + first
+            flat = flat[upper]
+            near.append((i[upper], j[upper] + first, gram.flat[flat], g.flat[flat]))
+        pairs.append(pair)
+        grown = counted = m
+        scanned = s
+        screened = bool(near)
+        if screened:
+            floor = max(best - _SCREEN_GAP, 0.0)
+            lo, hi, dots, cosines = map(np.concatenate, zip(*near))
+            kept = cosines >= floor
+            lo, hi, dots = lo[kept], hi[kept], dots[kept]
     for s, m in enumerate(steps):
         # row-major, so that the norms and dot products round as they do for
         # the columns of ``d[:m] / np.linalg.norm(d[:m], axis=0)``

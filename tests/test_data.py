@@ -47,7 +47,7 @@ def test_write_idx_images_refuses_pixels_a_byte_cannot_hold(tmp_path, monkeypatc
     write_idx_images(path, imgs.astype(float))
     before = path.read_bytes()
     assert before == _write_idx(tmp_path / "ref.idx", imgs.astype(np.uint8)).read_bytes()
-    for pixel in (256.0, -1.0, 0.7, np.nan):
+    for pixel in (256.0, -1.0, 0.7, np.nan, np.inf, -np.inf):
         bad = imgs.astype(float)
         bad[1, 2, 3] = pixel
         for target in (path, tmp_path / "new.idx"):
@@ -354,6 +354,18 @@ def test_readers_hold_one_payload_copy(tmp_path):
     imgs = np.random.default_rng(2).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
     idx = _write_idx(tmp_path / "imgs.idx", imgs)
     assert _traced_peak(gf.load_idx_images, idx) <= 9.3 * imgs.nbytes
+
+
+def test_write_idx_images_checks_a_block_at_a_time(tmp_path):
+    """The pixel check holds a block of images, not float copies of the whole
+    stack, and still finds a bad pixel in the last block."""
+    imgs = np.random.default_rng(3).integers(0, 256, size=(2000, 28, 28)).astype(float)
+    path = tmp_path / "imgs.idx"
+    assert _traced_peak(write_idx_images, path, imgs) <= 4 * 2**20  # the stack is 12 MiB
+    assert path.read_bytes()[16:] == imgs.astype(np.uint8).tobytes()
+    imgs[1999, 27, 27] = 0.5
+    with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+        write_idx_images(path, imgs)
 
 
 def test_readers_return_arrays_of_their_own(tmp_path):

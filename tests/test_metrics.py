@@ -177,19 +177,28 @@ def _dense_coherence(d):
 @given(
     k=st.sampled_from([2, 127, 128, 129, 257]),
     m=st.integers(1, 50),
+    columns=st.sampled_from(["iid", "clustered"]),
     repeat=st.sampled_from(["none", "copy", "negated"]),
     into_last=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(k=129, m=50, repeat="copy", into_last=True, seed=0)  # the last block, one column
-@example(k=257, m=40, repeat="negated", into_last=False, seed=1)
-@example(k=2, m=1, repeat="none", into_last=False, seed=2)
-def test_mutual_coherence_matches_the_dense_gram(k, m, repeat, into_last, seed):
+@example(k=129, m=50, columns="iid", repeat="copy", into_last=True, seed=0)  # the last block, one column
+@example(k=257, m=40, columns="iid", repeat="negated", into_last=False, seed=1)
+@example(k=2, m=1, columns="iid", repeat="none", into_last=False, seed=2)
+@example(k=257, m=50, columns="clustered", repeat="none", into_last=False, seed=3)
+def test_mutual_coherence_matches_the_dense_gram(k, m, columns, repeat, into_last, seed):
     """The blocked upper-triangle Gram against every cosine of the full one,
     across block edges, for the whole matrix and for row prefixes in any
-    order; a repeated column gives exactly 1."""
+    order; a repeated column gives exactly 1. Clustered columns, a few base
+    columns plus small noise as in a trained dictionary, keep one pair on top
+    over many prefixes, so most of them are screened rather than scanned."""
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0, size=k)
+    if columns == "clustered":
+        base = rng.standard_normal((m, 3))
+        d = base[:, rng.integers(0, 3, size=k)] + 0.01 * rng.standard_normal((m, k))
+    else:
+        d = rng.standard_normal((m, k))
+    d *= rng.uniform(0.1, 10.0, size=k)
     if repeat != "none":
         i, j = sorted(rng.choice(k, size=2, replace=False))
         if into_last:
@@ -202,7 +211,7 @@ def test_mutual_coherence_matches_the_dense_gram(k, m, repeat, into_last, seed):
     assert abs(mu - min(_dense_coherence(d), 1.0)) <= 1e-15
 
     # unsorted, possibly repeated, always holding 1 and the full row count
-    prefixes = rng.permutation([1, m, *rng.integers(1, m + 1, size=4)])
+    prefixes = rng.permutation([1, m, *rng.integers(1, m + 1, size=rng.integers(4, 11))])
     mus = gf.mutual_coherence(d, prefixes)
     assert mus.shape == prefixes.shape
     assert np.array_equal(mus, [gf.mutual_coherence(d[:p]) for p in prefixes])
@@ -210,6 +219,26 @@ def test_mutual_coherence_matches_the_dense_gram(k, m, repeat, into_last, seed):
         assert abs(mu_p - min(_dense_coherence(d[:p]), 1.0)) <= 1e-12
     if repeat != "none":
         assert np.all(mus == 1.0)
+
+
+def test_mutual_coherence_rescans_a_prefix_the_bound_cannot_certify():
+    """A pair far below the screen's floor at one prefix, which the next rows
+    give nearly all their energy and turn almost parallel, wins at the next:
+    the bound on the pairs left out decides, not the pairs kept."""
+    rng = np.random.default_rng(11)
+    a, m, k = 20, 24, 200
+    d = rng.standard_normal((m, k))
+    d[:a, 1] = d[:a, 0] + 0.1 * rng.standard_normal(a)  # the best pair at a
+    i, j = 7, 150  # orthogonal at a, in different column blocks
+    d[:a, j] -= d[:a, i] * (d[:a, i] @ d[:a, j]) / (d[:a, i] @ d[:a, i])
+    d[a:] *= 0.01
+    d[a:, i] = 100.0 * rng.standard_normal(m - a)
+    d[a:, j] = d[a:, i] + 0.01 * rng.standard_normal(m - a)
+    mus = gf.mutual_coherence(d, [a, m])
+    assert np.array_equal(mus, [gf.mutual_coherence(d[:a]), gf.mutual_coherence(d)])
+    assert abs(mus[1] - _dense_coherence(d)) <= 1e-12
+    assert _dense_coherence(d[:a, [i, j]]) < 1e-12  # far below the floor at a
+    assert mus[1] == gf.mutual_coherence(d[:, [i, j]]) > mus[0]  # and the best pair at m
 
 
 @pytest.mark.parametrize("k", [2, 127, 128, 129, 257])
