@@ -19,6 +19,8 @@ DYNAMIC_RANGE = 255.0
 _GRAM_BLOCK = 128
 # a coherence scan keeps every pair within this of its best, to screen later prefixes
 _SCREEN_GAP = 0.1
+# a scan with more pairs than this near its best keeps none: the next prefix is scanned
+_SCREEN_PAIRS = 16384
 
 
 def _images(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +83,9 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     coherence of the whole matrix comes back as a float. With a sequence of
     row counts, an array comes back: the coherence of ``d[:m]`` for each
     ``m``, in the order given, as :func:`mutual_coherence` of ``d[:m]`` would
-    give it.
+    give it, save for near-ties: pairs whose cosines tie within rounding (say
+    exactly parallel columns that are not bit-equal copies) may be picked
+    differently by the two calls, and their values differ by a few ulp.
 
     Columns are first scaled by exact powers of two, so huge or tiny ones
     give their unit-scale value; a prefix whose squares still underflow is
@@ -91,7 +95,7 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     ``a`` scales it by the prefix's inverse column norms to pick its best
     pair and, unless ``a`` is the last prefix, also keeps every pair whose
     cosine reaches the floor ``t = max(best - _SCREEN_GAP, 0)``, with its dot
-    product, if they are at most ``_GRAM_BLOCK**2``; if they are more, the
+    product, if they are at most ``_SCREEN_PAIRS``; if they are more, the
     next prefix is scanned too. A later prefix ``m`` adds its new rows to
     those pairs alone. A pair left out had ``|cos| < t`` at ``a``; with
     ``e_i^2`` the share of column ``i``'s squared norm in rows ``a..m`` and
@@ -135,12 +139,8 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     firsts = range(0, k, _GRAM_BLOCK)
     # each column block's Gram, rows 0..stop: every pair (i, j) with i <= j
     shapes = [(min(first + _GRAM_BLOCK, k), min(_GRAM_BLOCK, k - first)) for first in firsts]
+    grams = [np.empty(shape) for shape in shapes]  # kept for the next scan
     scan_buf = np.empty(k * min(k, _GRAM_BLOCK))
-    if len(steps) > 1:
-        grams = [np.empty(shape) for shape in shapes]  # kept for the next scan
-    else:  # a lone scan keeps nothing: its blocks take turns in one buffer
-        gram_buf = np.empty_like(scan_buf)
-        grams = [gram_buf[: height * width].reshape(height, width) for height, width in shapes]
     pairs = []
     grown = 0  # rows in the Grams: the prefix of the last scan
     screened = False  # whether that scan kept the pairs near its best
@@ -150,8 +150,9 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
             # risen only as far as the rows since then hold its columns' energy
             # (the docstring's bound); the 1e-9 margin covers rounding
             new = d[counted:m]
-            for start in range(0, len(lo), 4096):  # pairs in slices: the rows gathered stay small
-                pick = slice(start, start + 4096)
+            step = max(1, 2**15 // len(new))  # pairs per slice: a gather holds at most 2**15 entries
+            for start in range(0, len(lo), step):
+                pick = slice(start, start + step)
                 dots[pick] += np.einsum("ri,ri->i", new[:, lo[pick]], new[:, hi[pick]])
             counted = m
             cosines = np.abs(dots) * inverse[s, lo] * inverse[s, hi]
@@ -180,15 +181,16 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
                 pair = (at // width, first + at % width)
             if near is None:
                 continue
-            # screen at the best so far, which lies at or below the final best
+            # screen at the best so far, which lies at or below the final best, so
+            # the count of pairs held is conservative: the final floor may drop some
             flat = np.flatnonzero(g >= best - _SCREEN_GAP)
-            held += len(flat)
-            if held > _GRAM_BLOCK**2:  # too many pairs to certify cheaply: scan the next prefix
-                near = None
-                continue
             i, j = np.divmod(flat, width)
             upper = i < j + first
             flat = flat[upper]
+            held += len(flat)
+            if held > _SCREEN_PAIRS:  # too many pairs to certify cheaply: scan the next prefix
+                near = None
+                continue
             near.append((i[upper], j[upper] + first, gram.flat[flat], g.flat[flat]))
         pairs.append(pair)
         grown = counted = m

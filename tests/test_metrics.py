@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ def test_mutual_coherence_rescans_a_prefix_the_bound_cannot_certify():
     assert abs(mus[1] - _dense_coherence(d)) <= 1e-12
     assert _dense_coherence(d[:a, [i, j]]) < 1e-12  # far below the floor at a
     assert mus[1] == gf.mutual_coherence(d[:, [i, j]]) > mus[0]  # and the best pair at m
+
+
+def test_mutual_coherence_certifies_a_wide_prefix_gap_in_small_gathers():
+    """Certifying prefix 400 from a screen at 40 adds 360 rows to about 8000
+    kept pairs; the rows gathered per slice are bounded, so the call's traced
+    peak stays near its Grams (4.7 MiB for 1024 columns) and inputs (3.1 MiB)."""
+    rng = np.random.default_rng(0)
+    base = rng.standard_normal((400, 64))
+    d = np.repeat(base, 16, axis=1) + 0.05 * rng.standard_normal((400, 1024))  # 16-column clusters
+    tracemalloc.start()
+    try:
+        mus = gf.mutual_coherence(d, [40, 400])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert np.array_equal(mus, [gf.mutual_coherence(d[:40]), gf.mutual_coherence(d)])
 
 
 @pytest.mark.parametrize("k", [2, 127, 128, 129, 257])
