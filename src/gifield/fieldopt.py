@@ -73,12 +73,20 @@ def optimize_sampling(state: FieldOptState, m: int) -> np.ndarray:
     return state.eigenvectors[:, :m].T.copy()
 
 
+def _check_finite(phi: np.ndarray) -> None:
+    # a NaN passes every comparison, so the lift and the grid would keep it
+    if not np.isfinite(phi).all():
+        raise ValueError("sampling matrix holds a non-finite entry")
+
+
 def nn_lift(phi: np.ndarray) -> np.ndarray:
     """Add ``max(0, -min(phi))`` to every entry so the patterns are non-negative.
 
     The lift depends on the whole field: to show patterns successively, lift
-    the largest field once and display its row prefixes.
+    the largest field once and display its row prefixes. A non-finite entry
+    is a ``ValueError``.
     """
+    _check_finite(phi)
     return phi + max(0.0, -float(phi.min()))
 
 
@@ -93,10 +101,12 @@ def quantize_matrix(phi: np.ndarray, bits: int) -> np.ndarray:
     """Uniform quantization of [0, max] into 2**bits levels, round half up.
 
     Models a light modulator's finite precision. Idempotent: quantizing a
-    quantized matrix returns it unchanged. An all-zero matrix passes through.
+    quantized matrix returns it unchanged. An all-zero matrix passes through;
+    a non-finite entry is a ``ValueError``.
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
+    _check_finite(phi)
     if float(phi.min()) < 0.0:
         raise ValueError("quantization expects a lifted (non-negative) matrix")
     peak = float(phi.max())

@@ -85,19 +85,22 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     ``m``, in the order given, as :func:`mutual_coherence` of ``d[:m]`` would
     give it, save for near-ties: pairs whose cosines tie within rounding (say
     exactly parallel columns that are not bit-equal copies) may be picked
-    differently by the two calls, and their values differ by a few ulp.
+    differently on a prefix the screen below certifies, and their values
+    differ by a few ulp.
 
     Columns are first scaled by exact powers of two, so huge or tiny ones
     give their unit-scale value; a prefix whose squares still underflow is
-    taken by a call on ``d[:m]``, scaled by its own maxima. Only the Gram's
-    upper block triangle is formed, ``_GRAM_BLOCK`` columns at a time, and
-    kept: it grows by the rows since the last scan. A scan of sorted prefix
-    ``a`` scales it by the prefix's inverse column norms to pick its best
-    pair and, unless ``a`` is the last prefix, also keeps every pair whose
-    cosine reaches the floor ``t = max(best - _SCREEN_GAP, 0)``, with its dot
-    product, if they are at most ``_SCREEN_PAIRS``; if they are more, the
-    next prefix is scanned too. A later prefix ``m`` adds its new rows to
-    those pairs alone. A pair left out had ``|cos| < t`` at ``a``; with
+    taken by a call on ``d[:m]``, scaled by its own maxima, which refuses a
+    zero column. A scan of sorted prefix ``a`` multiplies its rows from row
+    0, as that call does, into the Gram's upper block triangle, one block of
+    ``_GRAM_BLOCK`` columns at a time, so a scanned prefix gets that call's
+    value bit for bit. It scales each block by the prefix's inverse column
+    norms to pick its best pair and, unless ``a`` is the last prefix, also
+    keeps every pair whose cosine reaches the floor
+    ``t = max(best - _SCREEN_GAP, 0)``, with its dot product, if they are at
+    most ``_SCREEN_PAIRS``; if they are more, the next prefix is scanned too.
+    A later prefix ``m`` multiplies only its new rows, into the kept pairs'
+    dot products. A pair left out had ``|cos| < t`` at ``a``; with
     ``e_i^2`` the share of column ``i``'s squared norm in rows ``a..m`` and
     ``e1^2 >= e2^2`` the two largest, its cosine at ``m`` is at most
     ``sqrt((t + (1 - t) e1^2) (t + (1 - t) e2^2))``. When the kept pairs'
@@ -127,23 +130,19 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
     coherence = {}
     low = (sums < np.finfo(np.float64).tiny).any(axis=1)
     if low.any():
-        # a prefix whose squares underflow at the whole column's scale takes its
-        # own call, which scales by the prefix's maxima; a zero column has none
-        nonzero = np.logical_or.accumulate(given != 0.0, axis=0)
-        if not nonzero[[m - 1 for m in steps]].all():
+        # scaled by its own maxima a column underflows only when it is zero; a
+        # prefix scaled by the whole column's maxima takes its own call
+        if prefixes is None:
             raise ValueError("zero column in coherence computation")
         coherence = {m: mutual_coherence(given[:m]) for m, redo in zip(steps, low) if redo}
         steps = [m for m in steps if m not in coherence]
         sums = sums[~low]
     inverse = 1.0 / np.sqrt(sums)
-    firsts = range(0, k, _GRAM_BLOCK)
-    # each column block's Gram, rows 0..stop: every pair (i, j) with i <= j
-    shapes = [(min(first + _GRAM_BLOCK, k), min(_GRAM_BLOCK, k - first)) for first in firsts]
-    grams = [np.empty(shape) for shape in shapes]  # kept for the next scan
-    scan_buf = np.empty(k * min(k, _GRAM_BLOCK))
+    # one column block's Gram, rows 0..m: every pair (i, j) with i <= j
+    gram_buf = np.empty(k * min(k, _GRAM_BLOCK))
+    scan_buf = np.empty(k * min(k, _GRAM_BLOCK))  # its cosines
     pairs = []
-    grown = 0  # rows in the Grams: the prefix of the last scan
-    screened = False  # whether that scan kept the pairs near its best
+    screened = False  # whether the last scan kept the pairs near its best
     for s, m in enumerate(steps):
         if screened:
             # a pair left out lay below the floor at the last scan and can have
@@ -163,13 +162,13 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
                 continue
         best, pair, held = -1.0, (0, 1), 0
         near = [] if m < steps[-1] else None
-        for first, gram in zip(firsts, grams):
-            stop, width = gram.shape
+        for first in range(0, k, _GRAM_BLOCK):
+            stop = min(first + _GRAM_BLOCK, k)
+            width = stop - first
+            gram = gram_buf[: stop * width].reshape(stop, width)
             g = scan_buf[: stop * width].reshape(stop, width)
-            # the first scan writes each Gram; a later one adds the rows since
-            np.matmul(d[grown:m, :stop].T, d[grown:m, first:stop], out=g if grown else gram)
-            if grown:
-                gram += g
+            # from row 0, as the call on d[:m] alone forms it
+            np.matmul(d[:m, :stop].T, d[:m, first:stop], out=gram)
             np.multiply(gram, inverse[s, :stop, None], out=g)
             g *= inverse[s, first:stop]
             np.abs(g, out=g)
@@ -193,7 +192,7 @@ def mutual_coherence(d: np.ndarray, prefixes=None):
                 continue
             near.append((i[upper], j[upper] + first, gram.flat[flat], g.flat[flat]))
         pairs.append(pair)
-        grown = counted = m
+        counted = m
         scanned = s
         screened = bool(near)
         if screened:

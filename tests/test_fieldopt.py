@@ -195,6 +195,18 @@ def test_quantize_matrix_edges():
         gf.quantize_matrix(negative, 8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lift_and_quantize_refuse_a_non_finite_field(bad):
+    """A NaN survives ``max(0, -nan)`` and an infinity turns the quantization
+    grid to NaN; both are refused, as ``measure`` refuses them."""
+    phi = np.array([[0.5, 1.0], [0.25, 0.0]])
+    phi[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.nn_lift(phi)
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.quantize_matrix(phi, 4)
+
+
 def test_rank_deficient_dictionary():
     # atoms confined to a 2-D pixel subspace: rank caps the row budget
     s = 3**-0.5

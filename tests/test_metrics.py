@@ -242,21 +242,25 @@ def test_mutual_coherence_rescans_a_prefix_the_bound_cannot_certify():
     assert mus[1] == gf.mutual_coherence(d[:, [i, j]]) > mus[0]  # and the best pair at m
 
 
-def test_mutual_coherence_certifies_a_wide_prefix_gap_in_small_gathers():
+@pytest.mark.parametrize("prefixes", [[40, 400], None, range(8, 401, 8)], ids=["gap", "single", "grid"])
+def test_mutual_coherence_certifies_a_wide_prefix_gap_in_small_gathers(prefixes):
     """Certifying prefix 400 from a screen at 40 adds 360 rows to about 8000
-    kept pairs; the rows gathered per slice are bounded, so the call's traced
-    peak stays near its Grams (4.7 MiB for 1024 columns) and inputs (3.1 MiB)."""
+    kept pairs; the rows gathered per slice are bounded, and a call holds one
+    block Gram at a time, whatever its prefixes, so its traced peak stays near
+    its inputs (3.1 MiB for 400 x 1024) and their squares."""
     rng = np.random.default_rng(0)
     base = rng.standard_normal((400, 64))
     d = np.repeat(base, 16, axis=1) + 0.05 * rng.standard_normal((400, 1024))  # 16-column clusters
+    args = () if prefixes is None else (prefixes,)
     tracemalloc.start()
     try:
-        mus = gf.mutual_coherence(d, [40, 400])
+        mus = gf.mutual_coherence(d, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
-    assert np.array_equal(mus, [gf.mutual_coherence(d[:40]), gf.mutual_coherence(d)])
+    assert peak <= 8 * 2**20
+    expected = [gf.mutual_coherence(d[:m]) for m in ([400] if prefixes is None else prefixes)]
+    assert np.array_equal(np.atleast_1d(mus), expected)
 
 
 @pytest.mark.parametrize("k", [2, 127, 128, 129, 257])
