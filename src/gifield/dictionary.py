@@ -156,9 +156,12 @@ def _lockstep_omp(
     coefficient 0 and the signal keeps the fit it had. Columns go in blocks
     of ``_OMP_BLOCK``; the buffers are allocated once per call.
 
-    With ``rows`` (see :func:`sparse_code_columns`) one count for every
-    column is the plain call on that row prefix. Mixed counts take the direct
-    side on the first max(rows) rows: each column's entries past its count
+    Every call has a row count per column (see :func:`sparse_code_columns`);
+    without ``rows`` each column's count is the row count of ``d``. The call
+    codes on the first max(rows) rows, and each distinct count's column norms
+    are the sum of that prefix's squares, as a call on the prefix alone takes
+    them. So one count for every column is the plain call on that prefix.
+    Mixed counts take the direct side: each column's entries past its count
     are zeroed, each atom it picks is zeroed past its count, and its
     correlations are divided by its own prefix norms, so r and D^T r are
     those of its own prefix.
@@ -171,33 +174,25 @@ def _lockstep_omp(
         raise ValueError(f"matrix {d.shape} incompatible with signals {x.shape}")
     if t0 < 1:
         raise ValueError("sparsity budget must be >= 1")
-    if rows is not None:
-        rows = _row_counts(rows, x.shape[1], d.shape[0])
-        counts = np.flatnonzero(np.bincount(rows))  # the distinct counts, ascending
-        top = counts[-1] if counts.size else d.shape[0]
-        d = d[:top]
-        if counts.size > 1:
-            lane = np.arange(top)
-            x = np.where(lane[:, None] < rows, x[:top], 0.0)
-        else:  # one count for every column: the plain call on that prefix
-            x, rows = x[:top], None
-    if rows is None:
-        # np.linalg.norm(d, axis=0) without its overhead
-        norms = np.sqrt(np.add.reduce(d * d, axis=0))
-    else:
-        sums = d * d
-        # row m - 1 sums the squares of d[:m] in the plain call's order
-        np.cumsum(sums, axis=0, out=sums)
-        norms = np.sqrt(sums[counts - 1])  # row i: the column norms of d[:counts[i]]
-        del sums
-        level = np.searchsorted(counts, rows)  # each column's row of norms
+    n_rows = d.shape[0]
+    rows = np.full(x.shape[1], n_rows) if rows is None else _row_counts(rows, x.shape[1], n_rows)
+    # the distinct counts, ascending; a call with no signals still checks every row
+    counts = np.flatnonzero(np.bincount(rows)) if rows.size else np.array([n_rows])
+    top, mixed = counts[-1], counts.size > 1
+    d, lane, level = d[:top], np.arange(top), np.searchsorted(counts, rows)
+    x = np.where(lane[:, None] < rows, x[:top], 0.0) if mixed else x[:top]
+    squares = d * d
+    # row i: the column norms of d[:counts[i]], summed as a call on that prefix
+    # alone sums them (np.linalg.norm without its overhead)
+    norms = np.sqrt([np.add.reduce(squares[:m], axis=0) for m in counts])
+    del squares
     if not (np.isfinite(norms).all() and np.isfinite(x).all()):
         raise ValueError("sparse coding needs finite atoms and signals")
     if np.count_nonzero(norms == 0.0):
         raise ValueError("zero column in sparse-coding matrix")
 
     n_atoms, n_signals = d.shape[1], x.shape[1]
-    gram = d.T @ d if rows is None and n_signals > n_atoms else None
+    gram = d.T @ d if not mixed and n_signals > n_atoms else None
     support = np.full((n_signals, min(t0, n_atoms)), -1)
     coeffs = np.zeros(support.shape)
     budget, block = support.shape[1], min(_OMP_BLOCK, n_signals)
@@ -210,8 +205,8 @@ def _lockstep_omp(
         alpha = y @ d
         energy = np.einsum("ln,ln->l", y, y)
         n = energy.size
-        # each running signal's column norms: the atoms' own, or one row per signal
-        scale = norms if rows is None else norms[level[first:first + n]]
+        # each running signal's column norms: one shared row, or one row per signal
+        scale = norms[level[first:first + n]] if mixed else norms
         # one row per running signal: its column of x, energy and correlations
         # with the atoms, and its Cholesky factors
         state = (first + index[:n], energy, alpha, np.zeros((n, budget, budget + 1)))
@@ -229,7 +224,7 @@ def _lockstep_omp(
                 state, best, n = tuple(a[kept] for a in state), best[kept], kept.size
                 cols, energy, alpha, chol = state
                 picked[:t, :n] = picked[:t, kept]
-                if rows is not None:
+                if mixed:
                     scale = scale[kept]
                 if n == 0:
                     break
@@ -240,7 +235,7 @@ def _lockstep_omp(
                 col = picked[t, index[:n, None], support[cols, : t + 1]]
             else:
                 picked[t, :n] = d[:, best].T
-                if rows is not None:  # each atom as its signal sees it
+                if mixed:  # each atom as its signal sees it
                     picked[t, :n][lane >= rows[cols, None]] = 0.0
                 col = (held @ picked[t, :n, :, None])[:, :, 0]
             c, fit, dependent = _grow_factors(chol, col, alpha[index[:n], best], t)

@@ -86,6 +86,7 @@ def nn_lift(phi: np.ndarray) -> np.ndarray:
     the largest field once and display its row prefixes. A non-finite entry
     is a ``ValueError``.
     """
+    phi = np.asarray(phi, dtype=np.float64)
     _check_finite(phi)
     return phi + max(0.0, -float(phi.min()))
 
@@ -106,6 +107,7 @@ def quantize_matrix(phi: np.ndarray, bits: int) -> np.ndarray:
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
+    phi = np.asarray(phi, dtype=np.float64)
     _check_finite(phi)
     if float(phi.min()) < 0.0:
         raise ValueError("quantization expects a lifted (non-negative) matrix")

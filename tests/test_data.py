@@ -226,6 +226,17 @@ def test_matrix_corrupt_metadata_raises_corruption_error(tmp_path, block, messag
         gf.read_matrix_meta(path)
 
 
+def test_bytes_after_the_metadata_block_are_corrupt(tmp_path):
+    """A trailing space still leaves the block valid JSON, so only its
+    declared length can tell the file is longer than it says."""
+    path = tmp_path / "m.gim"
+    gf.write_matrix(path, np.ones((2, 2)), meta={"role": "dictionary"})
+    path.write_bytes(path.read_bytes() + b" ")
+    for reader in (gf.read_matrix, gf.read_matrix_meta):
+        with pytest.raises(gf.CorruptionError, match="metadata block length mismatch"):
+            reader(path)
+
+
 def _set_exponent_bits(raw: bytearray, offset: int) -> None:
     """Turn the little-endian float64 at ``offset`` into an inf or a NaN."""
     raw[offset + 7] |= 0x7F
@@ -366,6 +377,17 @@ def test_write_idx_images_checks_a_block_at_a_time(tmp_path):
     imgs[1999, 27, 27] = 0.5
     with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
         write_idx_images(path, imgs)
+
+
+@pytest.mark.parametrize("image", [255, 511])
+@pytest.mark.parametrize("bad", [300.0, 0.5])
+def test_write_idx_images_checks_every_image_of_a_block(tmp_path, image, bad):
+    """The last image of each 256-image block is checked too."""
+    imgs = np.zeros((512, 2, 3))
+    imgs[image, 1, 2] = bad
+    with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+        write_idx_images(tmp_path / "imgs.idx", imgs)
+    assert not (tmp_path / "imgs.idx").exists()
 
 
 def test_readers_return_arrays_of_their_own(tmp_path):

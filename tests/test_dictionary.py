@@ -84,10 +84,17 @@ def test_omp_budget_and_orthogonality():
 
 
 def test_omp_zero_column_rejected():
+    """Also when the matrix has no rows, and when a call codes no signals:
+    it still checks the whole matrix."""
     d = _unit_columns(10, 5, seed=3)
     d[:, 2] = 0.0
     with pytest.raises(ValueError, match="zero column in sparse-coding matrix"):
         gf.omp(d, np.ones(10), t0=2)
+    for rows in (None, np.zeros(0, dtype=int)):
+        with pytest.raises(ValueError, match="zero column in sparse-coding matrix"):
+            gf.sparse_code_columns(d, np.zeros((10, 0)), 2, rows)
+    with pytest.raises(ValueError, match="zero column in sparse-coding matrix"):
+        gf.sparse_code_columns(np.zeros((0, 4)), np.zeros((0, 3)), 2)
 
 
 def test_sparse_code_columns_rejects_mismatched_rows_and_a_zero_budget():
@@ -528,16 +535,19 @@ def test_row_counts_match_separate_calls_through_every_stop(n, k, n_signals, see
 
 def test_one_row_count_or_none_is_the_plain_call():
     """One count for every column is the plain call on that prefix, and no
-    counts the plain call, to the bit, on either side of the Gram choice."""
+    counts the plain call, to the bit, on either side of the Gram choice and
+    in either memory order (training codes against an F-ordered matrix)."""
     rng = np.random.default_rng(14)
-    d = rng.standard_normal((30, 50))
-    for n_signals in (20, 80):
-        x = rng.standard_normal((30, n_signals))
-        plain = gf.sparse_code_columns(d, x, 5)
-        assert np.array_equal(gf.sparse_code_columns(d, x, 5, None), plain)
-        assert np.array_equal(gf.sparse_code_columns(d, x, 5, np.full(n_signals, 30)), plain)
-        assert np.array_equal(gf.sparse_code_columns(d, x, 5, [17] * n_signals),
-                              gf.sparse_code_columns(d[:17], x[:17], 5))
+    c_ordered = rng.standard_normal((30, 50))
+    for d in (c_ordered, np.asfortranarray(c_ordered)):
+        for n_signals in (20, 80):
+            x = rng.standard_normal((30, n_signals))
+            plain = gf.sparse_code_columns(d, x, 5)
+            assert np.array_equal(gf.sparse_code_columns(d, x, 5, None), plain)
+            assert np.array_equal(gf.sparse_code_columns(d, x, 5, np.full(n_signals, 30)), plain)
+            assert np.array_equal(gf.sparse_code_columns(d, x, 5, [17] * n_signals),
+                                  gf.sparse_code_columns(d[:17], x[:17], 5))
+
 
 
 def test_entries_past_a_row_count_are_ignored():

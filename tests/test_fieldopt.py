@@ -207,6 +207,18 @@ def test_lift_and_quantize_refuse_a_non_finite_field(bad):
         gf.quantize_matrix(phi, 4)
 
 
+def test_lift_and_quantize_take_any_array_like():
+    """Nested lists are fields too, as ``measure`` takes them; their
+    refusals stay."""
+    np.testing.assert_array_equal(gf.nn_lift([[-1.0, 2.0]]), [[0.0, 3.0]])
+    np.testing.assert_array_equal(gf.quantize_matrix([[0.5, 1.0]], 1), [[1.0, 1.0]])
+    assert gf.quantize_matrix([[0, 3]], 4).dtype == np.float64
+    with pytest.raises(ValueError, match="non-finite"):
+        gf.nn_lift([[0.5, float("nan")]])
+    with pytest.raises(ValueError, match="non-negative"):
+        gf.quantize_matrix([[-1.0, 1.0]], 8)
+
+
 def test_rank_deficient_dictionary():
     # atoms confined to a 2-D pixel subspace: rank caps the row budget
     s = 3**-0.5

@@ -242,6 +242,31 @@ def test_mutual_coherence_rescans_a_prefix_the_bound_cannot_certify():
     assert mus[1] == gf.mutual_coherence(d[:, [i, j]]) > mus[0]  # and the best pair at m
 
 
+def test_mutual_coherence_prefixes_match_single_calls_on_a_seeded_fuzz():
+    """3000 small matrices, every third one two near-parallel column
+    clusters, each with up to 6 row prefixes: every screened or scanned
+    prefix gives its single call's value. Clusters put left-out pairs near
+    the screen's bound, where a certification margin that is too loose
+    shows."""
+    short = []
+    n_values = 0
+    for seed in range(3000):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(4, 40), rng.integers(3, 40)
+        if seed % 3 == 0:
+            base = rng.standard_normal((rows, 2))
+            d = base[:, rng.integers(0, 2, size=cols)] + 0.05 * rng.standard_normal((rows, cols))
+        else:
+            d = rng.standard_normal((rows, cols))
+        prefixes = np.unique(rng.integers(2, rows + 1, size=6))
+        mus = gf.mutual_coherence(d, prefixes)
+        n_values += mus.size
+        short += [(seed, m, mu) for m, mu in zip(prefixes, mus)
+                  if abs(mu - gf.mutual_coherence(d[:m])) > 1e-12]
+    assert n_values > 15000
+    assert not short, f"(seed, prefix, value) off their single calls: {short}"
+
+
 @pytest.mark.parametrize("prefixes", [[40, 400], None, range(8, 401, 8)], ids=["gap", "single", "grid"])
 def test_mutual_coherence_certifies_a_wide_prefix_gap_in_small_gathers(prefixes):
     """Certifying prefix 400 from a screen at 40 adds 360 rows to about 8000
